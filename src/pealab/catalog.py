@@ -1,11 +1,15 @@
-"""Exhaustive catalogs of small structures up to isomorphism.
+"""Exhaustive catalogs of small structures.
 
 Bounded posets with n elements correspond to arbitrary posets on n-2
-elements (strip the bounds), so classes are generated by enumerating all
-naturally-labeled posets on the middle carrier and deduplicating by a
-canonical labeling.  Addition tables are then searched by backtracking
-with pruning on the forced parts of PE2/PE4 and on agreement with the
-target order; every hit is independently re-checked before it is kept.
+elements (strip the bounds), so classes are generated up to isomorphism by
+enumerating all naturally-labeled posets on the middle carrier and
+deduplicating by a canonical labeling.  Addition tables are then searched
+per class, as labelled tables, by backtracking that keeps only cells above
+both operands (order agreement, PE3, PE4), keeps every row and column a
+bijection onto the up-set of its element (cancellation, Dvurecenskij &
+Vetterlein, Pseudoeffect algebras I, IJTP 40, 2001) and checks PE1 on each
+completed row prefix; enumerate_pea_structures proves each rule.  Every
+hit is independently re-checked before it is kept.
 """
 
 from __future__ import annotations
@@ -97,19 +101,26 @@ def enumerate_pea_structures(base: BoundedPoset) -> list[PseudoEffectAlgebra]:
     """All addition tables on the carrier whose induced order is exactly
     the given one and which pass every axiom.
 
-    The search fills the table row by row.  A cell (a, b) may only hold a
-    value above both a and b (an addition below either operand would break
-    the order agreement), cells against the top element are forced empty
-    unless the other operand is the bottom, and the element one may appear
-    at most once per row and per column.  Completed rows must witness the
-    whole up-set of their element, and each completed row prefix must be
-    consistent with associativity as far as it is determined.  Survivors
-    are re-checked from scratch with the full axiom checker.
+    The table is filled row by row.  No pruning rule drops a table that
+    the final check_pea re-check of every survivor would accept:
+
+    1. Cell (a, b) holds a value above a (definition of the order) and
+       above b (PE3 gives d+b = a+b); cells against the top stay empty
+       unless the other operand is the bottom (PE4).
+    2. Row a and column a are bijections onto the up-set of a, because
+       pseudo effect algebras are cancellative (Dvurecenskij & Vetterlein,
+       Pseudoeffect algebras I, Int. J. Theor. Phys. 40, 2001).  Both
+       cancellations follow from PE2 and PE1's a+(b+c) => (a+b)+c.  Left:
+       if a+b = a+c = x, take d+x = 1; then (d+a)+b = (d+a)+c = 1 and PE2
+       gives b = c.  Right: if b+a = c+a = x, take e+x = 1; then
+       (e+b)+a = (e+c)+a = 1, PE2 gives e+b = e+c, and left cancellation
+       gives b = c.  Rows cover their up-sets by definition of the order,
+       and columns theirs by PE3; this also makes every PE3 instance hold.
+    3. Each completed row prefix agrees with PE1 wherever it is determined.
     """
     n = base.n
     zero, one = base.bottom, base.top
-    leq = base.leq
-    one_bit = 1 << one
+    leq = list(base.leq)
 
     allowed = [[0] * n for _ in range(n)]
     for a in range(n):
@@ -127,7 +138,7 @@ def enumerate_pea_structures(base: BoundedPoset) -> list[PseudoEffectAlgebra]:
             suffix[a][b] = acc
 
     table: list[list[int | None]] = [[None] * n for _ in range(n)]
-    col_has_one = [False] * n
+    col_used = [0] * n
     results: list[PseudoEffectAlgebra] = []
 
     def prefix_associative(rows_done: int) -> bool:
@@ -152,51 +163,31 @@ def enumerate_pea_structures(base: BoundedPoset) -> list[PseudoEffectAlgebra]:
                         return False
         return True
 
-    def sums_witnessed() -> bool:
-        # Each defined x+y needs some d+x = x+y and some y+e = x+y.
-        for x in range(n):
-            for y in range(n):
-                c = table[x][y]
-                if c is None:
-                    continue
-                if all(table[d][x] != c for d in range(n)):
-                    return False
-                if all(table[y][e] != c for e in range(n)):
-                    return False
-        return True
-
-    def fill(a: int, b: int, witnessed: int, row_has_one: bool) -> None:
+    def fill(a: int, b: int, used: int) -> None:
         if b == n:
-            if witnessed == leq[a] and prefix_associative(a + 1):
+            if used == leq[a] and prefix_associative(a + 1):
                 descend(a + 1)
             return
-        needed = leq[a] & ~witnessed
+        needed = leq[a] & ~used
         if needed & ~suffix[a][b]:
             return
         if bin(needed).count("1") > n - b:
             return
-        for c in iter_bits(allowed[a][b]):
-            if c == one:
-                if row_has_one or col_has_one[b]:
-                    continue
-                table[a][b] = c
-                col_has_one[b] = True
-                fill(a, b + 1, witnessed | one_bit, True)
-                col_has_one[b] = False
-            else:
-                table[a][b] = c
-                fill(a, b + 1, witnessed | 1 << c, row_has_one)
-            table[a][b] = None
+        for c in iter_bits(allowed[a][b] & ~used & ~col_used[b]):
+            bit = 1 << c
+            table[a][b] = c
+            col_used[b] |= bit
+            fill(a, b + 1, used | bit)
+            col_used[b] ^= bit
+        table[a][b] = None
         if not (needed & ~suffix[a][b + 1]):
-            fill(a, b + 1, witnessed, row_has_one)
+            fill(a, b + 1, used)
 
     def descend(a: int) -> None:
         if a < n:
-            fill(a, 0, 0, False)
+            fill(a, 0, 0)
             return
-        if not all(col_has_one):
-            return
-        if not sums_witnessed():
+        if col_used != leq:
             return
         candidate = PseudoEffectAlgebra(
             base.labels, tuple(tuple(row) for row in table), zero, one

@@ -3,7 +3,8 @@
 Exit codes: 0 on pass/success, 1 on a verified violation (with a report),
 2 on malformed input or an exceeded size bound.  Text reports end with a
 single line ``RESULT: PASS|FAIL <verb>``; ``--json PATH`` additionally
-writes a machine-readable summary.
+writes a machine-readable summary on every exit, with
+``"error": {"kind", "message"}`` when an error ended the verb.
 """
 
 from __future__ import annotations
@@ -304,6 +305,10 @@ def _cmd_transfer(args) -> int:
 
 def _cmd_verify_coeq(args) -> int:
     out = _Output("verify-coeq", args.json)
+    if args.generate is not None and args.generate < 1:
+        raise FormatError(
+            f"--generate needs a positive count, got {args.generate}"
+        )
     cap = size_limit()
     if args.max_target_n > cap or args.max_source_n > cap:
         raise LimitExceeded(
@@ -345,6 +350,11 @@ def _cmd_verify_coeq(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     out = _Output("enumerate", args.json)
+    if args.n < 1:
+        raise FormatError(f"--n needs at least one element, got {args.n}")
+    cap = size_limit()
+    if args.n > cap:
+        raise LimitExceeded(f"n={args.n} exceeds the configured limit {cap}")
     summary = []
     if args.structures:
         obj = results_obj(args.n)
@@ -546,17 +556,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    verb = args.verb
     try:
         return args.func(args)
     except (FormatError, LimitExceeded) as exc:
-        print(f"error: {exc}")
-        print(f"RESULT: FAIL {verb}")
-        return 2
+        return _fail(args, exc, 2)
     except (InvalidStructure, TransferError) as exc:
-        print(f"error: {exc}")
-        print(f"RESULT: FAIL {verb}")
-        return 1
+        return _fail(args, exc, 1)
+
+
+def _fail(args, exc: Exception, code: int) -> int:
+    out = _Output(args.verb, args.json)
+    out.say(f"error: {exc}")
+    out.payload["error"] = {"kind": type(exc).__name__, "message": str(exc)}
+    return out.finish(False, code)
 
 
 if __name__ == "__main__":  # pragma: no cover

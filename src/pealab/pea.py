@@ -3,7 +3,7 @@
 A pseudo effect algebra is a carrier with a partial addition and constants
 0, 1 subject to
 
-  PE1: if a+(b+c) exists then (a+b)+c exists and both agree,
+  PE1: a+(b+c) exists iff (a+b)+c exists, and then both agree,
   PE2: every a has exactly one d with a+d = 1 and exactly one e with e+a = 1,
   PE3: if a+b exists there are d, e with d+a = b+e = a+b,
   PE4: if a+1 or 1+a exists then a = 0,
@@ -72,24 +72,26 @@ def check_pea(A: PseudoEffectAlgebra) -> Report:
     violations = []
 
     for a in range(n):
+        a_row = plus[a]
         for b in range(n):
-            bc_row = plus[b]
+            b_row = plus[b]
+            ab = a_row[b]
+            ab_row = None if ab is None else plus[ab]
             for c in range(n):
-                bc = bc_row[c]
-                if bc is None:
+                bc = b_row[c]
+                a_bc = None if bc is None else a_row[bc]
+                ab_c = None if ab_row is None else ab_row[c]
+                if a_bc == ab_c:
                     continue
-                a_bc = plus[a][bc]
-                if a_bc is None:
-                    continue
-                ab = plus[a][b]
-                if ab is None or plus[ab][c] != a_bc:
-                    violations.append(
-                        Violation(
-                            "PE1",
-                            (("a", lab[a]), ("b", lab[b]), ("c", lab[c])),
-                            "a+(b+c) exists but (a+b)+c does not match it",
-                        )
+                violations.append(
+                    Violation(
+                        "PE1",
+                        (("a", lab[a]), ("b", lab[b]), ("c", lab[c])),
+                        "a+(b+c) exists but (a+b)+c does not match it"
+                        if a_bc is not None
+                        else "(a+b)+c exists but a+(b+c) does not",
                     )
+                )
 
     for a in range(n):
         right = [d for d in range(n) if plus[a][d] == A.one]

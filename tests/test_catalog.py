@@ -19,6 +19,7 @@ from pealab import (
     pea_to_pdp,
     size_limit,
 )
+from pealab.posets import iter_bits
 
 
 def brute_force_poset_classes(m):
@@ -150,6 +151,29 @@ class TestStructureEnumeration:
                 assert check_pea(A).ok
                 assert induced_order(A) == entry.base
                 assert check_pdp(pea_to_pdp(A)).ok
+
+    def test_rows_and_columns_are_bijections_onto_up_sets(self, catalog5):
+        for entry in catalog5:
+            for A in entry.structures:
+                for a in range(A.n):
+                    up = list(iter_bits(entry.base.leq[a]))
+                    row = [c for c in A.plus[a] if c is not None]
+                    col = [r[a] for r in A.plus if r[a] is not None]
+                    # sorted equality: no value twice, every value of up once
+                    assert sorted(row) == up
+                    assert sorted(col) == up
+
+    def test_seven_element_catalog(self):
+        bases = enumerate_bounded_posets(7, limit=7)
+        tables = [enumerate_pea_structures(base) for base in bases]
+        counts = [len(t) for t in tables]
+        assert len(bases) == 63
+        # class index -> table count; every other class has no table
+        nonzero = {0: 120, 1: 6, 6: 1, 7: 1, 10: 2, 13: 4, 28: 1, 33: 1,
+                   38: 1, 62: 1}
+        assert counts == [nonzero.get(k, 0) for k in range(63)]
+        assert sum(counts) == 138
+        assert sum(not is_commutative(A) for t in tables for A in t) == 96
 
     def test_enumeration_is_deterministic(self):
         first = enumerate_pea_structures(diamond())

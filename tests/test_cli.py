@@ -53,6 +53,21 @@ class TestCheck:
         assert code == 1
         assert "cycle" in out
 
+    def test_violation_exit_writes_the_json_record(self, capsys, tmp_path):
+        path = write_json(
+            tmp_path, "cyc.json",
+            {"elements": ["a", "b"], "covers": [["a", "b"], ["b", "a"]]},
+        )
+        json_path = tmp_path / "report.json"
+        code, _ = run(capsys, "check", "--bposet", path,
+                      "--json", str(json_path))
+        assert code == 1
+        payload = json.loads(json_path.read_text())
+        assert payload["verb"] == "check"
+        assert payload["ok"] is False and payload["exit"] == 1
+        assert payload["error"]["kind"] == "InvalidStructure"
+        assert "cycle" in payload["error"]["message"]
+
     def test_malformed_json_exits_two(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope")
@@ -203,6 +218,28 @@ class TestEnumerate:
         assert code == 2
         assert "RESULT: FAIL enumerate" in out
 
+    def test_oversized_n_is_named_and_recorded(self, capsys, tmp_path):
+        json_path = tmp_path / "report.json"
+        code, out = run(capsys, "enumerate", "--n", "99", "--structures",
+                        "--json", str(json_path))
+        assert code == 2
+        assert "error: n=99 exceeds the configured limit" in out
+        assert out.rstrip().endswith("RESULT: FAIL enumerate")
+        payload = json.loads(json_path.read_text())
+        assert payload == {
+            "verb": "enumerate",
+            "ok": False,
+            "exit": 2,
+            "error": {"kind": "LimitExceeded",
+                      "message": out.splitlines()[0][len("error: "):]},
+        }
+
+    def test_nonpositive_n_exits_two(self, capsys):
+        code, out = run(capsys, "enumerate", "--n", "0")
+        assert code == 2
+        assert out.startswith("error: ")
+        assert out.rstrip().endswith("RESULT: FAIL enumerate")
+
 
 class TestTransferVerbs:
     def _fork_bundle(self, tmp_path):
@@ -254,6 +291,15 @@ class TestTransferVerbs:
         assert code == 0
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["forks"] == 5 and payload["failures"] == 0
+
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_verify_coeq_nonpositive_count_exits_two(self, capsys, count):
+        code, out = run(capsys, "verify-coeq", "--generate", count)
+        assert code == 2
+        assert out.startswith("error: ")
+        assert "RESULT: PASS" not in out
+        assert out.rstrip().endswith("RESULT: FAIL verify-coeq")
 
 
 class TestWitness:

@@ -5,6 +5,7 @@ from helpers import (
     c2_pea,
     c3,
     c3_pea,
+    c4,
     d4_hsum,
     d4_ortho,
     diamond,
@@ -73,6 +74,43 @@ class TestCheckPea:
         A = pea_from(base, [("x", "x", "y"), ("x", "y", "1"), ("y", "x", "1")])
         broken = set_cell(A, 1, 2, 2)  # x+y = y
         assert any(v.rule == "PE1" for v in check_pea(broken).violations)
+
+    def test_only_the_converse_of_associativity_is_a_pe1_violation(self):
+        # x+x = y and y+x = 1 with x+y undefined: (x+x)+x exists but
+        # x+(x+x) does not, and no instance breaks the other direction.
+        A = pea_from(c4(), [("x", "x", "y"), ("y", "x", "1")])
+        pe1 = [v for v in check_pea(A).violations if v.rule == "PE1"]
+        assert [(dict(v.where), v.detail) for v in pe1] == [
+            ({"a": "x", "b": "x", "c": "x"},
+             "(a+b)+c exists but a+(b+c) does not"),
+        ]
+
+    @pytest.mark.parametrize(
+        "sums, caught_at",
+        [
+            # left: y+0 = y+x = y; with y+y = 1, y+(y+x) = 1 needs (y+y)+x
+            ([("x", "x", "1"), ("y", "x", "y"), ("y", "y", "1")],
+             {"a": "y", "b": "y", "c": "x"}),
+            # right: 0+y = x+y = y; with y+y = 1, y+(x+y) = 1 needs (y+x)+y
+            ([("x", "x", "1"), ("x", "y", "y"), ("y", "y", "1")],
+             {"a": "y", "b": "x", "c": "y"}),
+        ],
+        ids=["left", "right"],
+    )
+    def test_broken_cancellation_is_rejected_through_pe1(self, sums, caught_at):
+        # The search prunes non-injective rows and columns because PE2 and
+        # a+(b+c) => (a+b)+c force cancellation; here PE2 holds, so the
+        # checker must reject at the PE1 instance the lemma's proof uses.
+        A = pea_from(c4(), sums)
+        report = check_pea(A)
+        assert not report.ok
+        assert not any(v.rule == "PE2" for v in report.violations)
+        assert any(
+            v.rule == "PE1"
+            and dict(v.where) == caught_at
+            and v.detail == "a+(b+c) exists but (a+b)+c does not match it"
+            for v in report.violations
+        )
 
     def test_order_layer_is_reported_separately(self):
         # dropping 0+a breaks reflexivity of the induced relation at a

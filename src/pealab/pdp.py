@@ -23,7 +23,9 @@ from .posets import (
     PosetMorphism,
     check_morphism,
     enumerate_morphisms,
+    induced_subposet,
     iter_bits,
+    placement_order,
     product_bposets,
 )
 from .reports import Report, Violation
@@ -217,13 +219,35 @@ def check_pdp_morphism(h: PDPMorphism) -> Report:
 
 
 def enumerate_pdp_morphisms(X: PseudoDPoset, Y: PseudoDPoset) -> list[PDPMorphism]:
-    """All difference-preserving morphisms X -> Y, in map-table order."""
-    out = []
-    for m in enumerate_morphisms(X.base, Y.base):
-        cand = PDPMorphism(X, Y, m)
-        if check_pdp_morphism(cand).ok:
-            out.append(cand)
-    return out
+    """All difference-preserving morphisms X -> Y, in map-table order.
+
+    One backtracking search over bounded-poset maps: each condition
+    f(b/a) = f(b)/f(a) (and likewise for \\) is tested as soon as the last
+    of a, b and b/a is placed, so a partial map breaking it is never
+    extended.  Pairs a <= b whose difference is ``None`` are skipped, as in
+    :func:`check_pdp_morphism`; the result equals filtering every
+    bounded-poset map through it, also when X or Y fails :func:`check_pdp`.
+    """
+    rank = {x: k for k, x in enumerate(placement_order(X.base))}
+    checks = [[] for _ in range(X.n)]
+    for a in range(X.n):
+        for b in iter_bits(X.base.leq[a]):
+            for mine, theirs in ((X.slash, Y.slash), (X.bslash, Y.bslash)):
+                v = mine[b][a]
+                if v is not None:
+                    last = max((a, b, v), key=rank.__getitem__)
+                    checks[last].append((a, b, v, theirs))
+
+    def preserves(i: int, m: list[int]) -> bool:
+        for a, b, v, t in checks[i]:
+            if t[m[b]][m[a]] != m[v]:
+                return False
+        return True
+
+    return [
+        PDPMorphism(X, Y, m)
+        for m in enumerate_morphisms(X.base, Y.base, preserves)
+    ]
 
 
 def subalgebra_generated(X: PseudoDPoset, seed) -> tuple[int, ...]:
@@ -284,17 +308,7 @@ def equalizer_pdp(f: PDPMorphism, g: PDPMorphism):
             "agreement set misses a bound; the maps are not bound-preserving"
         )
     pos = {v: k for k, v in enumerate(carrier)}
-    labels = tuple(X.labels[v] for v in carrier)
-    rows = []
-    for a in carrier:
-        row = 0
-        for k, b in enumerate(carrier):
-            if X.base.le(a, b):
-                row |= 1 << k
-        rows.append(row)
-    base = BoundedPoset(
-        labels, tuple(rows), pos[X.base.bottom], pos[X.base.top]
-    )
+    base = induced_subposet(X.base, carrier)
     size = len(carrier)
     slash = [[None] * size for _ in range(size)]
     bslash = [[None] * size for _ in range(size)]

@@ -98,10 +98,6 @@ class Poset:
     def _label_index(self) -> dict[str, int]:
         return {lab: i for i, lab in enumerate(self.labels)}
 
-    def comparable_pairs(self) -> list[tuple[int, int]]:
-        """All pairs (a, b) with a <= b, in lexicographic order."""
-        return [(a, b) for a in range(self.n) for b in iter_bits(self.leq[a])]
-
     def cover_pairs(self) -> list[tuple[int, int]]:
         """Transitive reduction of the order, in lexicographic order."""
         down = self.down
@@ -131,6 +127,27 @@ class BoundedPoset(Poset):
             raise InvalidStructure("declared bottom is not below every element")
         if any(not row >> self.top & 1 for row in self.leq):
             raise InvalidStructure("declared top is not above every element")
+
+
+def induced_subposet(B: BoundedPoset, carrier) -> BoundedPoset:
+    """The order of B restricted to ``carrier``, listed in the given order.
+
+    The carrier must contain both bounds of B; they stay the bounds.
+    """
+    pos = {v: k for k, v in enumerate(carrier)}
+    rows = []
+    for a in carrier:
+        row = 0
+        for k, b in enumerate(carrier):
+            if B.le(a, b):
+                row |= 1 << k
+        rows.append(row)
+    return BoundedPoset(
+        tuple(B.labels[v] for v in carrier),
+        tuple(rows),
+        pos[B.bottom],
+        pos[B.top],
+    )
 
 
 def validate_bounded_poset(elements, cover_pairs) -> BoundedPoset:
@@ -383,33 +400,50 @@ def is_split_fork(fork: SplitFork) -> bool:
     )
 
 
-def enumerate_morphisms(P: BoundedPoset, R: BoundedPoset) -> list[PosetMorphism]:
-    """All bound-preserving isotone maps P -> R, sorted by map table."""
+def placement_order(P: Poset) -> list[int]:
+    """Elements of P by down-set size, then index: each after all below it."""
+    down = P.down
+    return sorted(range(P.n), key=lambda i: (bin(down[i]).count("1"), i))
+
+
+def enumerate_morphisms(
+    P: BoundedPoset, R: BoundedPoset, accept=None
+) -> list[PosetMorphism]:
+    """All bound-preserving isotone maps P -> R, sorted by map table.
+
+    Elements are placed in :func:`placement_order`.  ``accept(i, current)``,
+    when given, is called right after element ``i`` is placed, with the
+    partial table ``current`` (only the elements placed so far are
+    meaningful); when it returns false, no extension of that partial map is
+    explored.
+    """
     if not isinstance(P, BoundedPoset) or not isinstance(R, BoundedPoset):
         raise InvalidStructure("morphism enumeration needs bounded posets")
-    down = P.down
-    order = sorted(range(P.n), key=lambda i: (bin(down[i]).count("1"), i))
+    n = P.n
+    order = placement_order(P)
+    # isotonicity along the covers implies it along the whole order
+    lower = [[] for _ in range(n)]
+    for a, b in P.cover_pairs():
+        lower[b].append(a)
     up_r = R.leq
-    full_r = (1 << R.n) - 1
-    current = [0] * P.n
+    start = [(1 << R.n) - 1] * n
+    start[P.bottom] = 1 << R.bottom
+    start[P.top] &= 1 << R.top
+    current = [0] * n
     found: list[tuple[int, ...]] = []
 
     def extend(k: int) -> None:
-        if k == P.n:
+        if k == n:
             found.append(tuple(current))
             return
         i = order[k]
-        cand = full_r
-        for j in order[:k]:
-            if P.leq[j] >> i & 1:
-                cand &= up_r[current[j]]
-        if i == P.bottom:
-            cand &= 1 << R.bottom
-        if i == P.top:
-            cand &= 1 << R.top
+        cand = start[i]
+        for j in lower[i]:
+            cand &= up_r[current[j]]
         for v in iter_bits(cand):
             current[i] = v
-            extend(k + 1)
+            if accept is None or accept(i, current):
+                extend(k + 1)
 
     extend(0)
     found.sort()

@@ -292,6 +292,16 @@ class TestTransferVerbs:
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["forks"] == 5 and payload["failures"] == 0
 
+    def test_verify_coeq_benchmark_command(self, capsys, tmp_path):
+        json_path = str(tmp_path / "report.json")
+        code, out = run(capsys, "verify-coeq", "--generate", "120",
+                        "--seed", "2024", "--max-target-n", "5",
+                        "--json", json_path)
+        assert code == 0
+        assert out.rstrip().endswith("RESULT: PASS verify-coeq")
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert payload["forks"] == 120 and payload["failures"] == 0
+        assert payload["targets"] == 14
 
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_verify_coeq_nonpositive_count_exits_two(self, capsys, count):

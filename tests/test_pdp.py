@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from helpers import c2_pea, c3_pea, d4_ortho
+from helpers import brute_force_bounded_maps, c2_pea, c3_pea, d4_ortho
 from pealab import (
     InvalidStructure,
     PDPMorphism,
@@ -156,6 +156,44 @@ class TestPdpMorphism:
             v.rule in ("slash", "bslash") and dict(v.where) == {"b": "1", "a": "a"}
             for v in report.violations
         )
+
+
+def filtered_brute_force(X, Y):
+    """Every bounded-poset map X -> Y that passes check_pdp_morphism."""
+    return [
+        m
+        for m in brute_force_bounded_maps(X.base, Y.base)
+        if check_pdp_morphism(
+            PDPMorphism(X, Y, PosetMorphism(X.base, Y.base, m))
+        ).ok
+    ]
+
+
+class TestEnumeratePdpMorphisms:
+    def test_matches_the_filtered_brute_force(self, pdps5):
+        total = 0
+        for X in pdps5:
+            for Y in pdps5:
+                got = [h.map for h in enumerate_pdp_morphisms(X, Y)]
+                assert got == filtered_brute_force(X, Y)
+                total += len(got)
+        assert total == 340
+
+    def test_matches_the_filter_on_tables_failing_the_axioms(self):
+        # a/0 = 1 is not below a, so the condition at (0, a) can only be
+        # decided once 1, placed after a, has its image
+        X = d4_ortho_pdp()
+        idx = {lab: i for i, lab in enumerate(X.labels)}
+        broken = with_slash(X, idx["a"], idx["0"], idx["1"])
+        assert not check_pdp(broken).ok
+        for source, target in itertools.product((X, broken), repeat=2):
+            got = [h.map for h in enumerate_pdp_morphisms(source, target)]
+            assert got == filtered_brute_force(source, target)
+        # f(a/0) = f(1) = 1 forces f(a) = 1, and then f(1/b) = f(a) = 1
+        # forces 1/f(b) = 1, that is f(b) = 0
+        assert [h.map for h in enumerate_pdp_morphisms(broken, X)] == [
+            (0, 3, 0, 3)
+        ]
 
 
 class TestSubalgebra:

@@ -10,6 +10,7 @@ from pealab import (
     check_pdp,
     check_pdp_morphism,
     coequalizer_bposets,
+    enumerate_pdp_morphisms,
     find_isomorphism,
     generate_split_forks,
     i_preserves_fork,
@@ -142,6 +143,31 @@ class TestVerifyCoequalizer:
         )
         report = verify_coequalizer_psdpos(f, g, fake, pdps4)
         assert not report.ok
+
+    def test_targets_may_be_an_iterator(self, pdps4):
+        X = hsum_pdp()
+        f, g, fork = split_fork_from_idempotent(X, collapse_idempotent(X))
+        result = transfer_structure(f, g, fork)
+        from_list = verify_coequalizer_psdpos(f, g, result, pdps4)
+        from_iter = verify_coequalizer_psdpos(f, g, result, iter(pdps4))
+        assert from_iter == from_list
+        assert from_iter.notes[0].endswith(f"over {len(pdps4)} targets")
+
+    def test_notes_count_the_scanned_maps_and_the_mediators(self, pdps4):
+        X = hsum_pdp()
+        f, g, fork = split_fork_from_idempotent(X, collapse_idempotent(X))
+        result = transfer_structure(f, g, fork)
+        report = verify_coequalizer_psdpos(f, g, result, pdps4)
+        homs = [h for C in pdps4 for h in enumerate_pdp_morphisms(X, C)]
+        coequalizing = [h for h in homs if f.then(h) == g.then(h)]
+        # a passing report has exactly one mediator per coequalizing map
+        assert report.ok and coequalizing
+        assert report.notes == (
+            f"checked {len(coequalizing)} coequalizing maps over "
+            f"{len(pdps4)} targets",
+            f"scanned {len(homs)} difference-preserving maps out of B "
+            f"and found {len(coequalizing)} mediators",
+        )
 
 
 class TestIntervalPreservation:

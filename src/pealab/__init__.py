@@ -77,6 +77,7 @@ from .posets import (
     check_morphism,
     coequalizer_bposets,
     coequalizer_posets,
+    comparison_isomorphism,
     enumerate_morphisms,
     find_isomorphism,
     identity,
@@ -86,6 +87,7 @@ from .posets import (
 )
 from .reports import Report, Violation
 from .transfer import (
+    HomSets,
     TransferResult,
     generate_split_forks,
     i_preserves_fork,

@@ -53,6 +53,7 @@ from .posets import (
 )
 from .reports import Report, Violation
 from .transfer import (
+    HomSets,
     generate_split_forks,
     i_preserves_fork,
     transfer_structure,
@@ -314,18 +315,22 @@ def _cmd_verify_coeq(args) -> int:
         raise LimitExceeded(
             f"requested sizes exceed the configured limit {cap}"
         )
-    targets = catalog_pdps(args.max_target_n)
+    source_n = 0 if args.fork else args.max_source_n  # a fork file brings its own
+    pdps = catalog_pdps(max(args.max_target_n, source_n))
+    targets = [X for X in pdps if X.n <= args.max_target_n]
     if args.fork:
         triples = [_fork_with_pdp_pair(io.load_fork(args.fork))]
     else:
-        sources = catalog_pdps(args.max_source_n)
+        sources = [X for X in pdps if X.n <= args.max_source_n]
         triples = generate_split_forks(sources, args.generate, args.seed)
         out.say(f"generated {len(triples)} split forks with seed {args.seed}")
     ok = True
     failures = 0
+    homs = HomSets()
+    out.payload["reports"] = []
     for k, (f, g, fork) in enumerate(triples):
         result = transfer_structure(f, g, fork)
-        report = verify_coequalizer_psdpos(f, g, result, targets)
+        report = verify_coequalizer_psdpos(f, g, result, targets, homs)
         preserved = i_preserves_fork(fork)
         if not report.ok or not preserved:
             ok = False
@@ -337,6 +342,8 @@ def _cmd_verify_coeq(args) -> int:
                     "fork #%d: interval construction does not preserve the "
                     "coequalizer" % k
                 )
+        else:
+            out.payload["reports"].append(report.to_obj())
     out.say(
         f"verified {len(triples)} forks against {len(targets)} targets "
         f"of size <= {args.max_target_n}; failures: {failures}"
@@ -345,6 +352,7 @@ def _cmd_verify_coeq(args) -> int:
     out.payload["targets"] = len(targets)
     out.payload["max_target_n"] = args.max_target_n
     out.payload["failures"] = failures
+    out.payload["hom_sets"] = {"lookups": homs.lookups, "enumerated": len(homs)}
     return out.finish(ok)
 
 

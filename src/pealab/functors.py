@@ -28,15 +28,16 @@ def interval_elements(P: Poset) -> list[tuple[int, int]]:
 def interval_poset(P: Poset) -> Poset:
     """Poset of closed intervals of P, ordered by inclusion."""
     pairs = interval_elements(P)
-    index = {p: k for k, p in enumerate(pairs)}
+    bit = {p: 1 << k for k, p in enumerate(pairs)}
     labels = tuple(f"[{P.labels[a]},{P.labels[b]}]" for a, b in pairs)
+    down, leq = P.down, P.leq
     rows = []
     for a, b in pairs:
+        # [a,b] <= [c,d] iff c <= a <= b <= d
         row = 0
-        for c, d in pairs:
-            # [a,b] <= [c,d] iff c <= a <= b <= d
-            if P.le(c, a) and P.le(b, d):
-                row |= 1 << index[(c, d)]
+        for c in iter_bits(down[a]):
+            for d in iter_bits(leq[b]):
+                row |= bit[c, d]
         rows.append(row)
     return Poset(labels, tuple(rows))
 

@@ -334,30 +334,61 @@ def _quotient_classes(B: Poset, pairs):
             return classes, class_of, rows
 
 
-def coequalizer_posets(f: PosetMorphism, g: PosetMorphism):
-    """Coequalizer of a parallel pair in the category of posets."""
+def _coequalizer(f: PosetMorphism, g: PosetMorphism, bounded: bool):
     _require_parallel(f, g)
     if not check_morphism(f).ok or not check_morphism(g).ok:
-        raise InvalidStructure("coequalizer requires isotone maps")
+        raise InvalidStructure(
+            "coequalizer requires valid bounded-poset morphisms"
+            if bounded
+            else "coequalizer requires isotone maps"
+        )
     B = f.target
+    if bounded and not isinstance(B, BoundedPoset):
+        raise InvalidStructure("coequalizer target must be a bounded poset")
     classes, class_of, rows = _quotient_classes(B, zip(f.map, g.map))
     labels = tuple(B.labels[cls[0]] for cls in classes)
-    Q = Poset(labels, tuple(rows))
+    if bounded:
+        Q = BoundedPoset(labels, tuple(rows), class_of[B.bottom], class_of[B.top])
+    else:
+        Q = Poset(labels, tuple(rows))
     return Q, PosetMorphism(B, Q, tuple(class_of))
+
+
+def coequalizer_posets(f: PosetMorphism, g: PosetMorphism):
+    """Coequalizer of a parallel pair in the category of posets."""
+    return _coequalizer(f, g, bounded=False)
 
 
 def coequalizer_bposets(f: PosetMorphism, g: PosetMorphism):
     """Coequalizer of a parallel pair in the category of bounded posets."""
-    _require_parallel(f, g)
-    if not check_morphism(f).ok or not check_morphism(g).ok:
-        raise InvalidStructure("coequalizer requires valid bounded-poset morphisms")
-    B = f.target
-    if not isinstance(B, BoundedPoset):
-        raise InvalidStructure("coequalizer target must be a bounded poset")
-    classes, class_of, rows = _quotient_classes(B, zip(f.map, g.map))
-    labels = tuple(B.labels[cls[0]] for cls in classes)
-    Q = BoundedPoset(labels, tuple(rows), class_of[B.bottom], class_of[B.top])
-    return Q, PosetMorphism(B, Q, tuple(class_of))
+    return _coequalizer(f, g, bounded=True)
+
+
+def comparison_isomorphism(onto: PosetMorphism, q: PosetMorphism):
+    """The isomorphism e with ``onto.then(e) == q``, or None.
+
+    e(onto(x)) = q(x) must define a bijection between the targets, and e
+    and its inverse must pass :func:`check_morphism`.
+    """
+    if onto.source != q.source:
+        raise InvalidStructure("comparison needs two maps out of the same poset")
+    Q, R = onto.target, q.target
+    if Q.n != R.n:
+        return None
+    values: list[int | None] = [None] * Q.n
+    for cls, image in zip(onto.map, q.map):
+        if values[cls] is None:
+            values[cls] = image
+        elif values[cls] != image:
+            return None
+    if None in values or len(set(values)) != R.n:
+        return None
+    e = PosetMorphism(Q, R, tuple(values))
+    inverse = [0] * R.n
+    for k, v in enumerate(values):
+        inverse[v] = k
+    back = PosetMorphism(R, Q, tuple(inverse))
+    return e if check_morphism(e).ok and check_morphism(back).ok else None
 
 
 @dataclass(frozen=True)

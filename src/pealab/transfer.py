@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import InvalidStructure, TransferError
-from .functors import interval_elements, interval_map, interval_poset
+from .functors import interval_elements, interval_map
 from .pdp import (
     PDPMorphism,
     PseudoDPoset,
@@ -29,6 +29,7 @@ from .posets import (
     SplitFork,
     check_morphism,
     coequalizer_posets,
+    comparison_isomorphism,
     induced_subposet,
     is_split_fork,
     iter_bits,
@@ -143,15 +144,42 @@ def transfer_structure(
     return TransferResult(Qprime, qprime, diagnostics)
 
 
+class HomSets(dict):
+    """Difference-preserving hom sets keyed by (source, target).
+
+    A missing entry is filled by ``enumerate_pdp_morphisms`` on its first
+    lookup.  ``lookups`` counts every lookup and ``len`` the sets
+    enumerated.  Nothing is ever evicted, so a table should live no longer
+    than the run that shares it.
+    """
+
+    lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+    def __missing__(self, key):
+        homs = self[key] = enumerate_pdp_morphisms(*key)
+        return homs
+
+
 def verify_coequalizer_psdpos(
-    f: PDPMorphism, g: PDPMorphism, result: TransferResult, targets
+    f: PDPMorphism,
+    g: PDPMorphism,
+    result: TransferResult,
+    targets,
+    homs: HomSets | None = None,
 ) -> Report:
     """Check the universal property against a catalog of targets.
 
     For every target C and every difference-preserving h: B -> C that
     coequalizes the pair, exactly one difference-preserving e with
-    e o q = h must exist.
+    e o q = h must exist.  ``homs`` shares the hom sets between calls;
+    a fresh table is used when it is omitted.
     """
+    if homs is None:
+        homs = HomSets()
     B = f.target
     Qprime = result.Qprime
     fmap, gmap, qmap = f.map, g.map, result.qprime.map
@@ -160,13 +188,10 @@ def verify_coequalizer_psdpos(
     for idx, C in enumerate(targets):
         n_targets += 1
         tag = f"#{idx}({','.join(C.labels)})"
-        homs = enumerate_pdp_morphisms(B, C)
-        homs_scanned += len(homs)
-        composites = [
-            tuple(e.map[v] for v in qmap)
-            for e in enumerate_pdp_morphisms(Qprime, C)
-        ]
-        for h in homs:
+        out_of_b = homs[B, C]
+        homs_scanned += len(out_of_b)
+        composites = [tuple(e.map[v] for v in qmap) for e in homs[Qprime, C]]
+        for h in out_of_b:
             hm = h.map
             if any(hm[x] != hm[y] for x, y in zip(fmap, gmap)):
                 continue
@@ -196,39 +221,14 @@ def verify_coequalizer_psdpos(
 def i_preserves_fork(fork: SplitFork) -> bool:
     """True iff the interval construction carries the fork to a coequalizer.
 
-    The parallel pair and the quotient map are transported to interval
-    posets, the coequalizer of the transported pair is recomputed from
-    scratch, and the canonical comparison with the interval poset of Q
-    must be an isomorphism.
+    The parallel pair is transported to interval posets, its coequalizer
+    is recomputed from scratch, and the comparison with the transported
+    quotient map, onto the interval poset of Q, must be an isomorphism.
     """
     if not is_split_fork(fork):
         raise InvalidStructure("not a split fork")
-    interval_f = interval_map(fork.f)
-    interval_g = interval_map(fork.g)
-    interval_q = interval_map(fork.q)
-    quotient, onto = coequalizer_posets(interval_f, interval_g)
-    target = interval_poset(fork.Q)
-    if quotient.n != target.n:
-        return False
-    comparison: list[int | None] = [None] * quotient.n
-    for k in range(onto.source.n):
-        cls = onto.map[k]
-        image = interval_q.map[k]
-        if comparison[cls] is None:
-            comparison[cls] = image
-        elif comparison[cls] != image:
-            return False
-    if any(v is None for v in comparison):
-        return False
-    if len(set(comparison)) != target.n:
-        return False
-    e = PosetMorphism(quotient, target, tuple(comparison))
-    if not check_morphism(e).ok:
-        return False
-    inverse = [0] * target.n
-    for k, v in enumerate(e.map):
-        inverse[v] = k
-    return check_morphism(PosetMorphism(target, quotient, tuple(inverse))).ok
+    _, onto = coequalizer_posets(interval_map(fork.f), interval_map(fork.g))
+    return comparison_isomorphism(onto, interval_map(fork.q)) is not None
 
 
 def split_fork_from_idempotent(

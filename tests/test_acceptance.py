@@ -22,6 +22,7 @@ from pealab import (
     check_pea,
     check_square,
     coequalizer_bposets,
+    comparison_isomorphism,
     enumerate_pdp_morphisms,
     enumerate_pea_structures,
     equalizer_pdp,
@@ -132,22 +133,8 @@ def test_criterion_5_independent_coequalizer_crosscheck(pdps5):
     forks = generate_split_forks(pdps5, FORK_COUNT, FORK_SEED)
     for f, g, fork in forks:
         Q, q = coequalizer_bposets(fork.f, fork.g)
-        comparison = [None] * Q.n
-        for x in range(fork.B.n):
-            cls = q.map[x]
-            if comparison[cls] is None:
-                comparison[cls] = fork.q.map[x]
-            assert comparison[cls] == fork.q.map[x]
-        assert None not in comparison
-        assert sorted(comparison) == list(range(fork.Q.n))
-        iso = PosetMorphism(Q, fork.Q, tuple(comparison))
-        assert check_morphism(iso).ok
-        inverse = [0] * fork.Q.n
-        for k, v in enumerate(iso.map):
-            inverse[v] = k
-        assert check_morphism(
-            PosetMorphism(fork.Q, Q, tuple(inverse))
-        ).ok
+        iso = comparison_isomorphism(q, fork.q)
+        assert iso is not None
         assert q.then(iso) == fork.q
     _passed(5, f"coequalizer cross-check over {len(forks)} forks", started)
 

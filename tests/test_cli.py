@@ -302,6 +302,39 @@ class TestTransferVerbs:
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["forks"] == 120 and payload["failures"] == 0
         assert payload["targets"] == 14
+        # every fork's report is recorded, passing ones included
+        assert len(payload["reports"]) == 120
+        assert all(r["ok"] and len(r["notes"]) == 2 for r in payload["reports"])
+        # 2 lookups per fork and target; 826 distinct (source, target) pairs
+        assert payload["hom_sets"] == {"lookups": 3360, "enumerated": 826}
+        # a second run in the same process enumerates as much again:
+        # no hom set survives from one invocation to the next
+        code, _ = run(capsys, "verify-coeq", "--generate", "120",
+                      "--seed", "2024", "--max-target-n", "5",
+                      "--json", json_path)
+        assert code == 0
+        again = json.loads((tmp_path / "report.json").read_text())
+        assert again["hom_sets"] == payload["hom_sets"]
+
+    def test_verify_coeq_records_each_fork_once(self, capsys, tmp_path,
+                                                monkeypatch):
+        # a fork whose interval check is made to fail is printed; every
+        # fork, failing or not, gets exactly one report in the payload
+        verdicts = iter([True, False, True])
+        monkeypatch.setattr("pealab.cli.i_preserves_fork",
+                            lambda fork: next(verdicts))
+        json_path = str(tmp_path / "report.json")
+        code, out = run(capsys, "verify-coeq", "--generate", "3",
+                        "--seed", "1", "--max-source-n", "4",
+                        "--max-target-n", "3", "--json", json_path)
+        assert code == 1
+        assert "fork #1: FAILED" in out
+        assert "fork #1: interval construction does not preserve" in out
+        assert "fork #0" not in out and "fork #2" not in out
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert payload["failures"] == 1
+        assert len(payload["reports"]) == 3
+        assert all(r["subject"] == "verify-coeq" for r in payload["reports"])
 
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_verify_coeq_nonpositive_count_exits_two(self, capsys, count):

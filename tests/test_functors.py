@@ -3,12 +3,15 @@ import pytest
 from helpers import c2, c3, c4, diamond
 from pealab import (
     InvalidStructure,
+    Poset,
     PosetMorphism,
     alpha,
     beta,
     check_morphism,
     check_square,
+    enumerate_bounded_posets,
     enumerate_morphisms,
+    enumerate_posets,
     identity,
     interval_elements,
     interval_map,
@@ -25,6 +28,21 @@ SMALL = [c2(), c3(), c4(), diamond()]
 
 def singleton():
     return validate_bounded_poset(("0",), [])
+
+
+def interval_poset_by_definition(P):
+    """[a,b] <= [c,d] iff c <= a <= b <= d, tested pair by pair."""
+    pairs = [(a, b) for a in range(P.n) for b in range(P.n) if P.le(a, b)]
+    rows = tuple(
+        sum(
+            1 << k
+            for k, (c, d) in enumerate(pairs)
+            if P.le(c, a) and P.le(a, b) and P.le(b, d)
+        )
+        for a, b in pairs
+    )
+    labels = tuple(f"[{P.labels[a]},{P.labels[b]}]" for a, b in pairs)
+    return Poset(labels, rows)
 
 
 class TestIntervalPoset:
@@ -50,6 +68,16 @@ class TestIntervalPoset:
         for i, (a, b) in enumerate(pairs):
             for j, (c, d) in enumerate(pairs):
                 assert I.le(i, j) == (P.le(c, a) and P.le(b, d))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_the_definition_on_bounded_posets(self, n):
+        for P in enumerate_bounded_posets(n):
+            assert interval_poset(P) == interval_poset_by_definition(P)
+
+    @pytest.mark.parametrize("m", range(6))
+    def test_matches_the_definition_on_posets(self, m):
+        for P in enumerate_posets(m):
+            assert interval_poset(P) == interval_poset_by_definition(P)
 
 
 class TestIntervalMap:

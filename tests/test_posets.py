@@ -14,6 +14,7 @@ from pealab import (
     SplitFork,
     check_morphism,
     coequalizer_bposets,
+    comparison_isomorphism,
     enumerate_morphisms,
     find_isomorphism,
     identity,
@@ -154,6 +155,46 @@ class TestCoequalizer:
             }
             for h_map, mediators in mediators_of.items():
                 assert len(mediators) == 1, (C.labels, h_map)
+
+
+class TestComparisonIsomorphism:
+    def test_same_quotient_gives_the_identity(self):
+        f = PosetMorphism(c4(), c3(), (0, 1, 1, 2))
+        g = PosetMorphism(c4(), c3(), (0, 0, 1, 2))
+        Q, q = coequalizer_bposets(f, g)
+        assert comparison_isomorphism(q, q) == identity(Q)
+
+    def test_reordered_quotient_is_recognised(self):
+        # the same collapse of the diamond, with the target listed backwards
+        P = diamond()
+        onto = PosetMorphism(P, c3(), (0, 1, 1, 2))
+        backwards = validate_bounded_poset(
+            ("1", "a", "0"), [("0", "a"), ("a", "1")]
+        )
+        q = PosetMorphism(P, backwards, (2, 1, 1, 0))
+        e = comparison_isomorphism(onto, q)
+        assert e is not None and e.map == (2, 1, 0)
+        assert onto.then(e) == q
+
+    def test_map_not_constant_on_classes_is_rejected(self):
+        onto = PosetMorphism(c3(), c2(), (0, 0, 1))
+        q = PosetMorphism(c3(), c2(), (0, 1, 1))
+        assert comparison_isomorphism(onto, q) is None
+
+    def test_bijection_with_non_isotone_inverse_is_rejected(self):
+        # the diamond's incomparable a, b go to x < y of the 4-chain
+        onto = identity(diamond())
+        q = PosetMorphism(diamond(), c4(), (0, 1, 2, 3))
+        assert check_morphism(q).ok
+        assert comparison_isomorphism(onto, q) is None
+
+    def test_sizes_must_agree(self):
+        q = PosetMorphism(c3(), c2(), (0, 1, 1))
+        assert comparison_isomorphism(identity(c3()), q) is None
+
+    def test_maps_must_share_their_source(self):
+        with pytest.raises(InvalidStructure):
+            comparison_isomorphism(identity(c2()), identity(c3()))
 
 
 class TestSplitFork:

@@ -2,6 +2,7 @@ import pytest
 
 from helpers import d4_hsum, wide3_selfsum
 from pealab import (
+    HomSets,
     InvalidStructure,
     PDPMorphism,
     PosetMorphism,
@@ -168,6 +169,19 @@ class TestVerifyCoequalizer:
             f"scanned {len(homs)} difference-preserving maps out of B "
             f"and found {len(coequalizing)} mediators",
         )
+
+    def test_shared_hom_sets_give_the_same_reports(self, pdps5):
+        homs = HomSets()
+        forks = generate_split_forks(pdps5, 120, 2024)
+        for f, g, fork in forks:
+            result = transfer_structure(f, g, fork)
+            alone = verify_coequalizer_psdpos(f, g, result, pdps5)
+            shared = verify_coequalizer_psdpos(f, g, result, pdps5, homs)
+            assert shared == alone
+        assert homs.lookups == 2 * len(forks) * len(pdps5)
+        assert 0 < len(homs) < homs.lookups
+        for (S, C), found in homs.items():
+            assert found == enumerate_pdp_morphisms(S, C)
 
 
 class TestIntervalPreservation:

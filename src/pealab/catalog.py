@@ -15,11 +15,10 @@ hit is independently re-checked before it is kept.
 from __future__ import annotations
 
 import itertools
-import json
 import os
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
+from . import io
 from .errors import FormatError, InvalidStructure, LimitExceeded
 from .pdp import PseudoDPoset
 from .pea import PseudoEffectAlgebra, check_pea, is_commutative, pea_to_pdp
@@ -202,20 +201,17 @@ def enumerate_pea_structures(base: BoundedPoset) -> list[PseudoEffectAlgebra]:
 @dataclass
 class CatalogEntry:
     base: BoundedPoset
-    structures: tuple[PseudoEffectAlgebra, ...]
-    provenance: dict = field(default_factory=dict)
+    structures: tuple[PseudoEffectAlgebra, ...] | None  # None: not searched
+    class_index: int  # position of base among the classes of its size
 
 
 def build_catalog(max_n: int, limit: int | None = None) -> list[CatalogEntry]:
     """Catalog entries for every bounded-poset class of size 1..max_n."""
-    entries = []
-    for n in range(1, max_n + 1):
-        for k, base in enumerate(enumerate_bounded_posets(n, limit)):
-            structures = tuple(enumerate_pea_structures(base))
-            entries.append(
-                CatalogEntry(base, structures, {"n": n, "class_index": k})
-            )
-    return entries
+    return [
+        CatalogEntry(base, tuple(enumerate_pea_structures(base)), k)
+        for n in range(1, max_n + 1)
+        for k, base in enumerate(enumerate_bounded_posets(n, limit))
+    ]
 
 
 def catalog_pdps(max_n: int, limit: int | None = None) -> list[PseudoDPoset]:
@@ -244,32 +240,18 @@ def find_smallest_noncommutative(limit_size: int, limit: int | None = None):
     return None
 
 
-def _plus_obj(A: PseudoEffectAlgebra) -> dict:
-    out = {}
-    for a in range(A.n):
-        for b in range(A.n):
-            c = A.plus[a][b]
-            if c is not None:
-                out[f"{A.labels[a]},{A.labels[b]}"] = A.labels[c]
-    return out
-
-
 def catalog_to_obj(entries, max_n: int, noncommutative=None) -> dict:
+    """The pealab-catalog@1 object; unsearched entries get no tables."""
     items = []
     for e in entries:
-        base = e.base
-        items.append(
-            {
-                "n": base.n,
-                "class_index": e.provenance.get("class_index"),
-                "elements": list(base.labels),
-                "covers": [
-                    [base.labels[a], base.labels[b]] for a, b in base.cover_pairs()
-                ],
-                "structure_count": len(e.structures),
-                "structures": [{"plus": _plus_obj(A)} for A in e.structures],
-            }
-        )
+        item = {"n": e.base.n, "class_index": e.class_index}
+        item.update(io.poset_obj(e.base))
+        if e.structures is not None:
+            item["structure_count"] = len(e.structures)
+            item["structures"] = [
+                {"plus": io.table_obj(A.plus, A.labels)} for A in e.structures
+            ]
+        items.append(item)
     obj = {"schema": "pealab-catalog@1", "max_n": max_n, "entries": items}
     if noncommutative is not None:
         obj["noncommutative"] = noncommutative
@@ -279,22 +261,22 @@ def catalog_to_obj(entries, max_n: int, noncommutative=None) -> dict:
 def results_obj(max_n: int, limit: int | None = None) -> dict:
     """Catalog results with the noncommutative-witness record attached."""
     entries = build_catalog(max_n, limit)
-    found = None
-    for entry in entries:
-        for A in entry.structures:
-            if not is_commutative(A) and (
-                found is None or entry.base.n < found[0]
-            ):
-                found = (entry.base.n, A)
+    # entries come in order of n, so the first noncommutative table is a
+    # smallest one
+    found = next(
+        (A for entry in entries for A in entry.structures
+         if not is_commutative(A)),
+        None,
+    )
     noncomm = {"limit": max_n, "found": found is not None}
     if found is not None:
-        noncomm["size"] = found[0]
-        noncomm["plus"] = _plus_obj(found[1])
+        noncomm["size"] = found.n
+        noncomm["plus"] = io.table_obj(found.plus, found.labels)
     return catalog_to_obj(entries, max_n, noncomm)
 
 
 def write_catalog(path, max_n: int, limit: int | None = None) -> dict:
     """Build the catalog and persist it as a canonical results file."""
     obj = results_obj(max_n, limit)
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    io.write_json(path, obj)
     return obj

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from . import io
 from .catalog import (
+    CatalogEntry,
     catalog_pdps,
+    catalog_to_obj,
     enumerate_bounded_posets,
     results_obj,
     size_limit,
@@ -71,16 +72,28 @@ class _Output:
     def say(self, line: str) -> None:
         self.lines.append(line)
 
+    def write(self, path, obj) -> bool:
+        """Write obj to the -o path, if one was given, and say so."""
+        if not path:
+            return False
+        io.write_json(path, obj)
+        self.say(f"wrote {path}")
+        return True
+
     def finish(self, ok: bool, code: int | None = None) -> int:
         code = (0 if ok else 1) if code is None else code
         self.payload["ok"] = ok
         self.payload["exit"] = code
+        if self.json_path:  # first, so that a failed write prints no verdict
+            io.write_json(self.json_path, self.payload)
         for line in self.lines:
             print(line)
         print(f"RESULT: {'PASS' if ok else 'FAIL'} {self.verb}")
-        if self.json_path:
-            Path(self.json_path).write_text(io.dumps(self.payload))
         return code
+
+
+def _arrows(label_map: dict[str, str]) -> str:
+    return ", ".join(f"{k}->{v}" for k, v in label_map.items())
 
 
 def _report_into(out: _Output, report: Report) -> bool:
@@ -161,10 +174,7 @@ def _cmd_check(args) -> int:
         hit = find_band_violation(f)
         if hit is not None:
             out.say(f"band violated: {hit}")
-            out.payload["violation"] = {
-                "point": str(hit.point),
-                "value": str(hit.value),
-            }
+            out.payload["violation"] = io.band_violation_to_obj(hit)
             ok = False
         else:
             out.say("map stays inside the band x <= f(x) <= 2x")
@@ -191,15 +201,7 @@ def _cmd_convert(args) -> int:
         obj = io.poset_obj(made)
         out.say(f"{args.to} poset on {made.n} elements (dump-only: "
                 "derived posets need not be bounded)")
-        text = io.dumps(obj)
-        if args.output:
-            Path(args.output).write_text(text)
-            out.say(f"wrote {args.output}")
-        else:
-            out.say(text.rstrip("\n"))
-        out.payload["structure"] = obj
-        return out.finish(True)
-    if isinstance(structure, PseudoEffectAlgebra):
+    elif isinstance(structure, PseudoEffectAlgebra):
         declared = validate_bounded_poset(
             structure.labels, io.load_json(args.input)["covers"]
         )
@@ -207,18 +209,17 @@ def _cmd_convert(args) -> int:
             raise InvalidStructure(
                 "declared covers disagree with the order induced by the addition"
             )
-        converted = pea_to_pdp(structure) if args.to == "pdp" else structure
+        obj = io.structure_to_obj(
+            pea_to_pdp(structure) if args.to == "pdp" else structure
+        )
     elif isinstance(structure, PseudoDPoset):
-        converted = pdp_to_pea(structure) if args.to == "pea" else structure
+        obj = io.structure_to_obj(
+            pdp_to_pea(structure) if args.to == "pea" else structure
+        )
     else:
         raise FormatError("input has no algebraic tables to convert")
-    obj = io.structure_to_obj(converted)
-    text = io.dumps(obj)
-    if args.output:
-        Path(args.output).write_text(text)
-        out.say(f"wrote {args.output}")
-    else:
-        out.say(text.rstrip("\n"))
+    if not out.write(args.output, obj):
+        out.say(io.dumps(obj).rstrip("\n"))
     out.payload["structure"] = obj
     return out.finish(True)
 
@@ -240,9 +241,7 @@ def _cmd_product(args) -> int:
     else:
         raise FormatError("product inputs must all be of the same kind")
     obj = io.structure_to_obj(result)
-    if args.output:
-        Path(args.output).write_text(io.dumps(obj))
-        out.say(f"wrote {args.output}")
+    out.write(args.output, obj)
     out.payload["structure"] = obj
     return out.finish(True)
 
@@ -254,9 +253,7 @@ def _cmd_equalize(args) -> int:
     E, inclusion = equalizer_pdp(f, g)
     out.say(f"equalizer carrier: {{{', '.join(E.labels)}}}")
     obj = io.structure_to_obj(E)
-    if args.output:
-        Path(args.output).write_text(io.dumps(obj))
-        out.say(f"wrote {args.output}")
+    out.write(args.output, obj)
     out.payload["structure"] = obj
     out.payload["inclusion"] = inclusion.poset_map.label_map()
     return out.finish(True)
@@ -268,13 +265,9 @@ def _cmd_coequalize(args) -> int:
     g = io.load_morphism(args.g).poset_map()
     Q, q = coequalizer_bposets(f, g)
     out.say(f"coequalizer object on {Q.n} elements")
-    out.say("quotient map: " + ", ".join(
-        f"{k}->{v}" for k, v in q.label_map().items()
-    ))
+    out.say("quotient map: " + _arrows(q.label_map()))
     obj = io.structure_to_obj(Q)
-    if args.output:
-        Path(args.output).write_text(io.dumps(obj))
-        out.say(f"wrote {args.output}")
+    out.write(args.output, obj)
     out.payload["structure"] = obj
     out.payload["quotient"] = q.label_map()
     return out.finish(True)
@@ -297,9 +290,7 @@ def _cmd_transfer(args) -> int:
     result = transfer_structure(f, g, fork)
     _report_into(out, result.diagnostics)
     obj = io.structure_to_obj(result.Qprime)
-    if args.output:
-        Path(args.output).write_text(io.dumps(obj))
-        out.say(f"wrote {args.output}")
+    out.write(args.output, obj)
     out.payload["structure"] = obj
     return out.finish(True)
 
@@ -310,6 +301,10 @@ def _cmd_verify_coeq(args) -> int:
         raise FormatError(
             f"--generate needs a positive count, got {args.generate}"
         )
+    for flag, value in (("--max-target-n", args.max_target_n),
+                        ("--max-source-n", args.max_source_n)):
+        if value < 1:
+            raise FormatError(f"{flag} needs at least one element, got {value}")
     cap = size_limit()
     if args.max_target_n > cap or args.max_source_n > cap:
         raise LimitExceeded(
@@ -383,31 +378,14 @@ def _cmd_enumerate(args) -> int:
         else:
             out.say(f"all structures up to {args.n} elements are commutative")
     else:
-        classes = {
-            n: enumerate_bounded_posets(n) for n in range(1, args.n + 1)
-        }
-        for n, posets in classes.items():
+        entries = []
+        for n in range(1, args.n + 1):
+            posets = enumerate_bounded_posets(n)
             out.say(f"n={n}: {len(posets)} bounded-poset classes")
             summary.append({"n": n, "classes": len(posets)})
-        obj = {
-            "schema": "pealab-catalog@1",
-            "max_n": args.n,
-            "entries": [
-                {
-                    "n": p.n,
-                    "class_index": k,
-                    "elements": list(p.labels),
-                    "covers": [
-                        [p.labels[a], p.labels[b]] for a, b in p.cover_pairs()
-                    ],
-                }
-                for n, posets in classes.items()
-                for k, p in enumerate(posets)
-            ],
-        }
-    if args.output:
-        Path(args.output).write_text(io.dumps(obj))
-        out.say(f"wrote {args.output}")
+            entries += (CatalogEntry(p, None, k) for k, p in enumerate(posets))
+        obj = catalog_to_obj(entries, args.n)
+    out.write(args.output, obj)
     out.payload["summary"] = summary
     return out.finish(True)
 
@@ -419,7 +397,7 @@ def _cmd_hom(args) -> int:
     morphisms = enumerate_morphisms(P, R)
     out.say(f"{len(morphisms)} bound-preserving isotone maps")
     for m in morphisms:
-        out.say("  " + ", ".join(f"{k}->{v}" for k, v in m.label_map().items()))
+        out.say("  " + _arrows(m.label_map()))
     out.payload["count"] = len(morphisms)
     out.payload["maps"] = [m.label_map() for m in morphisms]
     return out.finish(True)
@@ -434,9 +412,7 @@ def _cmd_iso(args) -> int:
         out.say("not isomorphic")
         out.payload["isomorphic"] = False
         return out.finish(False)
-    out.say("isomorphism: " + ", ".join(
-        f"{k}->{v}" for k, v in iso.label_map().items()
-    ))
+    out.say("isomorphism: " + _arrows(iso.label_map()))
     out.payload["isomorphic"] = True
     out.payload["map"] = iso.label_map()
     return out.finish(True)
@@ -452,13 +428,8 @@ def _cmd_witness_noncomm(args) -> int:
     out.payload["f"] = io.plmap_to_obj(f)
     out.payload["g"] = io.plmap_to_obj(g)
     out.payload["forward_sum"] = io.plmap_to_obj(report.forward_sum)
-    out.payload["violation"] = {
-        "point": str(report.violation.point),
-        "value": str(report.violation.value),
-    }
-    if args.output:
-        Path(args.output).write_text(io.dumps(out.payload))
-        out.say(f"wrote {args.output}")
+    out.payload["violation"] = io.band_violation_to_obj(report.violation)
+    out.write(args.output, out.payload)
     return out.finish(True)
 
 
@@ -576,7 +547,13 @@ def _fail(args, exc: Exception, code: int) -> int:
     out = _Output(args.verb, args.json)
     out.say(f"error: {exc}")
     out.payload["error"] = {"kind": type(exc).__name__, "message": str(exc)}
-    return out.finish(False, code)
+    try:
+        return out.finish(False, code)
+    except FormatError as unwritable:  # the --json record itself
+        out.json_path = None
+        if str(unwritable) != str(exc):
+            out.say(f"error: {unwritable}")
+        return out.finish(False, 2)
 
 
 if __name__ == "__main__":  # pragma: no cover

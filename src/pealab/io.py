@@ -17,7 +17,8 @@ Fork bundle: an object with keys f, g, q, s, t, each a morphism.
 PL map file: {"breakpoints": ["1","3/2"], "slopes": ["2","1","1"]}.
 
 Emission is canonical (sorted keys, two-space indent, trailing newline),
-so parse -> emit is idempotent after one normalization.
+so parse -> emit is idempotent after one normalization.  Every JSON file
+the workbench writes goes through write_json.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from pathlib import Path
 from .errors import FormatError
 from .pdp import PseudoDPoset
 from .pea import PseudoEffectAlgebra
-from .plmaps import PLMap, _frac
+from .plmaps import BandViolation, PLMap, _frac
 from .posets import BoundedPoset, PosetMorphism, validate_bounded_poset
 
 _STRUCTURE_KEYS = {"elements", "covers", "plus", "slash", "bslash"}
@@ -120,33 +121,26 @@ def base_of(structure) -> BoundedPoset:
     raise FormatError(f"not a structure: {type(structure).__name__}")
 
 
-def _table_obj(table, labels) -> dict:
+def table_obj(table, labels) -> dict:
+    """Operation-table object keyed "x,y" for every defined cell table[x][y]."""
     out = {}
-    for b in range(len(labels)):
-        for a in range(len(labels)):
-            v = table[b][a]
+    for x in range(len(labels)):
+        for y in range(len(labels)):
+            v = table[x][y]
             if v is not None:
-                out[f"{labels[b]},{labels[a]}"] = labels[v]
+                out[f"{labels[x]},{labels[y]}"] = labels[v]
     return out
 
 
 def structure_to_obj(structure) -> dict:
     if isinstance(structure, PseudoEffectAlgebra):
-        labels = structure.labels
-        base = base_of(structure)
-        plus = {}
-        for a in range(structure.n):
-            for b in range(structure.n):
-                c = structure.plus[a][b]
-                if c is not None:
-                    plus[f"{labels[a]},{labels[b]}"] = labels[c]
-        obj = poset_obj(base)
-        obj["plus"] = plus
+        obj = poset_obj(base_of(structure))
+        obj["plus"] = table_obj(structure.plus, structure.labels)
         return obj
     if isinstance(structure, PseudoDPoset):
         obj = poset_obj(structure.base)
-        obj["slash"] = _table_obj(structure.slash, structure.labels)
-        obj["bslash"] = _table_obj(structure.bslash, structure.labels)
+        obj["slash"] = table_obj(structure.slash, structure.labels)
+        obj["bslash"] = table_obj(structure.bslash, structure.labels)
         return obj
     if isinstance(structure, BoundedPoset):
         return poset_obj(structure)
@@ -172,6 +166,14 @@ def dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def write_json(path, obj) -> None:
+    """Write obj to path in the canonical emission."""
+    try:
+        Path(path).write_text(dumps(obj))
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc}") from exc
+
+
 def load_json(path):
     try:
         text = Path(path).read_text()
@@ -188,7 +190,7 @@ def load_structure(path):
 
 
 def save_structure(structure, path) -> None:
-    Path(path).write_text(dumps(structure_to_obj(structure)))
+    write_json(path, structure_to_obj(structure))
 
 
 @dataclass
@@ -235,20 +237,6 @@ def parse_morphism(obj, base_dir=None, what: str = "morphism") -> MorphismFile:
 
 def load_morphism(path) -> MorphismFile:
     return parse_morphism(load_json(path), Path(path).parent, str(path))
-
-
-def morphism_to_obj(m: PosetMorphism) -> dict:
-    return {
-        "source": _structure_obj_of_base(m.source),
-        "target": _structure_obj_of_base(m.target),
-        "map": m.label_map(),
-    }
-
-
-def _structure_obj_of_base(base) -> dict:
-    if isinstance(base, BoundedPoset):
-        return poset_obj(base)
-    raise FormatError("only bounded-poset ends can be serialized")
 
 
 @dataclass
@@ -305,3 +293,7 @@ def plmap_to_obj(f: PLMap) -> dict:
         "breakpoints": [str(b) for b in f.breakpoints],
         "slopes": [str(s) for s in f.slopes],
     }
+
+
+def band_violation_to_obj(hit: BandViolation) -> dict:
+    return {"point": str(hit.point), "value": str(hit.value)}

@@ -219,6 +219,13 @@ class PosetMorphism:
             for i, v in enumerate(self.map)
         }
 
+    def inverse(self) -> "PosetMorphism":
+        """The inverse table of a bijection, from the target back."""
+        values = [0] * self.target.n
+        for k, v in enumerate(self.map):
+            values[v] = k
+        return PosetMorphism(self.target, self.source, tuple(values))
+
 
 def identity(P: Poset) -> PosetMorphism:
     return PosetMorphism(P, P, tuple(range(P.n)))
@@ -384,11 +391,7 @@ def comparison_isomorphism(onto: PosetMorphism, q: PosetMorphism):
     if None in values or len(set(values)) != R.n:
         return None
     e = PosetMorphism(Q, R, tuple(values))
-    inverse = [0] * R.n
-    for k, v in enumerate(values):
-        inverse[v] = k
-    back = PosetMorphism(R, Q, tuple(inverse))
-    return e if check_morphism(e).ok and check_morphism(back).ok else None
+    return e if check_morphism(e).ok and check_morphism(e.inverse()).ok else None
 
 
 @dataclass(frozen=True)

@@ -248,16 +248,13 @@ def split_fork_from_idempotent(
         phi = PDPMorphism(X, X, PosetMorphism(B, B, tuple(range(B.n))))
     else:
         phi = auto
-    inv = [0] * B.n
-    for k, v in enumerate(phi.map):
-        inv[v] = k
     image = sorted(set(e.map))
     carrier = image if shuffle is None else [image[i] for i in shuffle]
     Q = induced_subposet(B, carrier)
     pos = {v: k for k, v in enumerate(carrier)}
     q = PosetMorphism(B, Q, tuple(pos[e.map[x]] for x in range(B.n)))
     s = PosetMorphism(Q, B, tuple(carrier))
-    t = PosetMorphism(B, B, tuple(inv))
+    t = phi.poset_map.inverse()
     g = PDPMorphism(X, X, phi.poset_map.then(e))
     fork = SplitFork(B, B, Q, phi.poset_map, g.poset_map, q, s, t)
     return phi, g, fork
@@ -281,11 +278,8 @@ def generate_split_forks(structures, count: int, seed: int):
         for phi in endos:
             if len(set(phi.map)) != X.n:
                 continue
-            inv = [0] * X.n
-            for k, v in enumerate(phi.map):
-                inv[v] = k
-            back = PosetMorphism(X.base, X.base, tuple(inv))
-            if check_pdp_morphism(PDPMorphism(X, X, back)).ok:
+            back = PDPMorphism(X, X, phi.poset_map.inverse())
+            if check_pdp_morphism(back).ok:
                 autos.append(phi)
         for e in idems:
             for phi in autos:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -240,6 +241,35 @@ class TestEnumerate:
         assert out.startswith("error: ")
         assert out.rstrip().endswith("RESULT: FAIL enumerate")
 
+    def test_classes_only_output_file(self, capsys, tmp_path):
+        out_path = tmp_path / "classes.json"
+        code, _ = run(capsys, "enumerate", "--n", "5", "-o", str(out_path))
+        assert code == 0
+        data = json.loads(out_path.read_text())
+        committed = json.loads(
+            (Path(__file__).resolve().parent.parent / "catalog.json").read_text()
+        )
+        assert data["schema"] == committed["schema"]
+        assert data["max_n"] == 5
+        assert "noncommutative" not in data
+        assert data["entries"] == [
+            {k: v for k, v in entry.items()
+             if k not in ("structure_count", "structures")}
+            for entry in committed["entries"]
+            if entry["n"] <= 5
+        ]
+
+    def test_unwritable_json_exits_two_without_a_pass(self, capsys, tmp_path):
+        json_path = tmp_path / "missing" / "report.json"
+        code, out = run(capsys, "enumerate", "--n", "3",
+                        "--json", str(json_path))
+        assert code == 2
+        assert out.startswith(f"error: cannot write {json_path}: ")
+        assert out.count("error: ") == 1
+        assert "RESULT: PASS" not in out
+        assert out.rstrip().endswith("RESULT: FAIL enumerate")
+        assert not json_path.parent.exists()
+
 
 class TestTransferVerbs:
     def _fork_bundle(self, tmp_path):
@@ -336,9 +366,18 @@ class TestTransferVerbs:
         assert len(payload["reports"]) == 3
         assert all(r["subject"] == "verify-coeq" for r in payload["reports"])
 
-    @pytest.mark.parametrize("count", ["0", "-3"])
-    def test_verify_coeq_nonpositive_count_exits_two(self, capsys, count):
-        code, out = run(capsys, "verify-coeq", "--generate", count)
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["--generate", "0"], id="0"),
+        pytest.param(["--generate", "-3"], id="-3"),
+        pytest.param(["--generate", "5", "--max-target-n", "0"],
+                     id="max-target-n=0"),
+        pytest.param(["--generate", "5", "--max-target-n", "-2"],
+                     id="max-target-n=-2"),
+        pytest.param(["--generate", "5", "--max-source-n", "0"],
+                     id="max-source-n=0"),
+    ])
+    def test_verify_coeq_nonpositive_count_exits_two(self, capsys, argv):
+        code, out = run(capsys, "verify-coeq", *argv)
         assert code == 2
         assert out.startswith("error: ")
         assert "RESULT: PASS" not in out
@@ -353,3 +392,17 @@ class TestWitness:
         assert "RESULT: PASS witness-noncomm" in out
         payload = json.loads((tmp_path / "w.json").read_text())
         assert payload["violation"]["point"] == "3/4"
+
+    def test_unwritable_output_exits_two_with_a_record(self, capsys, tmp_path):
+        out_path = tmp_path / "missing" / "w.json"
+        json_path = tmp_path / "w.json"
+        code, out = run(capsys, "witness-noncomm", "-o", str(out_path),
+                        "--json", str(json_path))
+        assert code == 2
+        assert out.startswith(f"error: cannot write {out_path}: ")
+        assert out.rstrip().endswith("RESULT: FAIL witness-noncomm")
+        payload = json.loads(json_path.read_text())
+        assert payload["ok"] is False and payload["exit"] == 2
+        assert payload["error"]["kind"] == "FormatError"
+        assert payload["error"]["message"].startswith(
+            f"cannot write {out_path}: ")

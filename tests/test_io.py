@@ -1,9 +1,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import c3, c3_pea, d4_ortho
-from pealab import FormatError, PseudoDPoset, pea_to_pdp
+from pealab import FormatError, PealabError, PseudoDPoset, pea_to_pdp
 from pealab.io import (
     dumps,
     load_fork,
@@ -11,6 +13,7 @@ from pealab.io import (
     load_plmap,
     load_structure,
     parse_morphism,
+    parse_plmap,
     parse_structure,
     plmap_to_obj,
     save_structure,
@@ -25,32 +28,39 @@ def write(tmp_path, name, obj):
     return path
 
 
+def peas_of(catalog5):
+    return [A for entry in catalog5 for A in entry.structures]
+
+
 class TestStructureFiles:
-    def test_bounded_poset_round_trip(self, tmp_path):
-        P = c3()
-        path = tmp_path / "c3.json"
-        save_structure(P, path)
-        assert load_structure(path) == P
+    def test_bounded_poset_round_trip(self, tmp_path, catalog5):
+        path = tmp_path / "base.json"
+        for P in [c3()] + [entry.base for entry in catalog5]:
+            save_structure(P, path)
+            assert load_structure(path) == P
 
-    def test_pea_round_trip(self, tmp_path):
-        A = d4_ortho()
-        path = tmp_path / "d4.json"
-        save_structure(A, path)
-        assert load_structure(path) == A
+    def test_pea_round_trip(self, tmp_path, catalog5):
+        path = tmp_path / "pea.json"
+        for A in [d4_ortho()] + peas_of(catalog5):
+            save_structure(A, path)
+            assert load_structure(path) == A
 
-    def test_pdp_round_trip(self, tmp_path):
-        X = pea_to_pdp(c3_pea())
-        path = tmp_path / "c3pdp.json"
-        save_structure(X, path)
-        loaded = load_structure(path)
-        assert isinstance(loaded, PseudoDPoset)
-        assert loaded == X
+    def test_pdp_round_trip(self, tmp_path, catalog5):
+        path = tmp_path / "pdp.json"
+        for A in [c3_pea()] + peas_of(catalog5):
+            X = pea_to_pdp(A)
+            save_structure(X, path)
+            loaded = load_structure(path)
+            assert isinstance(loaded, PseudoDPoset)
+            assert loaded == X
 
-    def test_emission_is_idempotent_after_one_normalization(self):
-        A = c3_pea()
-        once = dumps(structure_to_obj(A))
-        again = dumps(structure_to_obj(parse_structure(json.loads(once))))
-        assert once == again
+    def test_emission_is_idempotent_after_one_normalization(self, catalog5):
+        peas = [c3_pea()] + peas_of(catalog5)
+        bases = [entry.base for entry in catalog5]
+        for A in peas + [pea_to_pdp(A) for A in peas] + bases:
+            once = dumps(structure_to_obj(A))
+            again = dumps(structure_to_obj(parse_structure(json.loads(once))))
+            assert once == again
 
     def test_unknown_keys_are_rejected(self):
         with pytest.raises(FormatError, match="unknown keys"):
@@ -141,3 +151,70 @@ class TestPlmapFiles:
         path.write_text("{nope")
         with pytest.raises(FormatError, match="valid JSON"):
             load_structure(path)
+
+
+# Arbitrary JSON-shaped values, and objects shaped like each file format,
+# mostly well-formed, with one slot sometimes replaced by an arbitrary value.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=10,
+)
+
+
+@st.composite
+def structure_objects(draw):
+    middle = draw(st.lists(st.sampled_from(["a", "b", "c,d", ""]),
+                           unique=True, max_size=3))
+    elements = ["0", *middle, "1"]
+    names = st.sampled_from(elements + ["z"])
+    covers = [["0", x] for x in middle] + [[x, "1"] for x in middle]
+    covers += draw(st.lists(st.lists(names, min_size=2, max_size=2),
+                            max_size=2))
+    obj = {"elements": elements, "covers": covers or [["0", "1"]]}
+    tables = draw(st.sampled_from(
+        [(), ("plus",), ("slash", "bslash"), ("slash",), ("plus", "slash")]
+    ))
+    for key in tables:
+        obj[key] = draw(st.dictionaries(st.builds("{},{}".format, names, names),
+                                        names, max_size=12))
+    if draw(st.booleans()):
+        obj[draw(st.sampled_from([*obj, "extra"]))] = draw(json_values)
+    return obj
+
+
+morphism_objects = st.fixed_dictionaries(
+    {"source": structure_objects() | st.sampled_from(["missing.json", ""]),
+     "target": structure_objects(),
+     "map": st.dictionaries(st.sampled_from(["0", "a", "b", "1"]),
+                            st.sampled_from(["0", "a", "b", "1", "z"]))},
+)
+rationals = st.sampled_from(["0", "1/2", "1", "3/2", "2", "-1", "1/0", "x"])
+plmap_objects = st.fixed_dictionaries(
+    {"breakpoints": st.lists(rationals, max_size=3) | json_values,
+     "slopes": st.lists(rationals, min_size=1, max_size=4) | json_values},
+)
+
+
+@pytest.fixture(scope="module")
+def empty_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("empty")
+
+
+@pytest.mark.parametrize("kind", ["structure", "morphism", "plmap"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_parsers_raise_only_workbench_errors(empty_dir, kind, data):
+    parse = {
+        "structure": parse_structure,
+        # file references resolve inside an empty directory
+        "morphism": lambda obj: parse_morphism(obj, empty_dir).poset_map(),
+        "plmap": parse_plmap,
+    }[kind]
+    objects = {"structure": structure_objects(), "morphism": morphism_objects,
+               "plmap": plmap_objects}[kind]
+    try:
+        parse(data.draw(objects | json_values))
+    except PealabError:
+        pass

@@ -13,7 +13,6 @@ from .catalog import (
     enumerate_bounded_posets,
     enumerate_pea_structures,
     enumerate_posets,
-    find_smallest_noncommutative,
     size_limit,
 )
 from .errors import (

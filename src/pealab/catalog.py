@@ -3,13 +3,14 @@
 Bounded posets with n elements correspond to arbitrary posets on n-2
 elements (strip the bounds), so classes are generated up to isomorphism by
 enumerating all naturally-labeled posets on the middle carrier and
-deduplicating by a canonical labeling.  Addition tables are then searched
-per class, as labelled tables, by backtracking that keeps only cells above
-both operands (order agreement, PE3, PE4), keeps every row and column a
-bijection onto the up-set of its element (cancellation, Dvurecenskij &
-Vetterlein, Pseudoeffect algebras I, IJTP 40, 2001) and checks PE1 on each
-completed row prefix; enumerate_pea_structures proves each rule.  Every
-hit is independently re-checked before it is kept.
+deduplicating by a canonical labeling.  Structures are then searched per
+class, as labelled tables, in their difference form: by PD1 and PD2, c/-
+is a dual automorphism of the down-set of c whose inverse is c\\-, so a
+structure is one dual automorphism per element that satisfies the two PD2
+equations; enumerate_pea_structures proves the lemma.  A base with a
+down-set that is not self-dual carries no structure.  Every hit is
+re-checked as a pseudo D-poset and as a pseudo effect algebra before it is
+kept.
 """
 
 from __future__ import annotations
@@ -20,9 +21,15 @@ from dataclasses import dataclass
 
 from . import io
 from .errors import FormatError, InvalidStructure, LimitExceeded
-from .pdp import PseudoDPoset
-from .pea import PseudoEffectAlgebra, check_pea, is_commutative, pea_to_pdp
-from .posets import BoundedPoset, Poset, close_relation, iter_bits
+from .pdp import PseudoDPoset, check_pdp
+from .pea import (
+    PseudoEffectAlgebra,
+    check_pea,
+    is_commutative,
+    pdp_to_pea,
+    pea_to_pdp,
+)
+from .posets import BoundedPoset, Poset, close_relation, iter_bits, placement_order
 
 DEFAULT_MAX_N = 7
 _MIDDLE_LABELS = "abcdefgh"
@@ -72,9 +79,9 @@ def enumerate_posets(m: int) -> list[Poset]:
     return [Poset(labels, rows) for rows in sorted(canon)]
 
 
-def enumerate_bounded_posets(n: int, limit: int | None = None) -> list[BoundedPoset]:
+def enumerate_bounded_posets(n: int) -> list[BoundedPoset]:
     """One representative per isomorphism class of bounded posets."""
-    cap = size_limit() if limit is None else limit
+    cap = size_limit()
     if n > cap:
         raise LimitExceeded(f"n={n} exceeds the configured limit {cap}")
     if n < 1:
@@ -96,105 +103,91 @@ def enumerate_bounded_posets(n: int, limit: int | None = None) -> list[BoundedPo
     return out
 
 
+def _dual_automorphisms(base: BoundedPoset, c: int) -> list[tuple[tuple, tuple]]:
+    """Every order-reversing bijection of the down-set of c, with its
+    inverse, as rows of length n that hold None outside the down-set."""
+    down, up = base.down, base.leq
+    elements = list(iter_bits(down[c]))
+    sigma: list[int | None] = [None] * base.n
+    out = []
+
+    def extend(k: int, free: int) -> None:
+        if k == len(elements):
+            inverse: list[int | None] = [None] * base.n
+            for x in elements:
+                inverse[sigma[x]] = x
+            out.append((tuple(sigma), tuple(inverse)))
+            return
+        x = elements[k]
+        candidates = free
+        for y in elements[:k]:
+            s = sigma[y]
+            # y <= x iff sigma(x) <= sigma(y), and x <= y iff sigma(y) <= sigma(x)
+            candidates &= down[s] if up[y] >> x & 1 else ~down[s]
+            candidates &= up[s] if up[x] >> y & 1 else ~up[s]
+        for v in iter_bits(candidates):
+            sigma[x] = v
+            extend(k + 1, free & ~(1 << v))
+
+    extend(0, down[c])
+    return out
+
+
 def enumerate_pea_structures(base: BoundedPoset) -> list[PseudoEffectAlgebra]:
     """All addition tables on the carrier whose induced order is exactly
-    the given one and which pass every axiom.
+    the given one and which pass every axiom, sorted row-major with None
+    last.
 
-    The table is filled row by row.  No pruning rule drops a table that
-    the final check_pea re-check of every survivor would accept:
+    The search runs on difference tables.  Lemma (PD1 and PD2 alone):
+    a -> c/a is a dual automorphism of the down-set of c, with inverse
+    a -> c\\a.  Proof: PD2 on 0 <= a <= c gives c/a <= c/0 = c (PD1) and
+    (c/0)\\(c/a) = a/0, that is c\\(c/a) = a; mirrored, c/(c\\a) = a; so the
+    two maps are mutually inverse, and PD2's inequalities make both antitone.
 
-    1. Cell (a, b) holds a value above a (definition of the order) and
-       above b (PE3 gives d+b = a+b); cells against the top stay empty
-       unless the other operand is the bottom (PE4).
-    2. Row a and column a are bijections onto the up-set of a, because
-       pseudo effect algebras are cancellative (Dvurecenskij & Vetterlein,
-       Pseudoeffect algebras I, Int. J. Theor. Phys. 40, 2001).  Both
-       cancellations follow from PE2 and PE1's a+(b+c) => (a+b)+c.  Left:
-       if a+b = a+c = x, take d+x = 1; then (d+a)+b = (d+a)+c = 1 and PE2
-       gives b = c.  Right: if b+a = c+a = x, take e+x = 1; then
-       (e+b)+a = (e+c)+a = 1, PE2 gives e+b = e+c, and left cancellation
-       gives b = c.  Rows cover their up-sets by definition of the order,
-       and columns theirs by PE3; this also makes every PE3 instance hold.
-    3. Each completed row prefix agrees with PE1 wherever it is determined.
+    Conversely, one dual automorphism per element makes every difference
+    a <= c defined and gives PD1 and PD2's inequalities, so a structure is
+    one choice per element that meets the two PD2 equations
+    (c/a)\\(c/b) = b/a and (c\\a)/(c\\b) = b\\a for a <= b <= c.  Elements
+    are chosen in placement order; for a > 0, c/a and c\\a lie strictly
+    below c, so every equation with c on top is decided as soon as the
+    choice for c is made.  Each survivor is re-checked by check_pdp,
+    converted by pdp_to_pea and re-checked by check_pea before it is kept.
     """
     n = base.n
-    zero, one = base.bottom, base.top
-    leq = list(base.leq)
-
-    allowed = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            if b == one and a != zero:
-                continue
-            if a == one and b != zero:
-                continue
-            allowed[a][b] = leq[a] & leq[b]
-    suffix = [[0] * (n + 1) for _ in range(n)]
-    for a in range(n):
-        acc = 0
-        for b in range(n - 1, -1, -1):
-            acc |= allowed[a][b]
-            suffix[a][b] = acc
-
-    table: list[list[int | None]] = [[None] * n for _ in range(n)]
-    col_used = [0] * n
+    order = placement_order(base)
+    choices = {c: _dual_automorphisms(base, c) for c in order}
+    slash: list[tuple | None] = [None] * n
+    bslash: list[tuple | None] = [None] * n
     results: list[PseudoEffectAlgebra] = []
 
-    def prefix_associative(rows_done: int) -> bool:
-        # Check every associativity instance whose lookups are already
-        # fixed: rows are final once filled, so a missing x+y with
-        # x+(y+z) present can never be repaired later.
-        for x in range(rows_done):
-            row_x = table[x]
-            for y in range(rows_done):
-                row_y = table[y]
-                xy = row_x[y]
-                for z in range(n):
-                    yz = row_y[z]
-                    if yz is None:
-                        continue
-                    x_yz = row_x[yz]
-                    if x_yz is None:
-                        continue
-                    if xy is None:
-                        return False
-                    if xy < rows_done and table[xy][z] != x_yz:
-                        return False
+    def consistent(c: int) -> bool:
+        s, t = slash[c], bslash[c]
+        for a in iter_bits(base.down[c]):
+            for b in iter_bits(base.down[c] & base.leq[a]):
+                if bslash[s[a]][s[b]] != slash[b][a]:
+                    return False
+                if slash[t[a]][t[b]] != bslash[b][a]:
+                    return False
         return True
 
-    def fill(a: int, b: int, used: int) -> None:
-        if b == n:
-            if used == leq[a] and prefix_associative(a + 1):
-                descend(a + 1)
+    def place(k: int) -> None:
+        if k == n:
+            X = PseudoDPoset(base, tuple(slash), tuple(bslash))
+            if check_pdp(X).ok:
+                A = pdp_to_pea(X)
+                if check_pea(A).ok:
+                    results.append(A)
             return
-        needed = leq[a] & ~used
-        if needed & ~suffix[a][b]:
-            return
-        if bin(needed).count("1") > n - b:
-            return
-        for c in iter_bits(allowed[a][b] & ~used & ~col_used[b]):
-            bit = 1 << c
-            table[a][b] = c
-            col_used[b] |= bit
-            fill(a, b + 1, used | bit)
-            col_used[b] ^= bit
-        table[a][b] = None
-        if not (needed & ~suffix[a][b + 1]):
-            fill(a, b + 1, used)
+        c = order[k]
+        for sigma, inverse in choices[c]:
+            slash[c], bslash[c] = sigma, inverse
+            if consistent(c):
+                place(k + 1)
 
-    def descend(a: int) -> None:
-        if a < n:
-            fill(a, 0, 0)
-            return
-        if col_used != leq:
-            return
-        candidate = PseudoEffectAlgebra(
-            base.labels, tuple(tuple(row) for row in table), zero, one
-        )
-        if check_pea(candidate).ok:
-            results.append(candidate)
-
-    descend(0)
+    place(0)
+    results.sort(
+        key=lambda A: [[n if v is None else v for v in row] for row in A.plus]
+    )
     return results
 
 
@@ -205,39 +198,22 @@ class CatalogEntry:
     class_index: int  # position of base among the classes of its size
 
 
-def build_catalog(max_n: int, limit: int | None = None) -> list[CatalogEntry]:
+def build_catalog(max_n: int) -> list[CatalogEntry]:
     """Catalog entries for every bounded-poset class of size 1..max_n."""
     return [
         CatalogEntry(base, tuple(enumerate_pea_structures(base)), k)
         for n in range(1, max_n + 1)
-        for k, base in enumerate(enumerate_bounded_posets(n, limit))
+        for k, base in enumerate(enumerate_bounded_posets(n))
     ]
 
 
-def catalog_pdps(max_n: int, limit: int | None = None) -> list[PseudoDPoset]:
+def catalog_pdps(max_n: int) -> list[PseudoDPoset]:
     """Every catalog structure up to max_n, converted to difference form."""
     return [
         pea_to_pdp(A)
-        for entry in build_catalog(max_n, limit)
+        for entry in build_catalog(max_n)
         for A in entry.structures
     ]
-
-
-def find_smallest_noncommutative(limit_size: int, limit: int | None = None):
-    """Smallest carrier size admitting a noncommutative structure.
-
-    Returns (size, witness) or None when everything up to limit_size is
-    commutative.
-    """
-    cap = size_limit() if limit is None else limit
-    if limit_size > cap:
-        raise LimitExceeded(f"limit {limit_size} exceeds the configured cap {cap}")
-    for n in range(1, limit_size + 1):
-        for base in enumerate_bounded_posets(n, limit):
-            for A in enumerate_pea_structures(base):
-                if not is_commutative(A):
-                    return n, A
-    return None
 
 
 def catalog_to_obj(entries, max_n: int, noncommutative=None) -> dict:
@@ -258,9 +234,9 @@ def catalog_to_obj(entries, max_n: int, noncommutative=None) -> dict:
     return obj
 
 
-def results_obj(max_n: int, limit: int | None = None) -> dict:
+def results_obj(max_n: int) -> dict:
     """Catalog results with the noncommutative-witness record attached."""
-    entries = build_catalog(max_n, limit)
+    entries = build_catalog(max_n)
     # entries come in order of n, so the first noncommutative table is a
     # smallest one
     found = next(
@@ -275,8 +251,8 @@ def results_obj(max_n: int, limit: int | None = None) -> dict:
     return catalog_to_obj(entries, max_n, noncomm)
 
 
-def write_catalog(path, max_n: int, limit: int | None = None) -> dict:
+def write_catalog(path, max_n: int) -> dict:
     """Build the catalog and persist it as a canonical results file."""
-    obj = results_obj(max_n, limit)
+    obj = results_obj(max_n)
     io.write_json(path, obj)
     return obj

@@ -50,7 +50,6 @@ from .posets import (
     find_isomorphism,
     is_split_fork,
     product_bposets,
-    validate_bounded_poset,
 )
 from .reports import Report, Violation
 from .transfer import (
@@ -105,16 +104,21 @@ def _report_into(out: _Output, report: Report) -> bool:
     return report.ok
 
 
-def _declared_order_violations(A: PseudoEffectAlgebra, declared: BoundedPoset):
-    if tuple(induced_rows(A)) != declared.leq:
-        return [
+def _load_declared(path):
+    """The structure in path, and the violations of its declared covers by
+    the order that its addition induces (none for other kinds)."""
+    structure, declared = io.parse_declared(io.load_json(path), str(path))
+    if isinstance(structure, PseudoEffectAlgebra) and (
+        tuple(induced_rows(structure)) != declared.leq
+    ):
+        return structure, (
             Violation(
                 "order",
                 (),
                 "declared covers disagree with the order induced by the addition",
-            )
-        ]
-    return []
+            ),
+        )
+    return structure, ()
 
 
 def _load_pdp_morphism(mf: io.MorphismFile, what: str) -> PDPMorphism:
@@ -129,15 +133,11 @@ def _cmd_check(args) -> int:
     out = _Output("check", args.json)
     ok = True
     if args.pea:
-        A = io.load_structure(args.pea)
+        A, extra = _load_declared(args.pea)
         if not isinstance(A, PseudoEffectAlgebra):
             raise FormatError(f"{args.pea} does not carry an addition table")
-        declared = validate_bounded_poset(
-            A.labels, io.load_json(args.pea)["covers"]
-        )
         report = check_pea(A)
-        extra = _declared_order_violations(A, declared)
-        report = Report(report.subject, report.violations + tuple(extra))
+        report = Report(report.subject, report.violations + extra)
         ok = _report_into(out, report)
         if ok:
             out.say(f"pseudo effect algebra on {A.n} elements; "
@@ -194,7 +194,7 @@ def _assemble_fork(ff: io.ForkFile) -> SplitFork:
 
 def _cmd_convert(args) -> int:
     out = _Output("convert", args.json)
-    structure = io.load_structure(args.input)
+    structure, extra = _load_declared(args.input)
     if args.to in ("interval", "triple"):
         base = io.base_of(structure)
         made = (interval_poset if args.to == "interval" else triple_poset)(base)
@@ -202,13 +202,8 @@ def _cmd_convert(args) -> int:
         out.say(f"{args.to} poset on {made.n} elements (dump-only: "
                 "derived posets need not be bounded)")
     elif isinstance(structure, PseudoEffectAlgebra):
-        declared = validate_bounded_poset(
-            structure.labels, io.load_json(args.input)["covers"]
-        )
-        if _declared_order_violations(structure, declared):
-            raise InvalidStructure(
-                "declared covers disagree with the order induced by the addition"
-            )
+        if extra:
+            raise InvalidStructure(extra[0].detail)
         obj = io.structure_to_obj(
             pea_to_pdp(structure) if args.to == "pdp" else structure
         )

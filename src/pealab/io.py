@@ -69,6 +69,13 @@ def _parse_table(obj, labels, name: str):
 
 def parse_structure(obj, what: str = "structure"):
     """Parse a structure object into the most specific value it encodes."""
+    return parse_declared(obj, what)[0]
+
+
+def parse_declared(obj, what: str = "structure"):
+    """(parse_structure's value, the bounded poset that the object's
+    elements and covers declare).  For an addition table the two orders
+    can differ; callers compare them against the induced order."""
     _require(isinstance(obj, dict), f"{what} must be a JSON object")
     unknown = set(obj) - _STRUCTURE_KEYS
     _require(not unknown, f"{what} has unknown keys: {sorted(unknown)}")
@@ -94,14 +101,14 @@ def parse_structure(obj, what: str = "structure"):
              f"{what} carries both an addition and difference tables")
     if has_plus:
         plus = _parse_table(obj["plus"], base.labels, "plus")
-        return PseudoEffectAlgebra(base.labels, plus, base.bottom, base.top)
+        return PseudoEffectAlgebra(base.labels, plus, base.bottom, base.top), base
     if has_diff:
         _require("slash" in obj and "bslash" in obj,
                  f"{what} needs both 'slash' and 'bslash'")
         slash = _parse_table(obj["slash"], base.labels, "slash")
         bslash = _parse_table(obj["bslash"], base.labels, "bslash")
-        return PseudoDPoset(base, slash, bslash)
-    return base
+        return PseudoDPoset(base, slash, bslash), base
+    return base, base
 
 
 def base_of(structure) -> BoundedPoset:

@@ -23,7 +23,7 @@ from .errors import InvalidStructure
 def _frac(x) -> Fraction:
     try:
         return Fraction(x)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise InvalidStructure(f"not a rational number: {x!r}") from exc
 
 

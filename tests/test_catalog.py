@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from cancellative import compare_routes
 from helpers import c2, c3, c4, diamond
 from pealab import (
     LimitExceeded,
@@ -13,12 +14,13 @@ from pealab import (
     enumerate_pea_structures,
     enumerate_posets,
     find_isomorphism,
-    find_smallest_noncommutative,
     induced_order,
     is_commutative,
     pea_to_pdp,
     size_limit,
 )
+from pealab import io
+from pealab.catalog import results_obj
 from pealab.posets import iter_bits
 
 
@@ -46,7 +48,7 @@ def dumb_structures(base):
     Cells are restricted to the necessary conditions only (values above
     both operands, top sums forced empty); everything else is left to the
     full checker, so this is an independent completeness oracle for the
-    backtracking search.
+    catalog search.
     """
     n = base.n
     cells = [(a, b) for a in range(n) for b in range(n)]
@@ -164,7 +166,7 @@ class TestStructureEnumeration:
                     assert sorted(col) == up
 
     def test_seven_element_catalog(self):
-        bases = enumerate_bounded_posets(7, limit=7)
+        bases = enumerate_bounded_posets(7)
         tables = [enumerate_pea_structures(base) for base in bases]
         counts = [len(t) for t in tables]
         assert len(bases) == 63
@@ -174,6 +176,13 @@ class TestStructureEnumeration:
         assert counts == [nonzero.get(k, 0) for k in range(63)]
         assert sum(counts) == 138
         assert sum(not is_commutative(A) for t in tables for A in t) == 96
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_cancellative_route(self, n):
+        # the second route in cancellative.py fills addition tables cell by
+        # cell; both must give the same tables in the same order per class
+        *_, differing = compare_routes(n)
+        assert differing == []
 
     def test_enumeration_is_deterministic(self):
         first = enumerate_pea_structures(diamond())
@@ -201,17 +210,25 @@ class TestCommittedResultsFile:
 
 
 class TestSmallestNoncommutative:
+    """The noncommutative-witness record of results_obj names a smallest
+    noncommutative structure, since catalog entries come in order of n."""
+
     def test_none_up_to_two(self):
-        assert find_smallest_noncommutative(2) is None
+        assert results_obj(2)["noncommutative"] == {"limit": 2, "found": False}
 
     def test_none_up_to_four(self):
-        assert find_smallest_noncommutative(4) is None
+        assert results_obj(4)["noncommutative"] == {"limit": 4, "found": False}
 
     def test_found_at_five(self):
-        found = find_smallest_noncommutative(5)
-        assert found is not None
-        size, witness = found
-        assert size == 5
+        obj = results_obj(5)
+        record = obj["noncommutative"]
+        assert record["found"] and record["size"] == 5
+        entry = next(e for e in obj["entries"]
+                     if {"plus": record["plus"]} in e["structures"])
+        witness = io.parse_structure(
+            {"elements": entry["elements"], "covers": entry["covers"],
+             "plus": record["plus"]}
+        )
         assert check_pea(witness).ok
         assert not is_commutative(witness)
         # the witness pairs the three atoms cyclically

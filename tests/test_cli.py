@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from helpers import c2, c3, c3_pea, c4, d4_hsum, diamond
-from pealab import pea_to_pdp
+from pealab import io, pea_to_pdp
 from pealab.cli import main
 from pealab.io import dumps, save_structure, structure_to_obj
 from pealab.plmaps import pl_map
@@ -92,6 +92,8 @@ class TestCheck:
         path = write_json(tmp_path, "wrong.json", obj)
         code, out = run(capsys, "check", "--pea", path)
         assert code == 1
+        code, out = run(capsys, "convert", path, "--to", "pdp")
+        assert code == 1 and "declared covers disagree" in out
 
     def test_pdp_check(self, capsys, tmp_path):
         path = tmp_path / "x.json"
@@ -106,6 +108,24 @@ class TestCheck:
         assert run(capsys, "check", "--plmap", good)[0] == 0
         code, out = run(capsys, "check", "--plmap", bad)
         assert code == 1 and "band violated" in out
+
+
+@pytest.mark.parametrize(
+    "argv", [("check", "--pea", "{}"), ("convert", "{}", "--to", "pdp")],
+    ids=["check", "convert"],
+)
+def test_input_is_read_once(capsys, monkeypatch, c3_file, argv):
+    calls = []
+    load_json = io.load_json
+
+    def counting(path):
+        calls.append(path)
+        return load_json(path)
+
+    monkeypatch.setattr(io, "load_json", counting)
+    code, _ = run(capsys, *(a.format(c3_file) for a in argv))
+    assert code == 0
+    assert calls == [c3_file]
 
 
 class TestConvert:

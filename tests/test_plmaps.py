@@ -127,6 +127,40 @@ class TestNormalForm:
         assert pl_map((1, 2), (2, 2, 1)) == pl_map((2,), (2, 1))
         assert pl_map((5,), (1, 1)) == identity_map()
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_normal_form_keeps_the_raw_map(self, data):
+        count = data.draw(st.integers(min_value=0, max_value=5))
+        deltas = data.draw(st.lists(
+            st.fractions(min_value=Fraction(1, 8), max_value=4),
+            min_size=count, max_size=count,
+        ))
+        # few distinct slopes, so adjacent segments often share one
+        slopes = data.draw(st.lists(
+            st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2)]),
+            min_size=count + 1, max_size=count + 1,
+        ))
+        bps = [sum(deltas[: k + 1]) for k in range(count)]
+        f = PLMap(tuple(bps), tuple(slopes))
+
+        assert all(a != b for a, b in zip(f.slopes, f.slopes[1:]))
+
+        def raw(x):
+            # integrate the raw slopes over [0, x], segment by segment
+            value, previous = Fraction(0), Fraction(0)
+            for end, slope in zip(bps + [x], slopes):
+                value += slope * max(Fraction(0), min(x, end) - previous)
+                previous = end
+            return value
+
+        tail = (bps[-1] if bps else 0) + 1
+        previous = Fraction(0)
+        for b in bps + [tail]:
+            for x in (b, (previous + b) / 2):
+                assert f(x) == raw(x)
+            previous = b
+        assert PLMap(f.breakpoints, f.slopes) == f
+
     def test_invalid_maps_are_rejected(self):
         with pytest.raises(InvalidStructure):
             pl_map((2, 1), (1, 1, 1))  # decreasing breakpoints
@@ -134,6 +168,8 @@ class TestNormalForm:
             pl_map((1,), (1, 0))  # zero slope
         with pytest.raises(InvalidStructure):
             pl_map((), (1, 1))  # slope count mismatch
+        with pytest.raises(InvalidStructure):
+            pl_map((), (float("inf"),))  # not a rational number
 
 
 class TestSum:

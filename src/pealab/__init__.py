@@ -81,6 +81,7 @@ from .posets import (
     find_isomorphism,
     identity,
     is_split_fork,
+    isomorphisms,
     product_bposets,
     validate_bounded_poset,
 )

@@ -29,7 +29,14 @@ from .pea import (
     pdp_to_pea,
     pea_to_pdp,
 )
-from .posets import BoundedPoset, Poset, close_relation, iter_bits, placement_order
+from .posets import (
+    BoundedPoset,
+    Poset,
+    close_relation,
+    isomorphisms,
+    iter_bits,
+    placement_order,
+)
 
 DEFAULT_MAX_N = 7
 _MIDDLE_LABELS = "abcdefgh"
@@ -103,36 +110,6 @@ def enumerate_bounded_posets(n: int) -> list[BoundedPoset]:
     return out
 
 
-def _dual_automorphisms(base: BoundedPoset, c: int) -> list[tuple[tuple, tuple]]:
-    """Every order-reversing bijection of the down-set of c, with its
-    inverse, as rows of length n that hold None outside the down-set."""
-    down, up = base.down, base.leq
-    elements = list(iter_bits(down[c]))
-    sigma: list[int | None] = [None] * base.n
-    out = []
-
-    def extend(k: int, free: int) -> None:
-        if k == len(elements):
-            inverse: list[int | None] = [None] * base.n
-            for x in elements:
-                inverse[sigma[x]] = x
-            out.append((tuple(sigma), tuple(inverse)))
-            return
-        x = elements[k]
-        candidates = free
-        for y in elements[:k]:
-            s = sigma[y]
-            # y <= x iff sigma(x) <= sigma(y), and x <= y iff sigma(y) <= sigma(x)
-            candidates &= down[s] if up[y] >> x & 1 else ~down[s]
-            candidates &= up[s] if up[x] >> y & 1 else ~up[s]
-        for v in iter_bits(candidates):
-            sigma[x] = v
-            extend(k + 1, free & ~(1 << v))
-
-    extend(0, down[c])
-    return out
-
-
 def enumerate_pea_structures(base: BoundedPoset) -> list[PseudoEffectAlgebra]:
     """All addition tables on the carrier whose induced order is exactly
     the given one and which pass every axiom, sorted row-major with None
@@ -155,7 +132,15 @@ def enumerate_pea_structures(base: BoundedPoset) -> list[PseudoEffectAlgebra]:
     """
     n = base.n
     order = placement_order(base)
-    choices = {c: _dual_automorphisms(base, c) for c in order}
+    dual = Poset(base.labels, base.down)  # the opposite order
+    choices = {}
+    for c in order:
+        # the dual automorphisms of the down-set of c are its isomorphisms
+        # onto the same down-set in the opposite order
+        choices[c] = [
+            (s, tuple(s.index(v) if v in s else None for v in range(n)))
+            for s in isomorphisms(base, dual, base.down[c])
+        ]
     slash: list[tuple | None] = [None] * n
     bslash: list[tuple | None] = [None] * n
     results: list[PseudoEffectAlgebra] = []

@@ -308,15 +308,15 @@ def _cmd_verify_coeq(args) -> int:
     source_n = 0 if args.fork else args.max_source_n  # a fork file brings its own
     pdps = catalog_pdps(max(args.max_target_n, source_n))
     targets = [X for X in pdps if X.n <= args.max_target_n]
+    homs = HomSets()
     if args.fork:
         triples = [_fork_with_pdp_pair(io.load_fork(args.fork))]
     else:
         sources = [X for X in pdps if X.n <= args.max_source_n]
-        triples = generate_split_forks(sources, args.generate, args.seed)
+        triples = generate_split_forks(sources, args.generate, args.seed, homs)
         out.say(f"generated {len(triples)} split forks with seed {args.seed}")
     ok = True
     failures = 0
-    homs = HomSets()
     out.payload["reports"] = []
     for k, (f, g, fork) in enumerate(triples):
         result = transfer_structure(f, g, fork)

@@ -116,22 +116,6 @@ def pl_compose(f: PLMap, g: PLMap) -> PLMap:
     return PLMap(tuple(cuts), tuple(slopes))
 
 
-def pl_in_unit_interval(f: PLMap) -> bool:
-    """Exact decision of x <= f(x) <= 2x for all x >= 0.
-
-    Piecewise linearity makes vertex checks plus tail slope bounds a
-    complete decision procedure: on a bounded segment both inequalities
-    are linear, so they hold iff they hold at the endpoints, and on the
-    unbounded tail they hold iff they hold at its start and the slope
-    stays within [1, 2].
-    """
-    for b in f.breakpoints:
-        v = f(b)
-        if not b <= v <= 2 * b:
-            return False
-    return 1 <= f.slopes[-1] <= 2
-
-
 @dataclass(frozen=True)
 class BandViolation:
     """An exact witness that a map leaves the band x <= f(x) <= 2x."""
@@ -156,7 +140,14 @@ class BandViolation:
 
 def find_band_violation(f: PLMap):
     """First witness against membership, scanning each segment left to
-    right through its left endpoint and midpoint, then the tail."""
+    right through its left endpoint and midpoint, then the tail, or None
+    when f lies in the band.
+
+    Piecewise linearity makes this a complete decision procedure: on a
+    bounded segment both inequalities are linear, so they hold iff they
+    hold at the endpoints, and on the unbounded tail they hold iff they
+    hold at its start and the slope stays within [1, 2].
+    """
 
     def probe(x) -> BandViolation | None:
         v = f(x)
@@ -188,6 +179,11 @@ def find_band_violation(f: PLMap):
         x = previous + (2 * previous - base_value) / (tail - 2) + 1
         return BandViolation(x, f(x))
     return None
+
+
+def pl_in_unit_interval(f: PLMap) -> bool:
+    """Exact decision of x <= f(x) <= 2x for all x >= 0."""
+    return find_band_violation(f) is None
 
 
 def pl_sum(f: PLMap, g: PLMap):

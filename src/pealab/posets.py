@@ -288,61 +288,15 @@ def product_bposets(factors) -> BoundedPoset:
     return BoundedPoset(labels, tuple(rows), bottom, top)
 
 
-def _require_parallel(f: PosetMorphism, g: PosetMorphism) -> None:
+def _coequalizer(f: PosetMorphism, g: PosetMorphism, bounded: bool):
+    """The poset reflection of the preorder that B's order and both
+    directions of every pair (f(a), g(a)) generate.
+
+    x and y share a class iff each lies below the other in that preorder.
+    Classes are named after, and ordered by, their least member.
+    """
     if f.source != g.source or f.target != g.target:
         raise InvalidStructure("morphisms are not a parallel pair")
-
-
-def _quotient_classes(B: Poset, pairs):
-    """Classes of the coequalizing quotient of B.
-
-    Starts from the equivalence generated by ``pairs``, then repeatedly
-    orders the classes by the image of <= and collapses any cycles until
-    the class relation is a partial order.  Returns (classes, class_of,
-    class_rows) with classes ordered by their least member.
-    """
-    parent = list(range(B.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    for x, y in pairs:
-        union(x, y)
-
-    while True:
-        groups: dict[int, list[int]] = {}
-        for x in range(B.n):
-            groups.setdefault(find(x), []).append(x)
-        classes = sorted(groups.values(), key=lambda c: c[0])
-        class_of = [0] * B.n
-        for k, cls in enumerate(classes):
-            for x in cls:
-                class_of[x] = k
-        rows = [0] * len(classes)
-        for a in range(B.n):
-            for b in iter_bits(B.leq[a]):
-                rows[class_of[a]] |= 1 << class_of[b]
-        close_relation(rows)
-        merged = False
-        for c in range(len(classes)):
-            for d in iter_bits(rows[c]):
-                if d != c and rows[d] >> c & 1:
-                    union(classes[c][0], classes[d][0])
-                    merged = True
-        if not merged:
-            return classes, class_of, rows
-
-
-def _coequalizer(f: PosetMorphism, g: PosetMorphism, bounded: bool):
-    _require_parallel(f, g)
     if not check_morphism(f).ok or not check_morphism(g).ok:
         raise InvalidStructure(
             "coequalizer requires valid bounded-poset morphisms"
@@ -352,12 +306,28 @@ def _coequalizer(f: PosetMorphism, g: PosetMorphism, bounded: bool):
     B = f.target
     if bounded and not isinstance(B, BoundedPoset):
         raise InvalidStructure("coequalizer target must be a bounded poset")
-    classes, class_of, rows = _quotient_classes(B, zip(f.map, g.map))
-    labels = tuple(B.labels[cls[0]] for cls in classes)
+    rows = list(B.leq)
+    for x, y in zip(f.map, g.map):
+        rows[x] |= 1 << y
+        rows[y] |= 1 << x
+    close_relation(rows)
+    cols = transpose_rows(rows)
+    reps: list[int] = []
+    class_of = []
+    for x in range(B.n):
+        same = rows[x] & cols[x]  # the class of x
+        least = (same & -same).bit_length() - 1
+        if least == x:
+            reps.append(x)
+        class_of.append(reps.index(least))
+    class_rows = tuple(
+        sum(1 << k for k, r in enumerate(reps) if rows[p] >> r & 1) for p in reps
+    )
+    labels = tuple(B.labels[r] for r in reps)
     if bounded:
-        Q = BoundedPoset(labels, tuple(rows), class_of[B.bottom], class_of[B.top])
+        Q = BoundedPoset(labels, class_rows, class_of[B.bottom], class_of[B.top])
     else:
-        Q = Poset(labels, tuple(rows))
+        Q = Poset(labels, class_rows)
     return Q, PosetMorphism(B, Q, tuple(class_of))
 
 
@@ -484,49 +454,47 @@ def enumerate_morphisms(
     return [PosetMorphism(P, R, m) for m in found]
 
 
-def find_isomorphism(P: Poset, R: Poset):
-    """An order- and bound-preserving bijection P -> R, or None."""
+def isomorphisms(P: Poset, R: Poset, within: int | None = None):
+    """Yield every order isomorphism P -> R as a map table, in increasing
+    table order.
+
+    ``within`` is a mask of elements present in both posets; the search
+    then lists the isomorphisms between the subposets it induces in P and
+    in R, as tables that hold None outside the mask.  Elements are placed
+    by index, and a candidate image of x must agree with every image
+    placed before it: y <= x iff s(y) <= s(x), and x <= y iff s(x) <= s(y).
+    """
     if P.n != R.n:
-        return None
-    down_p, down_r = P.down, R.down
-    inv_p = [
-        (bin(down_p[i]).count("1"), bin(P.leq[i]).count("1")) for i in range(P.n)
-    ]
-    inv_r = [
-        (bin(down_r[j]).count("1"), bin(R.leq[j]).count("1")) for j in range(R.n)
-    ]
-    if sorted(inv_p) != sorted(inv_r):
-        return None
-    candidates = [
-        [j for j in range(R.n) if inv_r[j] == inv_p[i]] for i in range(P.n)
-    ]
-    assigned = [-1] * P.n
-    used = [False] * R.n
+        return
+    mask = (1 << P.n) - 1 if within is None else within
+    elements = list(iter_bits(mask))
+    up_p, up_r, down_r = P.leq, R.leq, R.down
+    table: list[int | None] = [None] * P.n
 
-    def extend(i: int) -> bool:
-        if i == P.n:
-            return True
-        for j in candidates[i]:
-            if used[j]:
-                continue
-            ok = True
-            for k in range(i):
-                if P.le(k, i) != R.le(assigned[k], j) or P.le(i, k) != R.le(
-                    j, assigned[k]
-                ):
-                    ok = False
-                    break
-            if ok:
-                assigned[i] = j
-                used[j] = True
-                if extend(i + 1):
-                    return True
-                used[j] = False
-        return False
+    def extend(k: int, free: int):
+        if k == len(elements):
+            yield tuple(table)
+            return
+        x = elements[k]
+        candidates = free
+        for y in elements[:k]:
+            s = table[y]
+            candidates &= up_r[s] if up_p[y] >> x & 1 else ~up_r[s]
+            candidates &= down_r[s] if up_p[x] >> y & 1 else ~down_r[s]
+        for v in iter_bits(candidates):
+            table[x] = v
+            yield from extend(k + 1, free & ~(1 << v))
 
-    if not extend(0):
+    yield from extend(0, mask)
+
+
+def find_isomorphism(P: Poset, R: Poset):
+    """The lexicographically least order- and bound-preserving bijection
+    P -> R, or None."""
+    table = next(isomorphisms(P, R), None)
+    if table is None:
         return None
-    iso = PosetMorphism(P, R, tuple(assigned))
+    iso = PosetMorphism(P, R, table)
     if (
         isinstance(P, BoundedPoset)
         and isinstance(R, BoundedPoset)

@@ -260,17 +260,23 @@ def split_fork_from_idempotent(
     return phi, g, fork
 
 
-def generate_split_forks(structures, count: int, seed: int):
+def generate_split_forks(
+    structures, count: int, seed: int, homs: HomSets | None = None
+):
     """Seeded sample of split forks over difference-preserving maps.
 
     Every structure contributes one fork per (idempotent endomorphism,
     automorphism) pair; sampling draws from that pool with replacement
     and randomly permutes the presentation of Q half of the time.
+    ``homs`` shares the endomorphism sets with later calls; a fresh table
+    is used when it is omitted.
     """
+    if homs is None:
+        homs = HomSets()
     rng = random.Random(seed)
     pool = []
     for X in structures:
-        endos = enumerate_pdp_morphisms(X, X)
+        endos = homs[X, X]
         idems = [
             e for e in endos if e.poset_map.then(e.poset_map) == e.poset_map
         ]

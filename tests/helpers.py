@@ -2,7 +2,8 @@
 
 The oracles deliberately avoid the package's search machinery: morphism
 sets are enumerated with itertools over all functions, isomorphisms over
-all bijections, and structure tables over all cell assignments.  Expected
+all bijections, coequalizer orders over all subsets of the target, and
+structure tables over all cell assignments.  Expected
 values asserted in the tests were computed with these.
 """
 
@@ -117,6 +118,61 @@ def brute_force_isomorphisms(P, R):
         ):
             out.append(perm)
     return out
+
+
+def brute_force_dual_automorphisms(P, c):
+    """Order-reversing bijections of the down-set of c, as tables that
+    hold None outside it, by scanning every permutation of the down-set."""
+    below = [x for x in range(P.n) if P.le(x, c)]
+    out = []
+    for perm in itertools.permutations(below):
+        image = dict(zip(below, perm))
+        if all(
+            P.le(x, y) == P.le(image[y], image[x]) for x in below for y in below
+        ):
+            out.append(tuple(image.get(x) for x in range(P.n)))
+    return out
+
+
+def relabelled(P: BoundedPoset, perm) -> BoundedPoset:
+    """The same bounded poset with element i moved to position perm[i]."""
+    labels = [None] * P.n
+    rows = [0] * P.n
+    for i in range(P.n):
+        labels[perm[i]] = P.labels[i]
+        for j in range(P.n):
+            if P.le(i, j):
+                rows[perm[i]] |= 1 << perm[j]
+    return BoundedPoset(tuple(labels), tuple(rows), perm[P.bottom], perm[P.top])
+
+
+def coequalizer_order_oracle(f: PosetMorphism, g: PosetMorphism):
+    """Pairs (x, y) of B = f.target with q(x) <= q(y) in the coequalizer.
+
+    Maps to the two-element chain separate the points of a poset.  Such a
+    map out of B is an up-set U, and it coequalizes the pair iff
+    f(a) in U <=> g(a) in U for every a.  So x lies below y in the
+    quotient iff every such up-set that contains x also contains y.  Up-sets
+    are found by scanning every subset of B.
+    """
+    B = f.target
+    upsets = []
+    for U in range(1 << B.n):
+        if any(
+            U >> x & 1 and not U >> y & 1
+            for x in range(B.n)
+            for y in range(B.n)
+            if B.le(x, y)
+        ):
+            continue
+        if all((U >> fa & 1) == (U >> ga & 1) for fa, ga in zip(f.map, g.map)):
+            upsets.append(U)
+    return {
+        (x, y)
+        for x in range(B.n)
+        for y in range(B.n)
+        if all(U >> y & 1 for U in upsets if U >> x & 1)
+    }
 
 
 def as_morphism(P, R, labelled: dict[str, str]) -> PosetMorphism:

@@ -1,24 +1,33 @@
 import pytest
 
+import random
+
 from helpers import (
     brute_force_bounded_maps,
+    brute_force_dual_automorphisms,
     brute_force_isomorphisms,
     c2,
     c3,
     c4,
+    coequalizer_order_oracle,
     diamond,
+    relabelled,
 )
 from pealab import (
     InvalidStructure,
+    Poset,
     PosetMorphism,
     SplitFork,
     check_morphism,
     coequalizer_bposets,
+    coequalizer_posets,
     comparison_isomorphism,
+    enumerate_bounded_posets,
     enumerate_morphisms,
     find_isomorphism,
     identity,
     is_split_fork,
+    isomorphisms,
     product_bposets,
     validate_bounded_poset,
 )
@@ -138,6 +147,30 @@ class TestCoequalizer:
         assert q.label_map() == {
             "0": "0", "a": "a", "b": "a", "x": "a", "y": "a", "1": "1",
         }
+
+    def test_both_coequalizers_match_the_up_set_oracle(self):
+        classes = [P for n in range(1, 6) for P in enumerate_bounded_posets(n)]
+        pairs = 0
+        for A in (P for P in classes if P.n <= 4):
+            for B in classes:
+                maps = [
+                    PosetMorphism(A, B, m) for m in brute_force_bounded_maps(A, B)
+                ]
+                for f in maps:
+                    for g in maps:
+                        pairs += 1
+                        expected = coequalizer_order_oracle(f, g)
+                        for coequalize in (coequalizer_bposets, coequalizer_posets):
+                            Q, q = coequalize(f, g)
+                            assert set(q.map) == set(range(Q.n))
+                            assert f.then(q) == g.then(q)
+                            assert {
+                                (x, y)
+                                for x in range(B.n)
+                                for y in range(B.n)
+                                if Q.le(q.map[x], q.map[y])
+                            } == expected
+        assert pairs == 5074
 
     def test_universal_property_against_small_targets(self, catalog5):
         A, B = c4(), c3()
@@ -286,3 +319,32 @@ class TestFindIsomorphism:
     def test_same_size_non_isomorphic(self):
         assert find_isomorphism(c4(), diamond()) is None
         assert brute_force_isomorphisms(c4(), diamond()) == []
+
+
+class TestIsomorphisms:
+    def test_matches_brute_force_on_relabelled_classes(self):
+        rng = random.Random(2024)
+        for n in range(1, 7):
+            classes = enumerate_bounded_posets(n)
+            for P in classes:
+                for R in classes:
+                    for _ in range(3):
+                        perm = list(range(n))
+                        rng.shuffle(perm)
+                        target = relabelled(R, perm)
+                        expected = brute_force_isomorphisms(P, target)
+                        assert list(isomorphisms(P, target)) == expected
+                        first = find_isomorphism(P, target)
+                        if expected:
+                            assert first.map == expected[0]
+                        else:
+                            assert first is None
+
+    def test_dual_automorphisms_of_down_sets(self):
+        for n in range(1, 7):
+            for base in enumerate_bounded_posets(n):
+                dual = Poset(base.labels, base.down)
+                for c in range(n):
+                    assert list(
+                        isomorphisms(base, dual, base.down[c])
+                    ) == brute_force_dual_automorphisms(base, c)

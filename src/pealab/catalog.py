@@ -1,21 +1,23 @@
 """Exhaustive catalogs of small structures.
 
 Bounded posets with n elements correspond to arbitrary posets on n-2
-elements (strip the bounds), so classes are generated up to isomorphism by
-enumerating all naturally-labeled posets on the middle carrier and
-deduplicating by a canonical labeling.  Structures are then searched per
-class, as labelled tables, in their difference form: by PD1 and PD2, c/-
-is a dual automorphism of the down-set of c whose inverse is c\\-, so a
-structure is one dual automorphism per element that satisfies the two PD2
-equations; enumerate_pea_structures proves the lemma.  A base with a
-down-set that is not self-dual carries no structure.  Every hit is
+elements (strip the bounds).  Those are generated up to isomorphism one
+element at a time: each class on k elements gets a new maximal element
+above each of its down-sets, and the results are deduplicated by their
+least relabelled row tuple, which also orders the classes (McKay,
+Isomorph-free exhaustive generation, J. Algorithms 1998; Brinkmann &
+McKay, Posets on up to 16 points, Order 2002).  Structures are then
+searched per class, as labelled tables, in their difference form: by PD1
+and PD2, c/- is a dual automorphism of the down-set of c whose inverse is
+c\\-, so a structure is one dual automorphism per element that satisfies
+the two PD2 equations; enumerate_pea_structures proves the lemma.  A base
+with a down-set that is not self-dual carries no structure.  Every hit is
 re-checked as a pseudo D-poset and as a pseudo effect algebra before it is
 kept.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass
 
@@ -32,10 +34,10 @@ from .pea import (
 from .posets import (
     BoundedPoset,
     Poset,
-    close_relation,
     isomorphisms,
     iter_bits,
     placement_order,
+    transpose_rows,
 )
 
 DEFAULT_MAX_N = 7
@@ -53,44 +55,107 @@ def size_limit() -> int:
         raise FormatError("PEALAB_MAX_N must be an integer") from None
 
 
-def _canonical_rows(rows: list[int], m: int) -> tuple[int, ...]:
-    best = None
-    for perm in itertools.permutations(range(m)):
-        relabeled = [0] * m
-        for i in range(m):
-            for j in iter_bits(rows[i]):
-                relabeled[perm[i]] |= 1 << perm[j]
-        key = tuple(relabeled)
-        if best is None or key < best:
-            best = key
+def check_size(n: int) -> None:
+    """Raise LimitExceeded for a carrier larger than PEALAB_MAX_N allows or
+    than the middle-element labels can name, before any enumeration."""
+    cap = size_limit()
+    if n > cap:
+        raise LimitExceeded(f"n={n} exceeds the configured limit {cap}")
+    largest = len(_MIDDLE_LABELS) + 2
+    if n > largest:
+        raise LimitExceeded(
+            f"n={n} exceeds {largest}, the largest carrier the catalog can label"
+        )
+
+
+def _canonical_rows(rows, m: int) -> tuple[int, ...]:
+    """The least relabelled row tuple of the m-element poset with up-set
+    rows ``rows``, over all relabellings: relabelling element i as p(i)
+    gives row p(i) the bits p(j) for i <= j, and tuples compare row by row.
+
+    The search labels 0, 1, ... in turn and rests on three facts.
+
+    1. Label k goes to a maximal element of the unlabelled set.  Rows
+       0..k-1 are fixed by the labels already given; any element with an
+       unlabelled element strictly above it puts a label above k into
+       row k, so row k >= 2^(k+1), while a maximal one has its strict
+       up-set labelled below k and keeps row k < 2^(k+1).
+    2. So row k depends only on labels already fixed.  The search takes the
+       least row k among the eligible elements, branches only on ties, and
+       cuts a branch as soon as its prefix exceeds the best key found.
+    3. Tied candidates have the same strict up-set.  Two with the same
+       strict down-set as well are exchanged by an automorphism that fixes
+       every other element, labelled ones included, so their subtrees hold
+       the same keys and one branch suffices.
+    """
+    down = transpose_rows(rows)
+    label = [0] * m
+    key = [0] * m
+    best: tuple[int, ...] = ()
+
+    def extend(k: int, free: int, tied: bool) -> None:
+        # tied: key[:k] equals best[:k]
+        nonlocal best
+        if k == m:
+            best = tuple(key)
+            return
+        least, picks = 1 << m, []
+        for x in iter_bits(free):
+            if rows[x] & free != 1 << x:
+                continue  # not maximal among the unlabelled (fact 1)
+            row = 1 << k
+            for y in iter_bits(rows[x] ^ 1 << x):
+                row |= 1 << label[y]
+            if row < least:
+                least, picks = row, [x]
+            elif row == least:
+                picks.append(x)
+        if tied:
+            if least > best[k]:
+                return
+            tied = least == best[k]
+        key[k] = least
+        strict_downs = set()
+        for x in picks:
+            below = down[x] ^ 1 << x
+            if below in strict_downs:
+                continue  # fact 3
+            strict_downs.add(below)
+            label[x] = k
+            extend(k + 1, free ^ 1 << x, tied)
+            tied = True  # best now completes key[:k+1]
+
+    extend(0, (1 << m) - 1, False)
     return best
 
 
 def enumerate_posets(m: int) -> list[Poset]:
-    """One representative per isomorphism class of m-element posets."""
-    if m == 0:
-        return [Poset((), ())]
-    labels = tuple(_MIDDLE_LABELS[:m])
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    canon: set[tuple[int, ...]] = set()
-    for selector in range(1 << len(pairs)):
-        rows = [1 << i for i in range(m)]
-        for k, (i, j) in enumerate(pairs):
-            if selector >> k & 1:
-                rows[i] |= 1 << j
-        closed = list(rows)
-        close_relation(closed)
-        if closed != rows:
-            continue  # closure shows up as its own selector
-        canon.add(_canonical_rows(rows, m))
-    return [Poset(labels, rows) for rows in sorted(canon)]
+    """One representative per isomorphism class of m-element posets, in
+    order of their canonical row tuples.
+
+    Classes on k+1 elements come from those on k by adding a new maximal
+    element above each down-set, the empty one included.  That reaches
+    every class: removing a maximal element of a (k+1)-poset leaves a poset
+    isomorphic to a representative, under which its strict down-set maps
+    to a down-set.  Duplicates meet in the canonical form.
+    """
+    classes: list[tuple[int, ...]] = [()]
+    for k in range(m):
+        canon = set()
+        for rows in classes:
+            down = transpose_rows(rows)
+            for ideal in range(1 << k):
+                if any(down[x] & ~ideal for x in iter_bits(ideal)):
+                    continue
+                grown = [row | (ideal >> i & 1) << k for i, row in enumerate(rows)]
+                canon.add(_canonical_rows(grown + [1 << k], k + 1))
+        classes = sorted(canon)
+    return [Poset(tuple(_MIDDLE_LABELS[:m]), rows) for rows in classes]
 
 
 def enumerate_bounded_posets(n: int) -> list[BoundedPoset]:
     """One representative per isomorphism class of bounded posets."""
-    cap = size_limit()
-    if n > cap:
-        raise LimitExceeded(f"n={n} exceeds the configured limit {cap}")
+    check_size(n)
     if n < 1:
         raise InvalidStructure("a bounded poset needs at least one element")
     if n == 1:

@@ -17,9 +17,9 @@ from .catalog import (
     CatalogEntry,
     catalog_pdps,
     catalog_to_obj,
+    check_size,
     enumerate_bounded_posets,
     results_obj,
-    size_limit,
 )
 from .errors import FormatError, InvalidStructure, LimitExceeded, TransferError
 from .functors import interval_poset, triple_poset
@@ -300,11 +300,7 @@ def _cmd_verify_coeq(args) -> int:
                         ("--max-source-n", args.max_source_n)):
         if value < 1:
             raise FormatError(f"{flag} needs at least one element, got {value}")
-    cap = size_limit()
-    if args.max_target_n > cap or args.max_source_n > cap:
-        raise LimitExceeded(
-            f"requested sizes exceed the configured limit {cap}"
-        )
+    check_size(max(args.max_target_n, args.max_source_n))
     source_n = 0 if args.fork else args.max_source_n  # a fork file brings its own
     pdps = catalog_pdps(max(args.max_target_n, source_n))
     targets = [X for X in pdps if X.n <= args.max_target_n]
@@ -350,9 +346,7 @@ def _cmd_enumerate(args) -> int:
     out = _Output("enumerate", args.json)
     if args.n < 1:
         raise FormatError(f"--n needs at least one element, got {args.n}")
-    cap = size_limit()
-    if args.n > cap:
-        raise LimitExceeded(f"n={args.n} exceeds the configured limit {cap}")
+    check_size(args.n)
     summary = []
     if args.structures:
         obj = results_obj(args.n)

@@ -489,16 +489,10 @@ def isomorphisms(P: Poset, R: Poset, within: int | None = None):
 
 
 def find_isomorphism(P: Poset, R: Poset):
-    """The lexicographically least order- and bound-preserving bijection
-    P -> R, or None."""
+    """The lexicographically least order isomorphism P -> R, or None.
+
+    Between bounded posets it preserves the bounds: an order isomorphism
+    sends the least element to the least and the greatest to the greatest.
+    """
     table = next(isomorphisms(P, R), None)
-    if table is None:
-        return None
-    iso = PosetMorphism(P, R, table)
-    if (
-        isinstance(P, BoundedPoset)
-        and isinstance(R, BoundedPoset)
-        and not check_morphism(iso).ok
-    ):
-        return None
-    return iso
+    return None if table is None else PosetMorphism(P, R, table)

@@ -2,7 +2,8 @@
 
 The oracles deliberately avoid the package's search machinery: morphism
 sets are enumerated with itertools over all functions, isomorphisms over
-all bijections, coequalizer orders over all subsets of the target, and
+all bijections, poset classes over all naturally labelled relations and
+all relabellings, coequalizer orders over all subsets of the target, and
 structure tables over all cell assignments.  Expected
 values asserted in the tests were computed with these.
 """
@@ -144,6 +145,48 @@ def relabelled(P: BoundedPoset, perm) -> BoundedPoset:
             if P.le(i, j):
                 rows[perm[i]] |= 1 << perm[j]
     return BoundedPoset(tuple(labels), tuple(rows), perm[P.bottom], perm[P.top])
+
+
+def brute_force_canonical_rows(rows, m: int) -> tuple[int, ...]:
+    """The least relabelled row tuple of a poset given by up-set rows, by
+    scanning all m! relabellings: element i relabelled perm[i] gives row
+    perm[i] the bits perm[j] for i <= j."""
+    best = None
+    for perm in itertools.permutations(range(m)):
+        relabeled = [0] * m
+        for i in range(m):
+            for j in range(m):
+                if rows[i] >> j & 1:
+                    relabeled[perm[i]] |= 1 << perm[j]
+        key = tuple(relabeled)
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def scanned_poset_classes(m: int) -> list[tuple[int, ...]]:
+    """The sorted canonical row tuples of the m-element poset classes.
+
+    Every poset has a natural labelling (i <= j only if i <= j as numbers),
+    so scanning every relation on the pairs i < j, keeping the transitive
+    ones and canonicalising each by brute_force_canonical_rows meets every
+    class.
+    """
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    canon = set()
+    for selector in range(1 << len(pairs)):
+        rows = [1 << i for i in range(m)]
+        for k, (i, j) in enumerate(pairs):
+            if selector >> k & 1:
+                rows[i] |= 1 << j
+        if all(
+            rows[j] & ~rows[i] == 0
+            for i in range(m)
+            for j in range(m)
+            if rows[i] >> j & 1
+        ):
+            canon.add(brute_force_canonical_rows(rows, m))
+    return sorted(canon)
 
 
 def coequalizer_order_oracle(f: PosetMorphism, g: PosetMorphism):

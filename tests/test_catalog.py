@@ -1,9 +1,17 @@
 import itertools
+import random
 
 import pytest
 
 from cancellative import compare_routes
-from helpers import c2, c3, c4, diamond
+from helpers import (
+    brute_force_canonical_rows,
+    c2,
+    c3,
+    c4,
+    diamond,
+    scanned_poset_classes,
+)
 from pealab import (
     LimitExceeded,
     Poset,
@@ -19,7 +27,7 @@ from pealab import (
     pea_to_pdp,
     size_limit,
 )
-from pealab import io
+from pealab import catalog, io
 from pealab.catalog import results_obj
 from pealab.posets import iter_bits
 
@@ -87,6 +95,24 @@ class TestPosetEnumeration:
         for m in range(4):
             assert len(enumerate_posets(m)) == len(brute_force_poset_classes(m))
 
+    @pytest.mark.parametrize("m", range(6))
+    def test_rows_match_the_relation_scan(self, m):
+        assert [P.leq for P in enumerate_posets(m)] == scanned_poset_classes(m)
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_canonical_form_matches_brute_force(self, m):
+        rng = random.Random(m)
+        for P in enumerate_posets(m):
+            perm = list(range(m))
+            rng.shuffle(perm)
+            rows = [0] * m
+            for i in range(m):
+                for j in iter_bits(P.leq[i]):
+                    rows[perm[i]] |= 1 << perm[j]
+            assert catalog._canonical_rows(rows, m) == brute_force_canonical_rows(
+                rows, m
+            )
+
     def test_representatives_are_pairwise_non_isomorphic(self):
         posets = enumerate_posets(4)
         for i, P in enumerate(posets):
@@ -95,9 +121,11 @@ class TestPosetEnumeration:
 
 
 class TestBoundedPosetEnumeration:
-    def test_class_counts(self):
-        assert [len(enumerate_bounded_posets(n)) for n in range(1, 8)] == [
-            1, 1, 1, 2, 5, 16, 63,
+    def test_class_counts(self, monkeypatch):
+        # OEIS A000112 shifted by two: posets on n-2 points
+        monkeypatch.setenv("PEALAB_MAX_N", "9")
+        assert [len(enumerate_bounded_posets(n)) for n in range(1, 10)] == [
+            1, 1, 1, 2, 5, 16, 63, 318, 2045,
         ]
 
     def test_four_element_classes_are_chain_and_diamond(self):
@@ -112,6 +140,16 @@ class TestBoundedPosetEnumeration:
     def test_limit_is_enforced(self):
         with pytest.raises(LimitExceeded):
             enumerate_bounded_posets(size_limit() + 1)
+
+    def test_label_alphabet_caps_the_size_before_any_work(self, monkeypatch):
+        monkeypatch.setenv("PEALAB_MAX_N", "11")
+
+        def unreachable(m):
+            raise AssertionError("classes enumerated past the size check")
+
+        monkeypatch.setattr(catalog, "enumerate_posets", unreachable)
+        with pytest.raises(LimitExceeded, match="n=11 exceeds 10"):
+            enumerate_bounded_posets(11)
 
     def test_limit_override_via_environment(self, monkeypatch):
         monkeypatch.setenv("PEALAB_MAX_N", "3")
@@ -176,6 +214,13 @@ class TestStructureEnumeration:
         assert counts == [nonzero.get(k, 0) for k in range(63)]
         assert sum(counts) == 138
         assert sum(not is_commutative(A) for t in tables for A in t) == 96
+
+    def test_eight_element_catalog(self, monkeypatch):
+        monkeypatch.setenv("PEALAB_MAX_N", "8")
+        tables = [enumerate_pea_structures(b) for b in enumerate_bounded_posets(8)]
+        assert len(tables) == 318
+        assert sum(len(t) for t in tables) == 836
+        assert sum(not is_commutative(A) for t in tables for A in t) == 680
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_cancellative_route(self, n):

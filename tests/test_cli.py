@@ -255,6 +255,23 @@ class TestEnumerate:
                       "message": out.splitlines()[0][len("error: "):]},
         }
 
+    def test_size_past_the_label_alphabet_exits_two(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        monkeypatch.setenv("PEALAB_MAX_N", "11")
+        json_path = tmp_path / "report.json"
+        code, out = run(capsys, "enumerate", "--n", "11", "--json", str(json_path))
+        assert code == 2
+        message = "n=11 exceeds 10, the largest carrier the catalog can label"
+        assert out == f"error: {message}\nRESULT: FAIL enumerate\n"
+        payload = json.loads(json_path.read_text())
+        assert payload == {
+            "verb": "enumerate",
+            "ok": False,
+            "exit": 2,
+            "error": {"kind": "LimitExceeded", "message": message},
+        }
+
     def test_nonpositive_n_exits_two(self, capsys):
         code, out = run(capsys, "enumerate", "--n", "0")
         assert code == 2

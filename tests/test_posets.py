@@ -334,6 +334,9 @@ class TestIsomorphisms:
                         target = relabelled(R, perm)
                         expected = brute_force_isomorphisms(P, target)
                         assert list(isomorphisms(P, target)) == expected
+                        for iso in expected:
+                            assert iso[P.bottom] == target.bottom
+                            assert iso[P.top] == target.top
                         first = find_isomorphism(P, target)
                         if expected:
                             assert first.map == expected[0]

@@ -137,8 +137,14 @@ def enumerate_posets(m: int) -> list[Poset]:
     element above each down-set, the empty one included.  That reaches
     every class: removing a maximal element of a (k+1)-poset leaves a poset
     isomorphic to a representative, under which its strict down-set maps
-    to a down-set.  Duplicates meet in the canonical form.
+    to a down-set.  Duplicates meet in the canonical form.  An m past the
+    labels in _MIDDLE_LABELS raises LimitExceeded before any work.
     """
+    if m > len(_MIDDLE_LABELS):
+        raise LimitExceeded(
+            f"m={m} exceeds {len(_MIDDLE_LABELS)}, the largest poset the "
+            "catalog can label"
+        )
     classes: list[tuple[int, ...]] = [()]
     for k in range(m):
         canon = set()

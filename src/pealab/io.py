@@ -29,7 +29,7 @@ from pathlib import Path
 
 from .errors import FormatError
 from .pdp import PseudoDPoset
-from .pea import PseudoEffectAlgebra
+from .pea import PseudoEffectAlgebra, induced_order
 from .plmaps import BandViolation, PLMap, _frac
 from .posets import BoundedPoset, PosetMorphism, validate_bounded_poset
 
@@ -122,8 +122,6 @@ def base_of(structure) -> BoundedPoset:
     if isinstance(structure, PseudoDPoset):
         return structure.base
     if isinstance(structure, PseudoEffectAlgebra):
-        from .pea import induced_order
-
         return induced_order(structure)
     raise FormatError(f"not a structure: {type(structure).__name__}")
 

@@ -7,6 +7,10 @@ exactly when a <= b.  The axioms are
   PD2: for a <= b <= c, c/b <= c/a and c\\b <= c\\a, with
        (c/a)\\(c/b) = b/a and (c\\a)/(c\\b) = b\\a.
 
+Exchanging the two tables gives the opposite structure, and it turns each
+axiom's / half into its \\ half, so check_pdp writes every rule once and
+reads it on (/, \\) and then on the mirror (\\, /).
+
 Tables are stored densely with ``None`` marking undefined entries, so the
 exhaustive checkers get O(1) lookups.
 """
@@ -72,68 +76,47 @@ def check_pdp(X: PseudoDPoset) -> Report:
     n = base.n
     lab = base.labels
     violations = []
+    sides = (("/", X.slash), ("\\", X.bslash))
+    mirrored = (sides, sides[::-1])
 
-    for name, table in (("/", X.slash), ("\\", X.bslash)):
+    for name, table in sides:
         for b in range(n):
             for a in range(n):
                 defined = table[b][a] is not None
-                comparable = base.le(a, b)
-                if defined and not comparable:
+                if defined != base.le(a, b):
                     violations.append(
                         Violation(
                             "definedness",
                             (("b", lab[b]), ("a", lab[a])),
-                            f"b{name}a defined although a <= b fails",
-                        )
-                    )
-                if comparable and not defined:
-                    violations.append(
-                        Violation(
-                            "definedness",
-                            (("b", lab[b]), ("a", lab[a])),
-                            f"b{name}a undefined although a <= b",
+                            f"b{name}a defined although a <= b fails"
+                            if defined
+                            else f"b{name}a undefined although a <= b",
                         )
                     )
 
     zero = base.bottom
     for a in range(n):
-        if X.slash[a][zero] is not None and X.slash[a][zero] != a:
-            violations.append(
-                Violation("PD1", (("a", lab[a]),), "a/0 differs from a")
-            )
-        if X.bslash[a][zero] is not None and X.bslash[a][zero] != a:
-            violations.append(
-                Violation("PD1", (("a", lab[a]),), "a\\0 differs from a")
-            )
+        for name, table in sides:
+            if table[a][zero] is not None and table[a][zero] != a:
+                violations.append(
+                    Violation("PD1", (("a", lab[a]),), f"a{name}0 differs from a")
+                )
 
     for a in range(n):
         for b in iter_bits(base.leq[a]):
             for c in iter_bits(base.leq[b]):
-                where = (("a", lab[a]), ("b", lab[b]), ("c", lab[c]))
-                cb, ca = X.slash[c][b], X.slash[c][a]
-                if cb is not None and ca is not None:
+                for (p, T), (q, U) in mirrored:
+                    cb, ca = T[c][b], T[c][a]
+                    if cb is None or ca is None:
+                        continue
                     if not base.le(cb, ca):
-                        violations.append(
-                            Violation("PD2", where, "c/b <= c/a fails")
-                        )
+                        detail = f"c{p}b <= c{p}a fails"
+                    elif U[ca][cb] != T[b][a]:
+                        detail = f"(c{p}a){q}(c{p}b) differs from b{p}a"
                     else:
-                        ba = X.slash[b][a]
-                        if X.bslash[ca][cb] != ba:
-                            violations.append(
-                                Violation("PD2", where, "(c/a)\\(c/b) differs from b/a")
-                            )
-                db, da = X.bslash[c][b], X.bslash[c][a]
-                if db is not None and da is not None:
-                    if not base.le(db, da):
-                        violations.append(
-                            Violation("PD2", where, "c\\b <= c\\a fails")
-                        )
-                    else:
-                        ba = X.bslash[b][a]
-                        if X.slash[da][db] != ba:
-                            violations.append(
-                                Violation("PD2", where, "(c\\a)/(c\\b) differs from b\\a")
-                            )
+                        continue
+                    where = (("a", lab[a]), ("b", lab[b]), ("c", lab[c]))
+                    violations.append(Violation("PD2", where, detail))
     return Report("check_pdp", tuple(violations))
 
 

@@ -11,6 +11,12 @@ A pseudo effect algebra is a carrier with a partial addition and constants
 together with the requirement that a <= c iff a+b = c for some b defines a
 bounded partial order.  The checker reports the axiom layer and the order
 layer separately.
+
+The opposite algebra, a +' b = b + a, has the transposed table and the
+difference tables exchanged (Dvurecenskij & Vetterlein, Pseudoeffect
+algebras I, Int. J. Theor. Phys. 40 (2001)).  It swaps the two halves of
+PE2 and of PE3, so each two-sided rule here, and each of the two
+conversions, is written once and read on a table and on its mirror.
 """
 
 from __future__ import annotations
@@ -93,47 +99,29 @@ def check_pea(A: PseudoEffectAlgebra) -> Report:
                     )
                 )
 
+    # the transpose is the opposite algebra's table: its row a holds x+a
+    opposite = tuple(zip(*plus))
     for a in range(n):
-        right = [d for d in range(n) if plus[a][d] == A.one]
-        if len(right) != 1:
-            violations.append(
-                Violation(
-                    "PE2",
-                    (("a", lab[a]),),
-                    f"{len(right)} elements d satisfy a+d=1",
+        sides = ((plus[a], "d satisfy a+d=1"), (opposite[a], "e satisfy e+a=1"))
+        for row, text in sides:
+            count = row.count(A.one)
+            if count != 1:
+                violations.append(
+                    Violation("PE2", (("a", lab[a]),), f"{count} elements {text}")
                 )
-            )
-        left = [e for e in range(n) if plus[e][a] == A.one]
-        if len(left) != 1:
-            violations.append(
-                Violation(
-                    "PE2",
-                    (("a", lab[a]),),
-                    f"{len(left)} elements e satisfy e+a=1",
-                )
-            )
 
     for a in range(n):
         for b in range(n):
             c = plus[a][b]
             if c is None:
                 continue
-            if not any(plus[d][a] == c for d in range(n)):
-                violations.append(
-                    Violation(
-                        "PE3",
-                        (("a", lab[a]), ("b", lab[b])),
-                        "no d with d+a = a+b",
+            for line, text in ((opposite[a], "d with d+a"), (plus[b], "e with b+e")):
+                if c not in line:
+                    violations.append(
+                        Violation(
+                            "PE3", (("a", lab[a]), ("b", lab[b])), f"no {text} = a+b"
+                        )
                     )
-                )
-            if not any(plus[b][e] == c for e in range(n)):
-                violations.append(
-                    Violation(
-                        "PE3",
-                        (("a", lab[a]), ("b", lab[b])),
-                        "no e with b+e = a+b",
-                    )
-                )
 
     for a in range(n):
         if a == A.zero:
@@ -207,80 +195,57 @@ def pea_to_pdp(A: PseudoEffectAlgebra) -> PseudoDPoset:
     """
     base = induced_order(A)
     n = A.n
+    lab = A.labels
     slash = [[None] * n for _ in range(n)]
     bslash = [[None] * n for _ in range(n)]
+    # c\a is c/a in the opposite algebra, whose table is the transpose
+    sides = ((A.plus, slash, "{a}+x={c}"), (tuple(zip(*A.plus)), bslash, "y+{a}={c}"))
     for c in range(n):
-        for a in range(n):
-            if not base.le(a, c):
-                continue
-            xs = [x for x in range(n) if A.plus[a][x] == c]
-            if len(xs) != 1:
-                raise InvalidStructure(
-                    f"{len(xs)} solutions of {A.labels[a]}+x={A.labels[c]}"
-                )
-            slash[c][a] = xs[0]
-            ys = [y for y in range(n) if A.plus[y][a] == c]
-            if len(ys) != 1:
-                raise InvalidStructure(
-                    f"{len(ys)} solutions of y+{A.labels[a]}={A.labels[c]}"
-                )
-            bslash[c][a] = ys[0]
-    return PseudoDPoset(
-        base,
-        tuple(tuple(row) for row in slash),
-        tuple(tuple(row) for row in bslash),
-    )
+        for a in iter_bits(base.down[c]):
+            for table, diff, equation in sides:
+                xs = [x for x, v in enumerate(table[a]) if v == c]
+                if len(xs) != 1:
+                    raise InvalidStructure(
+                        f"{len(xs)} solutions of "
+                        + equation.format(a=lab[a], c=lab[c])
+                    )
+                diff[c][a] = xs[0]
+    return PseudoDPoset(base, *(tuple(map(tuple, t)) for t in (slash, bslash)))
 
 
 def pdp_to_pea(X: PseudoDPoset) -> PseudoEffectAlgebra:
     """Partial addition recovered from the differences.
 
     a+b is defined and equals c iff a <= c and c/a = b, equivalently iff
-    b <= c and c\\b = a; the two characterizations are cross-checked and a
-    disagreement raises InvalidStructure.
+    b <= c and c\\b = a.  The second reading is the first one in the
+    opposite algebra, with the operands exchanged; the two are cross-checked
+    and a disagreement raises InvalidStructure.
     """
     base = X.base
     n = base.n
-    plus = [[None] * n for _ in range(n)]
-    for c in range(n):
-        for a in range(n):
-            if not base.le(a, c):
-                continue
-            b = X.slash[c][a]
-            if b is None:
-                raise InvalidStructure(
-                    f"difference {base.labels[c]}/{base.labels[a]} is undefined"
-                )
-            if plus[a][b] not in (None, c):
-                raise InvalidStructure(
-                    f"addition at ({base.labels[a]},{base.labels[b]}) is ambiguous"
-                )
-            plus[a][b] = c
-    alt = [[None] * n for _ in range(n)]
-    for c in range(n):
-        for b in range(n):
-            if not base.le(b, c):
-                continue
-            a = X.bslash[c][b]
-            if a is None:
-                raise InvalidStructure(
-                    f"difference {base.labels[c]}\\{base.labels[b]} is undefined"
-                )
-            if alt[a][b] not in (None, c):
-                raise InvalidStructure(
-                    f"addition at ({base.labels[a]},{base.labels[b]}) is ambiguous"
-                )
-            alt[a][b] = c
-    if alt != plus:
+    lab = base.labels
+    sums = []
+    for name, table, step in (("/", X.slash, 1), ("\\", X.bslash, -1)):
+        plus = [[None] * n for _ in range(n)]
+        for c in range(n):
+            for d in iter_bits(base.down[c]):
+                e = table[c][d]
+                if e is None:
+                    raise InvalidStructure(
+                        f"difference {lab[c]}{name}{lab[d]} is undefined"
+                    )
+                a, b = (d, e)[::step]  # c\d = e means e+d = c
+                if plus[a][b] not in (None, c):
+                    raise InvalidStructure(
+                        f"addition at ({lab[a]},{lab[b]}) is ambiguous"
+                    )
+                plus[a][b] = c
+        sums.append(tuple(map(tuple, plus)))
+    if sums[0] != sums[1]:
         raise InvalidStructure(
             "the two difference tables disagree on the induced addition"
         )
-    return PseudoEffectAlgebra(
-        base.labels,
-        tuple(tuple(row) for row in plus),
-        base.bottom,
-        base.top,
-    )
+    return PseudoEffectAlgebra(lab, sums[0], base.bottom, base.top)
 
 
 def is_commutative(A: PseudoEffectAlgebra) -> bool:

@@ -15,6 +15,7 @@ import itertools
 from pealab import (
     BoundedPoset,
     PosetMorphism,
+    PseudoDPoset,
     PseudoEffectAlgebra,
     validate_bounded_poset,
 )
@@ -66,12 +67,29 @@ def pea_from(base: BoundedPoset, sums) -> PseudoEffectAlgebra:
     )
 
 
+def edit_table(table, cells):
+    """A copy of a dense table with the cells {(row, column): value} set."""
+    rows = [list(row) for row in table]
+    for (i, j), value in cells.items():
+        rows[i][j] = value
+    return tuple(tuple(row) for row in rows)
+
+
+def swapped(X: PseudoDPoset) -> PseudoDPoset:
+    """The mirror structure: / and \\ exchanged."""
+    return PseudoDPoset(X.base, X.bslash, X.slash)
+
+
 def c2_pea() -> PseudoEffectAlgebra:
     return pea_from(c2(), [])
 
 
 def c3_pea() -> PseudoEffectAlgebra:
     return pea_from(c3(), [("a", "a", "1")])
+
+
+def c4_pea() -> PseudoEffectAlgebra:
+    return pea_from(c4(), [("x", "x", "y"), ("x", "y", "1"), ("y", "x", "1")])
 
 
 def d4_ortho() -> PseudoEffectAlgebra:

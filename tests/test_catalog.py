@@ -119,6 +119,16 @@ class TestPosetEnumeration:
             for Q in posets[i + 1 :]:
                 assert find_isomorphism(P, Q) is None
 
+    def test_label_alphabet_caps_the_poset_size_before_any_work(
+        self, monkeypatch
+    ):
+        def unreachable(rows, m):
+            raise AssertionError("classes grown past the size check")
+
+        monkeypatch.setattr(catalog, "_canonical_rows", unreachable)
+        with pytest.raises(LimitExceeded, match="m=9 exceeds 8"):
+            enumerate_posets(9)
+
 
 class TestBoundedPosetEnumeration:
     def test_class_counts(self, monkeypatch):

@@ -1,8 +1,18 @@
 import itertools
+import random
+from collections import Counter
 
 import pytest
 
-from helpers import brute_force_bounded_maps, c2_pea, c3_pea, d4_ortho
+from helpers import (
+    brute_force_bounded_maps,
+    c2_pea,
+    c3_pea,
+    c4_pea,
+    d4_ortho,
+    edit_table,
+    swapped,
+)
 from pealab import (
     InvalidStructure,
     PDPMorphism,
@@ -38,9 +48,7 @@ def d4_ortho_pdp():
 
 
 def with_slash(X, b, a, value):
-    table = [list(row) for row in X.slash]
-    table[b][a] = value
-    return PseudoDPoset(X.base, tuple(tuple(r) for r in table), X.bslash)
+    return PseudoDPoset(X.base, edit_table(X.slash, {(b, a): value}), X.bslash)
 
 
 class TestCheckPdp:
@@ -68,6 +76,76 @@ class TestCheckPdp:
         idx = {lab: i for i, lab in enumerate(X.labels)}
         broken = with_slash(X, idx["1"], idx["a"], idx["a"])
         assert any(v.rule == "PD2" for v in check_pdp(broken).violations)
+
+
+class TestMirror:
+    """check_pdp reads each rule on (/, \\) and on its mirror (\\, /)."""
+
+    @pytest.mark.parametrize(
+        "structure, slash_cells, bslash_cells, expected",
+        [
+            pytest.param(c3_pea, {(1, 0): 0}, {(2, 0): 1}, [
+                "PD1 violated at a=a: a/0 differs from a",
+                "PD1 violated at a=1: a\\0 differs from a",
+                "PD2 violated at a=0, b=a, c=a: (c\\a)/(c\\b) differs from b\\a",
+                "PD2 violated at a=0, b=a, c=1: (c/a)\\(c/b) differs from b/a",
+                "PD2 violated at a=0, b=a, c=1: (c\\a)/(c\\b) differs from b\\a",
+                "PD2 violated at a=0, b=1, c=1: (c/a)\\(c/b) differs from b/a",
+                "PD2 violated at a=0, b=1, c=1: (c\\a)/(c\\b) differs from b\\a",
+                "PD2 violated at a=a, b=1, c=1: (c\\a)/(c\\b) differs from b\\a",
+            ], id="PD1"),
+            pytest.param(c4_pea, {(3, 2): 3}, {(3, 2): 3}, [
+                "PD2 violated at a=0, b=x, c=1: (c/a)\\(c/b) differs from b/a",
+                "PD2 violated at a=0, b=x, c=1: (c\\a)/(c\\b) differs from b\\a",
+                "PD2 violated at a=0, b=y, c=1: (c/a)\\(c/b) differs from b/a",
+                "PD2 violated at a=0, b=y, c=1: (c\\a)/(c\\b) differs from b\\a",
+                "PD2 violated at a=x, b=y, c=1: c/b <= c/a fails",
+                "PD2 violated at a=x, b=y, c=1: c\\b <= c\\a fails",
+            ], id="PD2-inequalities"),
+            pytest.param(c3_pea, {(2, 1): 2}, {}, [
+                "PD2 violated at a=0, b=a, c=1: (c/a)\\(c/b) differs from b/a",
+                "PD2 violated at a=0, b=a, c=1: (c\\a)/(c\\b) differs from b\\a",
+            ], id="PD2-equations-slash"),
+            pytest.param(c3_pea, {}, {(2, 1): 2}, [
+                "PD2 violated at a=0, b=a, c=1: (c/a)\\(c/b) differs from b/a",
+                "PD2 violated at a=0, b=a, c=1: (c\\a)/(c\\b) differs from b\\a",
+            ], id="PD2-equations-bslash"),
+        ],
+    )
+    def test_exact_report_order(self, structure, slash_cells, bslash_cells, expected):
+        X = pea_to_pdp(structure())
+        broken = PseudoDPoset(
+            X.base,
+            edit_table(X.slash, slash_cells),
+            edit_table(X.bslash, bslash_cells),
+        )
+        assert check_pdp(broken).lines() == expected
+
+    def test_swapped_tables_report_the_mirrored_violations(self, catalog6):
+        pdps = [pea_to_pdp(A) for e in catalog6 for A in e.structures]
+        mirror = str.maketrans("/\\", "\\/")
+        rng = random.Random(2024)
+        reported = 0
+        for _ in range(400):
+            X = rng.choice(pdps)
+            tables = [X.slash, X.bslash]
+            for _ in range(rng.randint(1, 3)):
+                k = rng.randrange(2)
+                cell = rng.randrange(X.n), rng.randrange(X.n)
+                value = rng.choice([*range(X.n), None])
+                tables[k] = edit_table(tables[k], {cell: value})
+            broken = PseudoDPoset(X.base, *tables)
+            expected = Counter(
+                (v.rule, v.where, v.detail.translate(mirror))
+                for v in check_pdp(broken).violations
+            )
+            got = Counter(
+                (v.rule, v.where, v.detail)
+                for v in check_pdp(swapped(broken)).violations
+            )
+            assert got == expected
+            reported += bool(expected)
+        assert reported > 300
 
 
 class TestDifferenceMorphisms:

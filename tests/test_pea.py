@@ -9,12 +9,15 @@ from helpers import (
     d4_hsum,
     d4_ortho,
     diamond,
+    edit_table,
     pea_from,
+    swapped,
     wide3_cyclic,
 )
 from pealab import (
     InvalidStructure,
     PDPMorphism,
+    PseudoDPoset,
     PseudoEffectAlgebra,
     check_pdp_morphism,
     check_pea,
@@ -28,20 +31,16 @@ from pealab import (
 )
 
 
-def drop_cell(A, a, b):
-    table = [list(row) for row in A.plus]
-    table[a][b] = None
-    return PseudoEffectAlgebra(
-        A.labels, tuple(tuple(r) for r in table), A.zero, A.one
-    )
+def with_cells(A, cells):
+    return PseudoEffectAlgebra(A.labels, edit_table(A.plus, cells), A.zero, A.one)
 
 
 def set_cell(A, a, b, c):
-    table = [list(row) for row in A.plus]
-    table[a][b] = c
-    return PseudoEffectAlgebra(
-        A.labels, tuple(tuple(r) for r in table), A.zero, A.one
-    )
+    return with_cells(A, {(a, b): c})
+
+
+def drop_cell(A, a, b):
+    return set_cell(A, a, b, None)
 
 
 class TestCheckPea:
@@ -111,6 +110,29 @@ class TestCheckPea:
             and v.detail == "a+(b+c) exists but (a+b)+c does not match it"
             for v in report.violations
         )
+
+    @pytest.mark.parametrize(
+        "cells, expected",
+        [
+            pytest.param({(1, 1): None}, [
+                "PE2 violated at a=a: 0 elements d satisfy a+d=1",
+                "PE2 violated at a=a: 0 elements e satisfy e+a=1",
+                "order violated at a=a: one is not above this element",
+            ], id="PE2"),
+            pytest.param({(2, 0): None}, [
+                "PE1 violated at a=a, b=a, c=0: "
+                "a+(b+c) exists but (a+b)+c does not match it",
+                "PE2 violated at a=0: 0 elements e satisfy e+a=1",
+                "PE2 violated at a=1: 0 elements d satisfy a+d=1",
+                "PE3 violated at a=0, b=1: no d with d+a = a+b",
+                "PE3 violated at a=0, b=1: no e with b+e = a+b",
+                "order violated at a=1: induced relation not reflexive",
+                "order violated at a=1: one is not above this element",
+            ], id="PE3"),
+        ],
+    )
+    def test_exact_report_order_of_two_sided_rules(self, cells, expected):
+        assert check_pea(with_cells(c3_pea(), cells)).lines() == expected
 
     def test_order_layer_is_reported_separately(self):
         # dropping 0+a breaks reflexivity of the induced relation at a
@@ -195,8 +217,6 @@ class TestConversionValues:
             pea_to_pdp(broken)
 
     def test_disagreeing_difference_tables_are_rejected(self):
-        from pealab import PseudoDPoset
-
         X = pea_to_pdp(d4_ortho())
         idx = {lab: i for i, lab in enumerate(X.labels)}
         one, a, b = idx["1"], idx["a"], idx["b"]
@@ -209,8 +229,6 @@ class TestConversionValues:
             pdp_to_pea(corrupt)
 
     def test_ambiguous_reconstruction_is_rejected(self):
-        from pealab import PseudoDPoset
-
         X = pea_to_pdp(c3_pea())
         slash = [list(row) for row in X.slash]
         slash[2][0] = 1  # 1/0 collides with a/0
@@ -219,6 +237,59 @@ class TestConversionValues:
         )
         with pytest.raises(InvalidStructure, match="ambiguous"):
             pdp_to_pea(corrupt)
+
+
+class TestMirroredConversions:
+    """Each conversion reads one rule on a table and on its mirror."""
+
+    @pytest.mark.parametrize(
+        "cells, message",
+        [
+            ({(1, 2): 2}, "2 solutions of a+x=1"),  # a+a = a+1 = 1
+            ({(2, 1): 2}, "2 solutions of y+a=1"),  # a+a = 1+a = 1
+        ],
+        ids=["a+x", "y+a"],
+    )
+    def test_exact_pea_to_pdp_messages(self, cells, message):
+        with pytest.raises(InvalidStructure) as caught:
+            pea_to_pdp(with_cells(c3_pea(), cells))
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "slash_cells, bslash_cells, message",
+        [
+            ({(2, 1): None}, {}, "difference 1/a is undefined"),
+            ({}, {(2, 1): None}, "difference 1\\a is undefined"),
+            ({(2, 0): 1}, {}, "addition at (0,a) is ambiguous"),
+            ({}, {(2, 0): 1}, "addition at (a,0) is ambiguous"),
+        ],
+        ids=["undefined-slash", "undefined-bslash", "ambiguous-slash",
+             "ambiguous-bslash"],
+    )
+    def test_exact_pdp_to_pea_messages(self, slash_cells, bslash_cells, message):
+        X = pea_to_pdp(c3_pea())
+        broken = PseudoDPoset(
+            X.base,
+            edit_table(X.slash, slash_cells),
+            edit_table(X.bslash, bslash_cells),
+        )
+        with pytest.raises(InvalidStructure) as caught:
+            pdp_to_pea(broken)
+        assert str(caught.value) == message
+
+    def test_swapped_tables_give_the_transposed_addition(self, catalog6):
+        noncommutative = 0
+        for entry in catalog6:
+            tables = {A.plus for A in entry.structures}
+            for A in entry.structures:
+                transposed = tuple(zip(*A.plus))
+                X = pea_to_pdp(A)
+                mirror = pdp_to_pea(swapped(X))
+                assert mirror.plus == transposed
+                assert transposed in tables  # the catalog is closed under it
+                assert pea_to_pdp(mirror) == swapped(X)
+                noncommutative += transposed != A.plus
+        assert noncommutative == 16
 
 
 class TestRoundtrip:

@@ -1,12 +1,14 @@
 import pytest
 
-from helpers import d4_hsum, wide3_selfsum
+from helpers import d4_hsum, edit_table, wide3_selfsum
 from pealab import (
     HomSets,
     InvalidStructure,
     PDPMorphism,
     PosetMorphism,
+    PseudoDPoset,
     SplitFork,
+    TransferError,
     TransferResult,
     check_pdp,
     check_pdp_morphism,
@@ -16,6 +18,7 @@ from pealab import (
     generate_split_forks,
     i_preserves_fork,
     identity,
+    is_commutative,
     is_split_fork,
     pea_to_pdp,
     split_fork_from_idempotent,
@@ -109,6 +112,64 @@ class TestTransferStructure:
         )
         with pytest.raises(InvalidStructure, match="fork invalid"):
             transfer_structure(f, g, broken)
+
+    def test_identity_fork_returns_every_noncommutative_source(self, catalog6):
+        sources = [
+            pea_to_pdp(A)
+            for e in catalog6
+            for A in e.structures
+            if not is_commutative(A)
+        ]
+        assert len(sources) == 16
+        for X in sources:
+            assert transfer_structure(*identity_fork(X)).Qprime == X
+
+    def test_incomplete_source_table_is_rejected(self):
+        X = hsum_pdp()
+        B = PseudoDPoset(X.base, edit_table(X.slash, {(3, 1): None}), X.bslash)
+        with pytest.raises(InvalidStructure, match="tables are incomplete"):
+            transfer_structure(*identity_fork(B))
+
+    @staticmethod
+    def non_descending_fork(slash_cells, bslash_cells):
+        """The collapse b -> a of the horizontal-sum diamond, with B's
+        tables edited and every difference of A undefined, so that f and g
+        preserve the differences vacuously."""
+        X = hsum_pdp()
+        _, _, fork = split_fork_from_idempotent(X, collapse_idempotent(X))
+        B = PseudoDPoset(
+            X.base,
+            edit_table(X.slash, slash_cells),
+            edit_table(X.bslash, bslash_cells),
+        )
+        none = ((None,) * X.n,) * X.n
+        A = PseudoDPoset(X.base, none, none)
+        return PDPMorphism(A, B, fork.f), PDPMorphism(A, B, fork.g), fork
+
+    @pytest.mark.parametrize(
+        "slash_cells, bslash_cells, name",
+        [({(2, 0): 3}, {}, "/"), ({}, {(2, 0): 3}, "\\")],
+        ids=["slash", "bslash"],
+    )
+    def test_difference_that_does_not_descend_is_reported(
+        self, slash_cells, bslash_cells, name
+    ):
+        # b/0 (or b\0) moved to 1: q sends it to 1, but [0,b] goes to
+        # [0,a], whose difference is q(a/0) = a
+        fork = self.non_descending_fork(slash_cells, bslash_cells)
+        with pytest.raises(TransferError) as caught:
+            transfer_structure(*fork)
+        assert str(caught.value) == (
+            "not an absolute coequalizer over difference-preserving maps: "
+            f"{name} does not descend along the quotient at [0,b]"
+        )
+
+    def test_incomplete_source_is_reported_before_a_mismatch(self):
+        # b\b is undefined; [b,b] comes after [0,b] and is not in the image
+        # of the section, yet completeness is checked first
+        fork = self.non_descending_fork({(2, 0): 3}, {(2, 2): None})
+        with pytest.raises(InvalidStructure, match="tables are incomplete"):
+            transfer_structure(*fork)
 
     def test_mismatched_pair_is_rejected(self):
         X = hsum_pdp()

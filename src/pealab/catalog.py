@@ -137,9 +137,14 @@ def enumerate_posets(m: int) -> list[Poset]:
     element above each down-set, the empty one included.  That reaches
     every class: removing a maximal element of a (k+1)-poset leaves a poset
     isomorphic to a representative, under which its strict down-set maps
-    to a down-set.  Duplicates meet in the canonical form.  An m past the
-    labels in _MIDDLE_LABELS raises LimitExceeded before any work.
+    to a down-set.  Duplicates meet in the canonical form.  A negative m
+    raises InvalidStructure, and an m past the labels in _MIDDLE_LABELS
+    LimitExceeded, before any work.
     """
+    if m < 0:
+        raise InvalidStructure(
+            f"m={m}: a poset cannot have a negative number of elements"
+        )
     if m > len(_MIDDLE_LABELS):
         raise LimitExceeded(
             f"m={m} exceeds {len(_MIDDLE_LABELS)}, the largest poset the "

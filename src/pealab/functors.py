@@ -42,8 +42,14 @@ def interval_poset(P: Poset) -> Poset:
     return Poset(labels, tuple(rows))
 
 
-def interval_map(f: PosetMorphism) -> PosetMorphism:
-    """Action on intervals: [a,b] goes to [f(a), f(b)]."""
+def interval_map(
+    f: PosetMorphism, source: Poset | None = None, target: Poset | None = None
+) -> PosetMorphism:
+    """Action on intervals: [a,b] goes to [f(a), f(b)].
+
+    ``source`` and ``target`` may pass in the interval posets of f's source
+    and target, already built, so that maps sharing an endpoint share it.
+    """
     src_pairs = interval_elements(f.source)
     dst_index = {p: k for k, p in enumerate(interval_elements(f.target))}
     values = []
@@ -54,9 +60,11 @@ def interval_map(f: PosetMorphism) -> PosetMorphism:
                 "image of an interval is not an interval; the map is not isotone"
             )
         values.append(dst_index[image])
-    return PosetMorphism(
-        interval_poset(f.source), interval_poset(f.target), tuple(values)
-    )
+    if source is None:
+        source = interval_poset(f.source)
+    if target is None:
+        target = interval_poset(f.target)
+    return PosetMorphism(source, target, tuple(values))
 
 
 def triple_elements(P: Poset) -> list[tuple[int, int, int]]:

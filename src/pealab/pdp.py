@@ -181,23 +181,23 @@ def check_pdp_morphism(h: PDPMorphism) -> Report:
     """Report bound/isotonicity violations and every broken difference."""
     violations = list(check_morphism(h.poset_map).violations)
     X, Y = h.source, h.target
-    lab = X.labels
-    for a in range(X.n):
-        for b in iter_bits(X.base.leq[a]):
-            where = (("b", lab[b]), ("a", lab[a]))
-            fa, fb = h.map[a], h.map[b]
-            if not Y.base.le(fa, fb):
+    hm, yleq = h.map, Y.base.leq
+    rules = (
+        ("slash", X.slash, Y.slash, "f(b/a) differs from f(b)/f(a)"),
+        ("bslash", X.bslash, Y.bslash, "f(b\\a) differs from f(b)\\f(a)"),
+    )
+    for a, row in enumerate(X.base.leq):
+        fa = hm[a]
+        up = yleq[fa]
+        for b in iter_bits(row):
+            fb = hm[b]
+            if not up >> fb & 1:
                 continue  # already reported as an isotonicity violation
-            sv = X.slash[b][a]
-            if sv is not None and Y.slash[fb][fa] != h.map[sv]:
-                violations.append(
-                    Violation("slash", where, "f(b/a) differs from f(b)/f(a)")
-                )
-            bv = X.bslash[b][a]
-            if bv is not None and Y.bslash[fb][fa] != h.map[bv]:
-                violations.append(
-                    Violation("bslash", where, "f(b\\a) differs from f(b)\\f(a)")
-                )
+            for rule, mine, theirs, detail in rules:
+                v = mine[b][a]
+                if v is not None and theirs[fb][fa] != hm[v]:
+                    where = (("b", X.labels[b]), ("a", X.labels[a]))
+                    violations.append(Violation(rule, where, detail))
     return Report("check_pdp_morphism", tuple(violations))
 
 

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import InvalidStructure, TransferError
-from .functors import interval_elements, interval_map
+from .functors import interval_elements, interval_map, interval_poset
 from .pdp import (
     PDPMorphism,
     PseudoDPoset,
@@ -157,14 +157,27 @@ def verify_coequalizer_psdpos(
 
     For every target C and every difference-preserving h: B -> C that
     coequalizes the pair, exactly one difference-preserving e with
-    e o q = h must exist.  ``homs`` shares the hom sets between calls;
-    a fresh table is used when it is omitted.
+    e o q = h must exist.  The quotient q must be onto Q' (a split fork's
+    is, as q o s = 1), else InvalidStructure is raised.  So e is fixed by
+    h: e(q(b)) = h(b), read off one preimage of each element of Q'.  At
+    most one e exists, and it is a mediator iff e o q = h and it passes
+    :func:`check_pdp_morphism`, which is the filter that
+    ``enumerate_pdp_morphisms`` applies; no hom set out of Q' is
+    enumerated.  ``homs`` shares the hom sets out of B between calls; a
+    fresh table is used when it is omitted.
     """
     if homs is None:
         homs = HomSets()
     B = f.target
     Qprime = result.Qprime
     fmap, gmap, qmap = f.map, g.map, result.qprime.map
+    missed = set(range(Qprime.n)).difference(qmap)
+    if missed:
+        raise InvalidStructure(
+            "the quotient q: B -> Q' is not onto: nothing maps to "
+            + Qprime.labels[min(missed)]
+        )
+    preimage = [qmap.index(v) for v in range(Qprime.n)]
     violations = []
     n_targets = pairs_checked = homs_scanned = mediators_found = 0
     for idx, C in enumerate(targets):
@@ -172,22 +185,23 @@ def verify_coequalizer_psdpos(
         tag = f"#{idx}({','.join(C.labels)})"
         out_of_b = homs[B, C]
         homs_scanned += len(out_of_b)
-        composites = [tuple(e.map[v] for v in qmap) for e in homs[Qprime, C]]
         for h in out_of_b:
             hm = h.map
             if any(hm[x] != hm[y] for x, y in zip(fmap, gmap)):
                 continue
             pairs_checked += 1
-            mediators = composites.count(hm)
-            mediators_found += mediators
-            if mediators != 1:
-                violations.append(
-                    Violation(
-                        "coequalizer",
-                        (("target", tag), ("h", str(hm))),
-                        f"{mediators} difference-preserving factorizations",
-                    )
+            em = tuple(hm[b] for b in preimage)
+            e = PDPMorphism(Qprime, C, PosetMorphism(Qprime.base, C.base, em))
+            if tuple(em[v] for v in qmap) == hm and check_pdp_morphism(e).ok:
+                mediators_found += 1
+                continue
+            violations.append(
+                Violation(
+                    "coequalizer",
+                    (("target", tag), ("h", str(hm))),
+                    "0 difference-preserving factorizations",
                 )
+            )
     return Report(
         "verify-coeq",
         tuple(violations),
@@ -206,11 +220,16 @@ def i_preserves_fork(fork: SplitFork) -> bool:
     The parallel pair is transported to interval posets, its coequalizer
     is recomputed from scratch, and the comparison with the transported
     quotient map, onto the interval poset of Q, must be an isomorphism.
+    Each distinct object's interval poset is built once.
     """
     if not is_split_fork(fork):
         raise InvalidStructure("not a split fork")
-    _, onto = coequalizer_posets(interval_map(fork.f), interval_map(fork.g))
-    return comparison_isomorphism(onto, interval_map(fork.q)) is not None
+    IB, IQ = interval_poset(fork.B), interval_poset(fork.Q)
+    IA = IB if fork.A == fork.B else interval_poset(fork.A)
+    _, onto = coequalizer_posets(
+        interval_map(fork.f, IA, IB), interval_map(fork.g, IA, IB)
+    )
+    return comparison_isomorphism(onto, interval_map(fork.q, IB, IQ)) is not None
 
 
 def split_fork_from_idempotent(

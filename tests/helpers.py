@@ -5,7 +5,10 @@ sets are enumerated with itertools over all functions, isomorphisms over
 all bijections, poset classes over all naturally labelled relations and
 all relabellings, coequalizer orders over all subsets of the target, and
 structure tables over all cell assignments.  Expected
-values asserted in the tests were computed with these.
+values asserted in the tests were computed with these.  The morphism
+checkers get plain restatements of their definitions, and the
+universal-property check a reference that counts mediators by scanning
+the whole hom set out of Q'.
 """
 
 from __future__ import annotations
@@ -17,6 +20,9 @@ from pealab import (
     PosetMorphism,
     PseudoDPoset,
     PseudoEffectAlgebra,
+    Report,
+    Violation,
+    enumerate_pdp_morphisms,
     validate_bounded_poset,
 )
 
@@ -239,3 +245,98 @@ def coequalizer_order_oracle(f: PosetMorphism, g: PosetMorphism):
 def as_morphism(P, R, labelled: dict[str, str]) -> PosetMorphism:
     values = tuple(R.index(labelled[lab]) for lab in P.labels)
     return PosetMorphism(P, R, values)
+
+
+def morphism_report_by_definition(f: PosetMorphism) -> Report:
+    """check_morphism restated: every pair x < y whose images are not
+    related, in row-major order, then the bottom and the top."""
+    P, R = f.source, f.target
+    violations = []
+    for x in range(P.n):
+        for y in range(P.n):
+            if x != y and P.le(x, y) and not R.le(f.map[x], f.map[y]):
+                images = f"{R.labels[f.map[x]]} and {R.labels[f.map[y]]}"
+                violations.append(
+                    Violation(
+                        "isotone",
+                        (("x", P.labels[x]), ("y", P.labels[y])),
+                        f"images {images} are not related",
+                    )
+                )
+    if isinstance(P, BoundedPoset) and isinstance(R, BoundedPoset):
+        for end, name in ((P.bottom, "bottom"), (P.top, "top")):
+            if f.map[end] != getattr(R, name):
+                violations.append(
+                    Violation(
+                        "bounds",
+                        (("element", P.labels[end]),),
+                        f"{name} not preserved",
+                    )
+                )
+    return Report("morphism", tuple(violations))
+
+
+def pdp_morphism_report_by_definition(h) -> Report:
+    """check_pdp_morphism restated: the poset-map report, then for each
+    a <= b with related images a broken / before a broken \\."""
+    X, Y, m = h.source, h.target, h.map
+    violations = list(morphism_report_by_definition(h.poset_map).violations)
+    for a in range(X.n):
+        for b in range(X.n):
+            if not X.base.le(a, b) or not Y.base.le(m[a], m[b]):
+                continue
+            where = (("b", X.labels[b]), ("a", X.labels[a]))
+            sv, bv = X.slash[b][a], X.bslash[b][a]
+            if sv is not None and Y.slash[m[b]][m[a]] != m[sv]:
+                violations.append(
+                    Violation("slash", where, "f(b/a) differs from f(b)/f(a)")
+                )
+            if bv is not None and Y.bslash[m[b]][m[a]] != m[bv]:
+                violations.append(
+                    Violation("bslash", where, "f(b\\a) differs from f(b)\\f(a)")
+                )
+    return Report("check_pdp_morphism", tuple(violations))
+
+
+def coequalizer_report_by_hom_sets(f, g, result, targets, homs) -> Report:
+    """verify_coequalizer_psdpos by scanning Hom(Q', C): the mediators of a
+    coequalizing h are the e in it with e o q = h.  ``homs`` is a plain
+    dict that keeps the enumerated hom sets between calls."""
+
+    def hom(X, Y):
+        if (X, Y) not in homs:
+            homs[X, Y] = enumerate_pdp_morphisms(X, Y)
+        return homs[X, Y]
+
+    B, Qprime, q = f.target, result.Qprime, result.qprime.map
+    violations = []
+    n_targets = pairs = scanned = found = 0
+    for idx, C in enumerate(targets):
+        n_targets += 1
+        out_of_b = hom(B, C)
+        scanned += len(out_of_b)
+        composites = [tuple(e.map[v] for v in q) for e in hom(Qprime, C)]
+        for h in out_of_b:
+            if f.then(h) != g.then(h):
+                continue
+            pairs += 1
+            mediators = composites.count(h.map)
+            found += mediators
+            if mediators != 1:
+                tag = f"#{idx}({','.join(C.labels)})"
+                violations.append(
+                    Violation(
+                        "coequalizer",
+                        (("target", tag), ("h", str(h.map))),
+                        f"{mediators} difference-preserving factorizations",
+                    )
+                )
+    return Report(
+        "verify-coeq",
+        tuple(violations),
+        notes=(
+            f"checked {pairs} coequalizing maps over {n_targets} targets",
+            f"scanned {scanned} difference-preserving maps out of B "
+            f"and found {found} mediators",
+        ),
+    )

@@ -13,6 +13,7 @@ from helpers import (
     scanned_poset_classes,
 )
 from pealab import (
+    InvalidStructure,
     LimitExceeded,
     Poset,
     PseudoEffectAlgebra,
@@ -128,6 +129,15 @@ class TestPosetEnumeration:
         monkeypatch.setattr(catalog, "_canonical_rows", unreachable)
         with pytest.raises(LimitExceeded, match="m=9 exceeds 8"):
             enumerate_posets(9)
+
+    def test_negative_size_is_rejected_by_name(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a poset was built for a negative size")
+
+        monkeypatch.setattr(catalog, "Poset", unreachable)
+        for m in (-1, -5):
+            with pytest.raises(InvalidStructure, match=f"m={m}: "):
+                enumerate_posets(m)
 
 
 class TestBoundedPosetEnumeration:

@@ -372,9 +372,9 @@ class TestTransferVerbs:
         # every fork's report is recorded, passing ones included
         assert len(payload["reports"]) == 120
         assert all(r["ok"] and len(r["notes"]) == 2 for r in payload["reports"])
-        # 2 lookups per fork and target, plus one endomorphism set per
-        # source; 827 distinct (source, target) pairs
-        assert payload["hom_sets"] == {"lookups": 3374, "enumerated": 827}
+        # one lookup per fork and target, for the maps out of B, plus one
+        # endomorphism set per source; 157 distinct (source, target) pairs
+        assert payload["hom_sets"] == {"lookups": 1694, "enumerated": 157}
         # a second run in the same process enumerates as much again:
         # no hom set survives from one invocation to the next
         code, _ = run(capsys, "verify-coeq", "--generate", "120",

@@ -6,6 +6,8 @@ import pytest
 
 from helpers import (
     brute_force_bounded_maps,
+    morphism_report_by_definition,
+    pdp_morphism_report_by_definition,
     c2_pea,
     c3_pea,
     c4_pea,
@@ -16,6 +18,7 @@ from helpers import (
 from pealab import (
     InvalidStructure,
     PDPMorphism,
+    Poset,
     PosetMorphism,
     PseudoDPoset,
     alpha,
@@ -234,6 +237,33 @@ class TestPdpMorphism:
             v.rule in ("slash", "bslash") and dict(v.where) == {"b": "1", "a": "a"}
             for v in report.violations
         )
+
+    def test_reports_match_the_definitions_on_every_map_table(self, pdps5):
+        # every table between the structures with n <= 4, and every
+        # self-map of the noncommutative ones with n = 5, where / and \
+        # differ; most tables are not isotone or miss a bound
+        pairs = [(X, Y) for X in pdps5 for Y in pdps5 if X.n <= 4 and Y.n <= 4]
+        pairs += [(X, X) for X in pdps5 if X.n == 5 and not is_dposet(X)]
+        rules = Counter()
+        for X, Y in pairs:
+            for table in itertools.product(range(Y.n), repeat=X.n):
+                h = PDPMorphism(X, Y, PosetMorphism(X.base, Y.base, table))
+                report = check_pdp_morphism(h)
+                assert report == pdp_morphism_report_by_definition(h)
+                assert check_morphism(h.poset_map) == (
+                    morphism_report_by_definition(h.poset_map)
+                )
+                rules.update(v.rule for v in report.violations)
+        assert set(rules) == {"isotone", "bounds", "slash", "bslash"}
+
+    def test_unbounded_reports_match_the_definition(self, pdps5):
+        for X in pdps5:
+            if X.n > 4:
+                continue
+            P = Poset(X.labels, X.base.leq)
+            for table in itertools.product(range(P.n), repeat=P.n):
+                f = PosetMorphism(P, P, table)
+                assert check_morphism(f) == morphism_report_by_definition(f)
 
 
 def filtered_brute_force(X, Y):

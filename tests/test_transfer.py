@@ -1,6 +1,11 @@
 import pytest
 
-from helpers import d4_hsum, edit_table, wide3_selfsum
+from helpers import (
+    coequalizer_report_by_hom_sets,
+    d4_hsum,
+    edit_table,
+    wide3_selfsum,
+)
 from pealab import (
     HomSets,
     InvalidStructure,
@@ -205,6 +210,59 @@ class TestVerifyCoequalizer:
         )
         report = verify_coequalizer_psdpos(f, g, fake, pdps4)
         assert not report.ok
+        assert report == coequalizer_report_by_hom_sets(f, g, fake, pdps4, {})
+
+    @pytest.mark.parametrize("seed", [2024, 7])
+    def test_descent_counts_the_mediators_of_a_hom_set_scan(self, pdps5, seed):
+        homs, scanned = HomSets(), {}
+        for f, g, fork in generate_split_forks(pdps5, 120, seed):
+            result = transfer_structure(f, g, fork)
+            assert verify_coequalizer_psdpos(
+                f, g, result, pdps5, homs
+            ) == coequalizer_report_by_hom_sets(f, g, result, pdps5, scanned)
+
+    def test_mediator_must_preserve_the_differences(self, pdps4):
+        # Q' with one difference changed: h still factors through q as a
+        # map, but that map breaks the changed difference
+        X = hsum_pdp()
+        f, g, fork = split_fork_from_idempotent(X, collapse_idempotent(X))
+        real = transfer_structure(f, g, fork)
+        Q = real.Qprime
+        top, bottom = Q.base.top, Q.base.bottom
+        broken = PseudoDPoset(
+            Q.base, edit_table(Q.slash, {(top, bottom): bottom}), Q.bslash
+        )
+        fake = TransferResult(
+            broken, PDPMorphism(X, broken, fork.q), real.diagnostics
+        )
+        report = verify_coequalizer_psdpos(f, g, fake, pdps4)
+        assert not report.ok
+        assert {v.detail for v in report.violations} == {
+            "0 difference-preserving factorizations"
+        }
+        assert report == coequalizer_report_by_hom_sets(f, g, fake, pdps4, {})
+
+    def test_mediator_must_factor_h_through_q(self, pdps4):
+        # q glues a and b to 0 in the two-chain: h = (0, a, a, 1) into the
+        # three-chain does not factor through q, though the map read off
+        # the preimages 0 and 1 preserves the differences
+        X = hsum_pdp()
+        f, g, fork = identity_fork(X)
+        real = transfer_structure(f, g, fork)
+        two = [C for C in pdps4 if C.n == 2][0]
+        glue = PosetMorphism(X.base, two.base, (0, 0, 0, 1))
+        fake = TransferResult(two, PDPMorphism(X, two, glue), real.diagnostics)
+        report = verify_coequalizer_psdpos(f, g, fake, pdps4)
+        assert ("h", "(0, 1, 1, 2)") in [v.where[1] for v in report.violations]
+        assert report == coequalizer_report_by_hom_sets(f, g, fake, pdps4, {})
+
+    def test_quotient_that_is_not_onto_is_rejected(self, pdps4):
+        X = hsum_pdp()
+        f, g, fork = identity_fork(X)
+        real = transfer_structure(f, g, fork)
+        fake = TransferResult(X, collapse_idempotent(X), real.diagnostics)
+        with pytest.raises(InvalidStructure, match="q: B -> Q' is not onto"):
+            verify_coequalizer_psdpos(f, g, fake, pdps4)
 
     def test_targets_may_be_an_iterator(self, pdps4):
         X = hsum_pdp()
@@ -239,7 +297,8 @@ class TestVerifyCoequalizer:
             alone = verify_coequalizer_psdpos(f, g, result, pdps5)
             shared = verify_coequalizer_psdpos(f, g, result, pdps5, homs)
             assert shared == alone
-        assert homs.lookups == 2 * len(forks) * len(pdps5)
+        # one hom set out of B per fork and target; none out of Q'
+        assert homs.lookups == len(forks) * len(pdps5)
         assert 0 < len(homs) < homs.lookups
         for (S, C), found in homs.items():
             assert found == enumerate_pdp_morphisms(S, C)

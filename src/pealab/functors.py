@@ -22,7 +22,7 @@ from .posets import (
 
 def interval_elements(P: Poset) -> list[tuple[int, int]]:
     """All pairs (a, b) with a <= b, lexicographically ordered."""
-    return [(a, b) for a in range(P.n) for b in iter_bits(P.leq[a])]
+    return [(a, b) for a, ups in enumerate(P.up) for b in ups]
 
 
 def interval_poset(P: Poset) -> Poset:
@@ -30,13 +30,14 @@ def interval_poset(P: Poset) -> Poset:
     pairs = interval_elements(P)
     bit = {p: 1 << k for k, p in enumerate(pairs)}
     labels = tuple(f"[{P.labels[a]},{P.labels[b]}]" for a, b in pairs)
-    down, leq = P.down, P.leq
+    up = P.up
+    down = [tuple(iter_bits(column)) for column in P.down]
     rows = []
     for a, b in pairs:
         # [a,b] <= [c,d] iff c <= a <= b <= d
         row = 0
-        for c in iter_bits(down[a]):
-            for d in iter_bits(leq[b]):
+        for c in down[a]:
+            for d in up[b]:
                 row |= bit[c, d]
         rows.append(row)
     return Poset(labels, tuple(rows))
@@ -71,9 +72,9 @@ def triple_elements(P: Poset) -> list[tuple[int, int, int]]:
     """All triples (x, y, z) with x <= y <= z, lexicographically ordered."""
     return [
         (x, y, z)
-        for x in range(P.n)
-        for y in iter_bits(P.leq[x])
-        for z in iter_bits(P.leq[y])
+        for x, ups in enumerate(P.up)
+        for y in ups
+        for z in P.up[y]
     ]
 
 

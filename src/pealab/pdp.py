@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InvalidStructure
 from .functors import interval_elements, interval_poset
@@ -28,7 +29,7 @@ from .posets import (
     check_morphism,
     enumerate_morphisms,
     induced_subposet,
-    iter_bits,
+    morphism_violations,
     placement_order,
     product_bposets,
 )
@@ -63,6 +64,12 @@ class PseudoDPoset:
     @property
     def labels(self) -> tuple[str, ...]:
         return self.base.labels
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[int, int, int | None, int | None], ...]:
+        """Each a <= b in row-major order, with its differences: (a, b, b/a, b\\a)."""
+        s, t = self.slash, self.bslash
+        return tuple((a, b, s[b][a], t[b][a]) for a, b in interval_elements(self.base))
 
 
 def is_dposet(X: PseudoDPoset) -> bool:
@@ -103,8 +110,8 @@ def check_pdp(X: PseudoDPoset) -> Report:
                 )
 
     for a in range(n):
-        for b in iter_bits(base.leq[a]):
-            for c in iter_bits(base.leq[b]):
+        for b in base.up[a]:
+            for c in base.up[b]:
                 for (p, T), (q, U) in mirrored:
                     cb, ca = T[c][b], T[c][a]
                     if cb is None or ca is None:
@@ -177,27 +184,36 @@ class PDPMorphism:
         )
 
 
+def pdp_morphism_violations(X: PseudoDPoset, Y: PseudoDPoset, m):
+    """Lazily yield the violations of the map table ``m`` from X to Y, in
+    report order: those of :func:`morphism_violations`, then, over X's
+    cached pairs a <= b whose images are related, a broken / before a
+    broken \\.  Pairs whose difference is ``None`` are skipped."""
+    yield from morphism_violations(X.base, Y.base, m)
+    lab, yleq, yslash, ybslash = X.labels, Y.base.leq, Y.slash, Y.bslash
+    for a, b, s, t in X.pairs:
+        fa, fb = m[a], m[b]
+        if not yleq[fa] >> fb & 1:
+            continue  # already reported as an isotonicity violation
+        if s is not None and yslash[fb][fa] != m[s]:
+            where = (("b", lab[b]), ("a", lab[a]))
+            yield Violation("slash", where, "f(b/a) differs from f(b)/f(a)")
+        if t is not None and ybslash[fb][fa] != m[t]:
+            where = (("b", lab[b]), ("a", lab[a]))
+            yield Violation("bslash", where, "f(b\\a) differs from f(b)\\f(a)")
+
+
+def preserves_differences(X: PseudoDPoset, Y: PseudoDPoset, m) -> bool:
+    """Whether the map table ``m`` is a morphism X -> Y, from a scan that
+    stops at the first violation."""
+    return next(pdp_morphism_violations(X, Y, m), None) is None
+
+
 def check_pdp_morphism(h: PDPMorphism) -> Report:
-    """Report bound/isotonicity violations and every broken difference."""
-    violations = list(check_morphism(h.poset_map).violations)
-    X, Y = h.source, h.target
-    hm, yleq = h.map, Y.base.leq
-    rules = (
-        ("slash", X.slash, Y.slash, "f(b/a) differs from f(b)/f(a)"),
-        ("bslash", X.bslash, Y.bslash, "f(b\\a) differs from f(b)\\f(a)"),
-    )
-    for a, row in enumerate(X.base.leq):
-        fa = hm[a]
-        up = yleq[fa]
-        for b in iter_bits(row):
-            fb = hm[b]
-            if not up >> fb & 1:
-                continue  # already reported as an isotonicity violation
-            for rule, mine, theirs, detail in rules:
-                v = mine[b][a]
-                if v is not None and theirs[fb][fa] != hm[v]:
-                    where = (("b", X.labels[b]), ("a", X.labels[a]))
-                    violations.append(Violation(rule, where, detail))
+    """Report bound/isotonicity violations and every broken difference: all
+    of :func:`pdp_morphism_violations`.  A verdict alone is cheaper from
+    :func:`preserves_differences`, which stops at the first violation."""
+    violations = pdp_morphism_violations(h.source, h.target, h.map)
     return Report("check_pdp_morphism", tuple(violations))
 
 
@@ -213,13 +229,11 @@ def enumerate_pdp_morphisms(X: PseudoDPoset, Y: PseudoDPoset) -> list[PDPMorphis
     """
     rank = {x: k for k, x in enumerate(placement_order(X.base))}
     checks = [[] for _ in range(X.n)]
-    for a in range(X.n):
-        for b in iter_bits(X.base.leq[a]):
-            for mine, theirs in ((X.slash, Y.slash), (X.bslash, Y.bslash)):
-                v = mine[b][a]
-                if v is not None:
-                    last = max((a, b, v), key=rank.__getitem__)
-                    checks[last].append((a, b, v, theirs))
+    for a, b, s, t in X.pairs:
+        for v, theirs in ((s, Y.slash), (t, Y.bslash)):
+            if v is not None:
+                last = max((a, b, v), key=rank.__getitem__)
+                checks[last].append((a, b, v, theirs))
 
     def preserves(i: int, m: list[int]) -> bool:
         for a, b, v, t in checks[i]:

@@ -88,6 +88,11 @@ class Poset:
         """Column masks: bit ``i`` of ``down[j]`` is set iff i <= j."""
         return transpose_rows(self.leq)
 
+    @cached_property
+    def up(self) -> tuple[tuple[int, ...], ...]:
+        """Up-set rows as index tuples: ``up[i]`` lists each j >= i, ascending."""
+        return tuple(tuple(iter_bits(row)) for row in self.leq)
+
     def index(self, label: str) -> int:
         try:
             return self._label_index[label]
@@ -199,7 +204,7 @@ class PosetMorphism:
     def __post_init__(self):
         if len(self.map) != self.source.n:
             raise InvalidStructure("morphism table does not cover the source")
-        if any(not 0 <= v < self.target.n for v in self.map):
+        if self.map and (min(self.map) < 0 or max(self.map) >= self.target.n):
             raise InvalidStructure("morphism table references unknown targets")
 
     def __call__(self, i: int) -> int:
@@ -231,39 +236,35 @@ def identity(P: Poset) -> PosetMorphism:
     return PosetMorphism(P, P, tuple(range(P.n)))
 
 
-def check_morphism(f: PosetMorphism) -> Report:
-    """Report every isotonicity violation and any bound violation."""
-    violations = []
-    P, R = f.source, f.target
-    fm, rleq = f.map, R.leq
-    for x, row in enumerate(P.leq):
-        up = rleq[fm[x]]
-        for y in iter_bits(row ^ 1 << x):
-            if not up >> fm[y] & 1:
-                violations.append(
-                    Violation(
-                        "isotone",
-                        (("x", P.labels[x]), ("y", P.labels[y])),
-                        f"images {R.labels[fm[x]]} and {R.labels[fm[y]]} "
-                        "are not related",
-                    )
+def morphism_violations(P: Poset, R: Poset, fm):
+    """Lazily yield check_morphism's violations of the map table ``fm``:
+    isotonicity over P's cached up-set rows in row-major order, then the
+    bounds.  The pair x <= x is scanned too; it cannot fail."""
+    rleq = R.leq
+    for x, ups in enumerate(P.up):
+        above = rleq[fm[x]]
+        for y in ups:
+            if not above >> fm[y] & 1:
+                yield Violation(
+                    "isotone",
+                    (("x", P.labels[x]), ("y", P.labels[y])),
+                    f"images {R.labels[fm[x]]} and {R.labels[fm[y]]} "
+                    "are not related",
                 )
     if isinstance(P, BoundedPoset) and isinstance(R, BoundedPoset):
         if fm[P.bottom] != R.bottom:
-            violations.append(
-                Violation(
-                    "bounds",
-                    (("element", P.labels[P.bottom]),),
-                    "bottom not preserved",
-                )
+            yield Violation(
+                "bounds", (("element", P.labels[P.bottom]),), "bottom not preserved"
             )
         if fm[P.top] != R.top:
-            violations.append(
-                Violation(
-                    "bounds", (("element", P.labels[P.top]),), "top not preserved"
-                )
+            yield Violation(
+                "bounds", (("element", P.labels[P.top]),), "top not preserved"
             )
-    return Report("morphism", tuple(violations))
+
+
+def check_morphism(f: PosetMorphism) -> Report:
+    """Report every isotonicity violation and any bound violation."""
+    return Report("morphism", tuple(morphism_violations(f.source, f.target, f.map)))
 
 
 def product_bposets(factors) -> BoundedPoset:

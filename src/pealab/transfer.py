@@ -16,13 +16,14 @@ import random
 from dataclasses import dataclass
 
 from .errors import InvalidStructure, TransferError
-from .functors import interval_elements, interval_map, interval_poset
+from .functors import interval_map, interval_poset
 from .pdp import (
     PDPMorphism,
     PseudoDPoset,
     check_pdp,
-    check_pdp_morphism,
     enumerate_pdp_morphisms,
+    pdp_morphism_violations,
+    preserves_differences,
 )
 from .posets import (
     PosetMorphism,
@@ -32,7 +33,6 @@ from .posets import (
     comparison_isomorphism,
     induced_subposet,
     is_split_fork,
-    iter_bits,
 )
 from .reports import Report, Violation
 
@@ -62,7 +62,7 @@ def _validate_fork(f: PDPMorphism, g: PDPMorphism, fork: SplitFork) -> None:
             raise InvalidStructure(
                 f"fork invalid: {name} is not a bounded-poset morphism"
             )
-    if not check_pdp_morphism(f).ok or not check_pdp_morphism(g).ok:
+    if not all(preserves_differences(h.source, h.target, h.map) for h in (f, g)):
         raise InvalidStructure(
             "fork invalid: the parallel pair must preserve the differences"
         )
@@ -83,25 +83,23 @@ def transfer_structure(
     B = f.target
     Q = fork.Q
     n = Q.n
-    intervals = interval_elements(B.base)
-    if any(t[v][u] is None for u, v in intervals for t in (B.slash, B.bslash)):
+    if any(None in pair for pair in B.pairs):
         raise InvalidStructure(
             "fork invalid: the source difference tables are incomplete"
         )
     pulled = []
     for tableB in (B.slash, B.bslash):
         table = [[None] * n for _ in range(n)]
-        for x in range(n):
-            for y in iter_bits(Q.leq[x]):
+        for x, ups in enumerate(Q.up):
+            for y in ups:
                 table[y][x] = fork.q(tableB[fork.s(y)][fork.s(x)])
         pulled.append(tuple(tuple(row) for row in table))
     Qprime = PseudoDPoset(Q, *pulled)
     qprime = PDPMorphism(B, Qprime, fork.q)
     # q is a bounded-poset morphism, so every violation is a difference
     # that does not descend
-    q_report = check_pdp_morphism(qprime)
-    if not q_report.ok:
-        first = q_report.violations[0]
+    first = next(pdp_morphism_violations(B, Qprime, fork.q.map), None)
+    if first is not None:
         (_, v), (_, u) = first.where
         name = "/" if first.rule == "slash" else "\\"
         raise TransferError(
@@ -118,7 +116,7 @@ def transfer_structure(
         "transfer",
         (),
         notes=(
-            f"verified commutation of / and \\ over {len(intervals)} source intervals",
+            f"verified commutation of / and \\ over {len(B.pairs)} source intervals",
             "transferred structure passes the axioms",
             "quotient map preserves both differences",
         ),
@@ -160,17 +158,18 @@ def verify_coequalizer_psdpos(
     e o q = h must exist.  The quotient q must be onto Q' (a split fork's
     is, as q o s = 1), else InvalidStructure is raised.  So e is fixed by
     h: e(q(b)) = h(b), read off one preimage of each element of Q'.  At
-    most one e exists, and it is a mediator iff e o q = h and it passes
-    :func:`check_pdp_morphism`, which is the filter that
-    ``enumerate_pdp_morphisms`` applies; no hom set out of Q' is
-    enumerated.  ``homs`` shares the hom sets out of B between calls; a
-    fresh table is used when it is omitted.
+    most one e exists, and it is a mediator iff e o q = h and its raw table
+    passes :func:`preserves_differences`: check_pdp_morphism's lazy scan over
+    the cached pairs of Q', stopped at the first violation.  No morphism is
+    built per candidate and no hom set out of Q' is enumerated.  ``homs``
+    shares the hom sets out of B between calls; a fresh table is used when
+    it is omitted.
     """
     if homs is None:
         homs = HomSets()
     B = f.target
     Qprime = result.Qprime
-    fmap, gmap, qmap = f.map, g.map, result.qprime.map
+    qmap = result.qprime.map
     missed = set(range(Qprime.n)).difference(qmap)
     if missed:
         raise InvalidStructure(
@@ -178,6 +177,7 @@ def verify_coequalizer_psdpos(
             + Qprime.labels[min(missed)]
         )
     preimage = [qmap.index(v) for v in range(Qprime.n)]
+    glued = [(x, y) for x, y in zip(f.map, g.map) if x != y]
     violations = []
     n_targets = pairs_checked = homs_scanned = mediators_found = 0
     for idx, C in enumerate(targets):
@@ -187,12 +187,11 @@ def verify_coequalizer_psdpos(
         homs_scanned += len(out_of_b)
         for h in out_of_b:
             hm = h.map
-            if any(hm[x] != hm[y] for x, y in zip(fmap, gmap)):
+            if any(hm[x] != hm[y] for x, y in glued):
                 continue
             pairs_checked += 1
-            em = tuple(hm[b] for b in preimage)
-            e = PDPMorphism(Qprime, C, PosetMorphism(Qprime.base, C.base, em))
-            if tuple(em[v] for v in qmap) == hm and check_pdp_morphism(e).ok:
+            em = [hm[b] for b in preimage]
+            if [em[v] for v in qmap] == [*hm] and preserves_differences(Qprime, C, em):
                 mediators_found += 1
                 continue
             violations.append(
@@ -269,8 +268,18 @@ def generate_split_forks(
     Every structure contributes one fork per (idempotent endomorphism,
     automorphism) pair; sampling draws from that pool with replacement
     and randomly permutes the presentation of Q half of the time.
+
     ``homs`` shares the endomorphism sets with later calls; a fresh table
     is used when it is omitted.
+
+    Automorphisms are the bijective endomorphisms; their inverses need no
+    check.  Lemma: on a pseudo D-poset, where every a <= b has both
+    differences, the inverse of a bijective difference-preserving phi
+    preserves them.  phi is isotone and one-to-one, so it sends the finite
+    set of comparable pairs injectively, hence onto, into itself: every
+    x <= y is (phi(a), phi(b)) for some a <= b, and phi^-1 is isotone.  It
+    fixes the bounds, as phi does.  Then phi(b/a) = phi(b)/phi(a) = y/x
+    gives phi^-1(y/x) = phi^-1(y)/phi^-1(x), and likewise for \\.
     """
     if homs is None:
         homs = HomSets()
@@ -281,13 +290,7 @@ def generate_split_forks(
         idems = [
             e for e in endos if e.poset_map.then(e.poset_map) == e.poset_map
         ]
-        autos = []
-        for phi in endos:
-            if len(set(phi.map)) != X.n:
-                continue
-            back = PDPMorphism(X, X, phi.poset_map.inverse())
-            if check_pdp_morphism(back).ok:
-                autos.append(phi)
+        autos = [phi for phi in endos if len(set(phi.map)) == X.n]
         for e in idems:
             for phi in autos:
                 pool.append((X, e, phi))

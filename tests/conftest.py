@@ -32,3 +32,8 @@ def pdps5(catalog6):
         if e.base.n <= 5
         for A in e.structures
     ]
+
+
+@pytest.fixture(scope="session")
+def pdps6(catalog6):
+    return [pea_to_pdp(A) for e in catalog6 for A in e.structures]

@@ -40,6 +40,7 @@ from pealab import (
     subalgebra_generated,
     zero_embedding,
 )
+from pealab.pdp import pdp_morphism_violations, preserves_differences
 
 
 def c3_pdp():
@@ -217,6 +218,17 @@ class TestDifferenceMorphisms:
                         )
 
 
+class TestCachedPairs:
+    def test_pairs_equal_a_scan_of_the_tables(self, pdps6):
+        for X in pdps6:
+            assert X.pairs == tuple(
+                (a, b, X.slash[b][a], X.bslash[b][a])
+                for a in range(X.n)
+                for b in range(X.n)
+                if X.base.le(a, b)
+            )
+
+
 class TestPdpMorphism:
     def test_identity_passes(self):
         X = c3_pdp()
@@ -255,6 +267,21 @@ class TestPdpMorphism:
                 )
                 rules.update(v.rule for v in report.violations)
         assert set(rules) == {"isotone", "bounds", "slash", "bslash"}
+
+    def test_the_lazy_scan_stops_at_the_report_s_first_violation(self, pdps5):
+        # the tables of the test above
+        pairs = [(X, Y) for X in pdps5 for Y in pdps5 if X.n <= 4 and Y.n <= 4]
+        pairs += [(X, X) for X in pdps5 if X.n == 5 and not is_dposet(X)]
+        verdicts = Counter()
+        for X, Y in pairs:
+            for table in itertools.product(range(Y.n), repeat=X.n):
+                h = PDPMorphism(X, Y, PosetMorphism(X.base, Y.base, table))
+                report = pdp_morphism_report_by_definition(h)
+                first = report.violations[0] if report.violations else None
+                assert next(pdp_morphism_violations(X, Y, table), None) == first
+                assert preserves_differences(X, Y, table) == report.ok
+                verdicts[report.ok] += 1
+        assert verdicts[True] and verdicts[False]
 
     def test_unbounded_reports_match_the_definition(self, pdps5):
         for X in pdps5:

@@ -26,6 +26,7 @@ from pealab import (
     enumerate_morphisms,
     find_isomorphism,
     identity,
+    interval_poset,
     is_split_fork,
     isomorphisms,
     product_bposets,
@@ -81,6 +82,32 @@ class TestCheckMorphism:
         # a goes above the image of the top, breaking a <= 1
         report = check_morphism(f)
         assert any(v.rule == "isotone" for v in report.violations)
+
+
+class TestShape:
+    @pytest.mark.parametrize("table", [(0, -1, 2), (0, 3, 2), (0, 1, 7)])
+    def test_entries_outside_the_target_are_rejected(self, table):
+        with pytest.raises(
+            InvalidStructure, match="^morphism table references unknown targets$"
+        ):
+            PosetMorphism(c3(), c3(), table)
+
+    def test_short_table_is_rejected(self):
+        with pytest.raises(InvalidStructure, match="does not cover the source"):
+            PosetMorphism(c3(), c3(), (0, 2))
+
+    def test_empty_poset_has_the_empty_map(self):
+        empty = Poset((), ())
+        assert PosetMorphism(empty, c2(), ()).map == ()
+
+    def test_cached_up_rows_are_the_set_bits_of_leq(self):
+        for n in range(1, 8):
+            for base in enumerate_bounded_posets(n):
+                for P in (base, interval_poset(base)):
+                    assert P.up == tuple(
+                        tuple(j for j in range(P.n) if P.leq[i] >> j & 1)
+                        for i in range(P.n)
+                    )
 
 
 class TestProduct:

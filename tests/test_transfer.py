@@ -1,9 +1,12 @@
+import hashlib
+
 import pytest
 
 from helpers import (
     coequalizer_report_by_hom_sets,
     d4_hsum,
     edit_table,
+    pdp_morphism_report_by_definition,
     wide3_selfsum,
 )
 from pealab import (
@@ -30,6 +33,7 @@ from pealab import (
     transfer_structure,
     verify_coequalizer_psdpos,
 )
+from pealab.pdp import preserves_differences
 
 
 def hsum_pdp():
@@ -221,6 +225,25 @@ class TestVerifyCoequalizer:
                 f, g, result, pdps5, homs
             ) == coequalizer_report_by_hom_sets(f, g, result, pdps5, scanned)
 
+    @pytest.mark.parametrize("seed", [2024, 7])
+    def test_raw_table_verdict_matches_the_morphism_report(self, pdps5, seed):
+        # the mediator candidate e(q(b)) = h(b) of every map h out of B,
+        # coequalizing or not, so that both verdicts occur
+        homs, verdicts = HomSets(), {True: 0, False: 0}
+        for f, g, fork in generate_split_forks(pdps5, 120, seed, homs):
+            result = transfer_structure(f, g, fork)
+            Q, qmap = result.Qprime, result.qprime.map
+            preimage = [qmap.index(v) for v in range(Q.n)]
+            for C in pdps5:
+                for h in homs[f.target, C]:
+                    em = [h.map[b] for b in preimage]
+                    e = PDPMorphism(Q, C, PosetMorphism(Q.base, C.base, tuple(em)))
+                    verdict = preserves_differences(Q, C, em)
+                    assert verdict == check_pdp_morphism(e).ok
+                    assert verdict == pdp_morphism_report_by_definition(e).ok
+                    verdicts[verdict] += 1
+        assert verdicts[True] and verdicts[False]
+
     def test_mediator_must_preserve_the_differences(self, pdps4):
         # Q' with one difference changed: h still factors through q as a
         # map, but that map breaks the changed difference
@@ -334,6 +357,34 @@ class TestGenerator:
         assert [(f.map, g.map, fork.q.map) for f, g, fork in first] == [
             (f.map, g.map, fork.q.map) for f, g, fork in second
         ]
+
+    def test_inverses_of_bijective_endomorphisms_preserve_the_differences(
+        self, pdps6
+    ):
+        # the lemma that lets generate_split_forks skip checking inverses
+        bijective = 0
+        for X in pdps6:
+            for phi in enumerate_pdp_morphisms(X, X):
+                if len(set(phi.map)) == X.n:
+                    bijective += 1
+                    back = PDPMorphism(X, X, phi.poset_map.inverse())
+                    assert check_pdp_morphism(back).ok
+        assert bijective == 161
+
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (2024, "cec8b8aeb0b34c20a77783ea39ada3571448dc9f2ed45f35f8a361e0df8a5103"),
+            (7, "3db52bbba692cbdeec9c9a8a7b97ffd1c6c99c4900833ab7dc5d591c00793959"),
+        ],
+    )
+    def test_documented_seeds_draw_the_pinned_forks(self, pdps5, seed, digest):
+        forks = generate_split_forks(pdps5, 120, seed)
+        key = repr([
+            (pdps5.index(f.source), f.map, g.map, fork.q.map, fork.s.map)
+            for f, g, fork in forks
+        ])
+        assert hashlib.sha256(key.encode()).hexdigest() == digest
 
     def test_generated_forks_are_split(self, pdps4):
         for f, g, fork in generate_split_forks(pdps4, 25, seed=3):

@@ -30,7 +30,6 @@ from .posets import (
     enumerate_morphisms,
     induced_subposet,
     morphism_violations,
-    placement_order,
     product_bposets,
 )
 from .reports import Report, Violation
@@ -220,31 +219,21 @@ def check_pdp_morphism(h: PDPMorphism) -> Report:
 def enumerate_pdp_morphisms(X: PseudoDPoset, Y: PseudoDPoset) -> list[PDPMorphism]:
     """All difference-preserving morphisms X -> Y, in map-table order.
 
-    One backtracking search over bounded-poset maps: each condition
-    f(b/a) = f(b)/f(a) (and likewise for \\) is tested as soon as the last
-    of a, b and b/a is placed, so a partial map breaking it is never
-    extended.  Pairs a <= b whose difference is ``None`` are skipped, as in
-    :func:`check_pdp_morphism`; the result equals filtering every
-    bounded-poset map through it, also when X or Y fails :func:`check_pdp`.
+    :func:`enumerate_morphisms` with a rule for each a <= b of X and each of
+    its differences: f(b/a) is forced to be f(b)/f(a) (likewise for \\).
+    Nothing is lost, since a forced value is the only one a completion can
+    take, and each rule is decided once a, b and b/a are all placed.  Pairs
+    whose difference is ``None`` give no rule, so the result equals
+    filtering every bounded-poset map through :func:`check_pdp_morphism`,
+    also when X or Y fails :func:`check_pdp`.
     """
-    rank = {x: k for k, x in enumerate(placement_order(X.base))}
-    checks = [[] for _ in range(X.n)]
-    for a, b, s, t in X.pairs:
-        for v, theirs in ((s, Y.slash), (t, Y.bslash)):
-            if v is not None:
-                last = max((a, b, v), key=rank.__getitem__)
-                checks[last].append((a, b, v, theirs))
-
-    def preserves(i: int, m: list[int]) -> bool:
-        for a, b, v, t in checks[i]:
-            if t[m[b]][m[a]] != m[v]:
-                return False
-        return True
-
-    return [
-        PDPMorphism(X, Y, m)
-        for m in enumerate_morphisms(X.base, Y.base, preserves)
+    rules = [
+        (a, b, d, table)
+        for a, b, s, t in X.pairs
+        for d, table in ((s, Y.slash), (t, Y.bslash))
+        if d is not None
     ]
+    return [PDPMorphism(X, Y, m) for m in enumerate_morphisms(X.base, Y.base, rules)]
 
 
 def subalgebra_generated(X: PseudoDPoset, seed) -> tuple[int, ...]:

@@ -414,45 +414,79 @@ def placement_order(P: Poset) -> list[int]:
 
 
 def enumerate_morphisms(
-    P: BoundedPoset, R: BoundedPoset, accept=None
+    P: BoundedPoset, R: BoundedPoset, rules=()
 ) -> list[PosetMorphism]:
-    """All bound-preserving isotone maps P -> R, sorted by map table.
+    """All bound-preserving isotone maps P -> R obeying ``rules``, in table order.
 
-    Elements are placed in :func:`placement_order`.  ``accept(i, current)``,
-    when given, is called right after element ``i`` is placed, with the
-    partial table ``current`` (only the elements placed so far are
-    meaningful); when it returns false, no extension of that partial map is
-    explored.
+    A rule ``(a, b, d, table)`` forces the image of d to be
+    ``table[image of b][image of a]`` once a and b are placed; a ``None``
+    entry admits no map.  The bounds are placed first, placing a value
+    places what it forces, and the search branches, in
+    :func:`placement_order`, only on unplaced elements.  Nothing is lost: a
+    forced value is the only one any completion can take.  A complete table
+    is a valid map: each cover pair was checked when its second end was
+    placed, and each rule once its a, b and d were.
     """
     if not isinstance(P, BoundedPoset) or not isinstance(R, BoundedPoset):
         raise InvalidStructure("morphism enumeration needs bounded posets")
-    n = P.n
-    order = placement_order(P)
-    # isotonicity along the covers implies it along the whole order
-    lower = [[] for _ in range(n)]
+    n, free, full = P.n, R.n, (1 << R.n) - 1
+    # the images above and below each image; ``free``, the image of an
+    # unplaced element, admits every image
+    above, below = R.leq + (full,), R.down + (full,)
+    # isotonicity along the covers implies it along the whole order; covers
+    # at the bounds hold whatever the other image, since theirs are R's
+    covers = [[] for _ in range(n)]
     for a, b in P.cover_pairs():
-        lower[b].append(a)
-    up_r = R.leq
-    start = [(1 << R.n) - 1] * n
-    start[P.bottom] = 1 << R.bottom
-    start[P.top] &= 1 << R.top
-    current = [0] * n
+        if a != P.bottom:
+            covers[b].append((a, above))
+        if b != P.top:
+            covers[a].append((b, below))
+    forces = [[] for _ in range(n)]
+    for rule in rules:
+        for x in {rule[0], rule[1]}:
+            forces[x].append(rule)
     found: list[tuple[int, ...]] = []
 
-    def extend(k: int) -> None:
+    def admitted(x: int, current: list[int]) -> int:
+        cand = full
+        for j, images in covers[x]:
+            cand &= images[current[j]]
+        return cand
+
+    def settle(current: list[int], pending: list[int]) -> bool:
+        # place what the placed ``pending`` force, or return False on a conflict
+        while pending:
+            for a, b, d, table in forces[pending.pop()]:
+                if current[a] == free or current[b] == free:
+                    continue
+                v, w = table[current[b]][current[a]], current[d]
+                if w == free and v is not None and admitted(d, current) >> v & 1:
+                    current[d] = v
+                    pending.append(d)
+                elif w != v:
+                    return False
+        return True
+
+    order = placement_order(P)
+
+    def extend(k: int, current: list[int]) -> None:
+        while k < n and current[order[k]] != free:
+            k += 1
         if k == n:
             found.append(tuple(current))
             return
         i = order[k]
-        cand = start[i]
-        for j in lower[i]:
-            cand &= up_r[current[j]]
-        for v in iter_bits(cand):
-            current[i] = v
-            if accept is None or accept(i, current):
-                extend(k + 1)
+        for v in iter_bits(admitted(i, current)):
+            branch = current.copy()  # each branch places on its own copy
+            branch[i] = v
+            if settle(branch, [i]):
+                extend(k + 1, branch)
 
-    extend(0)
+    start = [free] * n
+    start[P.top], start[P.bottom] = R.top, R.bottom
+    # P.top is P.bottom when P.n == 1
+    if start[P.top] == R.top and settle(start, [P.bottom, P.top]):
+        extend(0, start)
     found.sort()
     return [PosetMorphism(P, R, m) for m in found]
 

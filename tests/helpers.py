@@ -5,7 +5,11 @@ sets are enumerated with itertools over all functions, isomorphisms over
 all bijections, poset classes over all naturally labelled relations and
 all relabellings, coequalizer orders over all subsets of the target, and
 structure tables over all cell assignments.  Expected
-values asserted in the tests were computed with these.  The morphism
+values asserted in the tests were computed with these.  Hom sets of
+pseudo D-posets also have a faster second route, which uses the
+package's map search without forcing rules (itself checked against the
+scan over all functions): every bounded-poset map, filtered through
+``preserves_differences``.  The morphism
 checkers get plain restatements of their definitions, and the
 universal-property check a reference that counts mediators by scanning
 the whole hom set out of Q'.
@@ -22,9 +26,11 @@ from pealab import (
     PseudoEffectAlgebra,
     Report,
     Violation,
+    enumerate_morphisms,
     enumerate_pdp_morphisms,
     validate_bounded_poset,
 )
+from pealab.pdp import preserves_differences
 
 
 def chain(*labels) -> BoundedPoset:
@@ -128,6 +134,16 @@ def brute_force_bounded_maps(P: BoundedPoset, R: BoundedPoset):
         ):
             out.append(values)
     return sorted(out)
+
+
+def pdp_maps_by_filter(X: PseudoDPoset, Y: PseudoDPoset):
+    """Every bounded-poset map X -> Y that preserves the differences, found
+    by filtering the whole bounded-poset hom set."""
+    return [
+        m.map
+        for m in enumerate_morphisms(X.base, Y.base)
+        if preserves_differences(X, Y, m.map)
+    ]
 
 
 def brute_force_isomorphisms(P, R):

@@ -13,6 +13,7 @@ from helpers import (
     c4_pea,
     d4_ortho,
     edit_table,
+    pdp_maps_by_filter,
     swapped,
 )
 from pealab import (
@@ -38,6 +39,7 @@ from pealab import (
     product_pdp,
     slash_morphism,
     subalgebra_generated,
+    validate_bounded_poset,
     zero_embedding,
 )
 from pealab.pdp import pdp_morphism_violations, preserves_differences
@@ -315,8 +317,8 @@ class TestEnumeratePdpMorphisms:
         assert total == 340
 
     def test_matches_the_filter_on_tables_failing_the_axioms(self):
-        # a/0 = 1 is not below a, so the condition at (0, a) can only be
-        # decided once 1, placed after a, has its image
+        # a/0 = 1 is not below a; the bounds are placed first, so the rule
+        # at (0, a) checks f(a)/0 against f(1) as soon as a is placed
         X = d4_ortho_pdp()
         idx = {lab: i for i, lab in enumerate(X.labels)}
         broken = with_slash(X, idx["a"], idx["0"], idx["1"])
@@ -329,6 +331,52 @@ class TestEnumeratePdpMorphisms:
         assert [h.map for h in enumerate_pdp_morphisms(broken, X)] == [
             (0, 3, 0, 3)
         ]
+
+    def test_forced_values_on_partial_tables(self, pdps5):
+        # on 0 < a, b < c < 1 the search branches on a, b, c in that order;
+        # each structure defines only the differences listed, on one side
+        base = validate_bounded_poset(
+            "0abc1",
+            [("0", "a"), ("0", "b"), ("a", "c"), ("b", "c"), ("c", "1")],
+        )
+        o, a, b, c = range(4)
+        undefined = ((None,) * base.n,) * base.n
+        cases = [
+            # f(c) = f(a)/0 is forced once a is placed, above b, which is
+            # placed after it and must stay below f(c)
+            {(a, o): c},
+            # f(a) = f(b)/0, forced when b is placed, must agree with the
+            # earlier choice for a
+            {(b, o): a},
+            # f(c) is forced by a and then again by b
+            {(a, o): c, (b, o): c},
+        ]
+        totals = []
+        for cells in cases:
+            table = edit_table(undefined, cells)
+            for X in (
+                PseudoDPoset(base, table, undefined),
+                PseudoDPoset(base, undefined, table),
+            ):
+                got = [
+                    [h.map for h in enumerate_pdp_morphisms(X, Y)] for Y in pdps5
+                ]
+                assert got == [filtered_brute_force(X, Y) for Y in pdps5]
+                totals.append(sum(map(len, got)))
+        assert totals == [138, 138, 138, 138, 58, 58]
+
+    def test_hom_set_census_up_to_six_elements(self, pdps6):
+        # every ordered pair of the 48 catalog structures; filtering the whole
+        # bounded-poset hom set is compared on the targets of at most five
+        # elements, since on all of them it takes ~13 s
+        total = 0
+        for X in pdps6:
+            for Y in pdps6:
+                got = [h.map for h in enumerate_pdp_morphisms(X, Y)]
+                if Y.n <= 5:
+                    assert got == pdp_maps_by_filter(X, Y)
+                total += len(got)
+        assert len(pdps6) == 48 and total == 9754
 
 
 class TestSubalgebra:

@@ -324,6 +324,16 @@ class TestEnumerateMorphisms:
         got = [m.map for m in enumerate_morphisms(source, target)]
         assert got == [tuple(v) for v in expected]
 
+    def test_agrees_with_brute_force_on_every_class_pair(self):
+        classes = [P for n in range(1, 6) for P in enumerate_bounded_posets(n)]
+        total = 0
+        for source in classes:
+            for target in classes:
+                got = [m.map for m in enumerate_morphisms(source, target)]
+                assert got == brute_force_bounded_maps(source, target)
+                total += len(got)
+        assert len(classes) == 10 and total == 2360
+
     def test_all_results_pass_check(self):
         for m in enumerate_morphisms(diamond(), diamond()):
             assert check_morphism(m).ok

@@ -80,6 +80,7 @@ from .posets import (
     enumerate_morphisms,
     find_isomorphism,
     identity,
+    is_coequalizer,
     is_split_fork,
     isomorphisms,
     product_bposets,
@@ -92,6 +93,7 @@ from .transfer import (
     generate_split_forks,
     i_preserves_fork,
     split_fork_from_idempotent,
+    split_fork_pool,
     transfer_structure,
     verify_coequalizer_psdpos,
 )

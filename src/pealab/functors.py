@@ -25,47 +25,57 @@ def interval_elements(P: Poset) -> list[tuple[int, int]]:
     return [(a, b) for a, ups in enumerate(P.up) for b in ups]
 
 
-def interval_poset(P: Poset) -> Poset:
-    """Poset of closed intervals of P, ordered by inclusion."""
-    pairs = interval_elements(P)
-    bit = {p: 1 << k for k, p in enumerate(pairs)}
-    labels = tuple(f"[{P.labels[a]},{P.labels[b]}]" for a, b in pairs)
+def interval_index(P: Poset) -> dict[tuple[int, int], int]:
+    """Each interval (a, b) of P with its position in interval_elements(P)."""
+    return {p: k for k, p in enumerate(interval_elements(P))}
+
+
+def interval_order(P: Poset) -> tuple[dict[tuple[int, int], int], list[int]]:
+    """interval_index(P) and the order rows of interval_poset(P), unvalidated."""
+    index = interval_index(P)
     up = P.up
     down = [tuple(iter_bits(column)) for column in P.down]
     rows = []
-    for a, b in pairs:
+    for a, b in index:
         # [a,b] <= [c,d] iff c <= a <= b <= d
         row = 0
         for c in down[a]:
             for d in up[b]:
-                row |= bit[c, d]
+                row |= 1 << index[c, d]
         rows.append(row)
+    return index, rows
+
+
+def interval_poset(P: Poset) -> Poset:
+    """Poset of closed intervals of P, ordered by inclusion."""
+    index, rows = interval_order(P)
+    labels = tuple(f"[{P.labels[a]},{P.labels[b]}]" for a, b in index)
     return Poset(labels, tuple(rows))
 
 
-def interval_map(
-    f: PosetMorphism, source: Poset | None = None, target: Poset | None = None
-) -> PosetMorphism:
-    """Action on intervals: [a,b] goes to [f(a), f(b)].
+def interval_table(fm, pairs, index) -> list[int]:
+    """The map table ``fm`` on intervals: each (a, b) of ``pairs`` goes to
+    the position of (f(a), f(b)) in ``index``.
 
-    ``source`` and ``target`` may pass in the interval posets of f's source
-    and target, already built, so that maps sharing an endpoint share it.
+    An image that is not an interval raises InvalidStructure; so the lookup
+    succeeds everywhere iff f is isotone.
     """
-    src_pairs = interval_elements(f.source)
-    dst_index = {p: k for k, p in enumerate(interval_elements(f.target))}
-    values = []
-    for a, b in src_pairs:
-        image = (f.map[a], f.map[b])
-        if image not in dst_index:
-            raise InvalidStructure(
-                "image of an interval is not an interval; the map is not isotone"
-            )
-        values.append(dst_index[image])
-    if source is None:
-        source = interval_poset(f.source)
-    if target is None:
-        target = interval_poset(f.target)
-    return PosetMorphism(source, target, tuple(values))
+    try:
+        return [index[fm[a], fm[b]] for a, b in pairs]
+    except KeyError:
+        raise InvalidStructure(
+            "image of an interval is not an interval; the map is not isotone"
+        ) from None
+
+
+def interval_map(f: PosetMorphism) -> PosetMorphism:
+    """Action on intervals: [a,b] goes to [f(a), f(b)]."""
+    values = interval_table(
+        f.map, interval_elements(f.source), interval_index(f.target)
+    )
+    return PosetMorphism(
+        interval_poset(f.source), interval_poset(f.target), tuple(values)
+    )
 
 
 def triple_elements(P: Poset) -> list[tuple[int, int, int]]:
@@ -120,7 +130,7 @@ def zero_embedding(P: BoundedPoset) -> PosetMorphism:
     """The map x -> [bottom, x] from a bounded poset into its intervals."""
     if not isinstance(P, BoundedPoset):
         raise InvalidStructure("zero embedding needs a bounded poset")
-    index = {p: k for k, p in enumerate(interval_elements(P))}
+    index = interval_index(P)
     values = tuple(index[(P.bottom, x)] for x in range(P.n))
     return PosetMorphism(P, interval_poset(P), values)
 
@@ -139,8 +149,8 @@ def alpha(P: Poset) -> PosetMorphism:
     verified on construction rather than assumed.
     """
     ip = interval_poset(P)
-    pair_index = {p: k for k, p in enumerate(interval_elements(P))}
-    nest_index = {p: k for k, p in enumerate(interval_elements(ip))}
+    pair_index = interval_index(P)
+    nest_index = interval_index(ip)
     values = tuple(
         nest_index[(pair_index[(y, z)], pair_index[(x, z)])]
         for x, y, z in triple_elements(P)
@@ -153,7 +163,7 @@ def alpha(P: Poset) -> PosetMorphism:
 
 def beta(P: Poset) -> PosetMorphism:
     """Triples to their lower interval: (x,y,z) -> [x,y]."""
-    pair_index = {p: k for k, p in enumerate(interval_elements(P))}
+    pair_index = interval_index(P)
     values = tuple(pair_index[(x, y)] for x, y, z in triple_elements(P))
     return _verified(
         PosetMorphism(triple_poset(P), interval_poset(P), values),

@@ -44,6 +44,17 @@ def close_relation(rows: list[int]) -> None:
                 rows[i] |= rows[k]
 
 
+def glued_preorder(leq, glued) -> list[int]:
+    """Rows of the preorder that the order rows ``leq`` and both directions
+    of every pair (x, y) in ``glued`` generate."""
+    rows = list(leq)
+    for x, y in glued:
+        rows[x] |= 1 << y
+        rows[y] |= 1 << x
+    close_relation(rows)
+    return rows
+
+
 @dataclass(frozen=True)
 class Poset:
     """Finite poset with named elements and a full order table."""
@@ -309,11 +320,7 @@ def _coequalizer(f: PosetMorphism, g: PosetMorphism, bounded: bool):
     B = f.target
     if bounded and not isinstance(B, BoundedPoset):
         raise InvalidStructure("coequalizer target must be a bounded poset")
-    rows = list(B.leq)
-    for x, y in zip(f.map, g.map):
-        rows[x] |= 1 << y
-        rows[y] |= 1 << x
-    close_relation(rows)
+    rows = glued_preorder(B.leq, zip(f.map, g.map))
     cols = transpose_rows(rows)
     reps: list[int] = []
     class_of = []
@@ -342,6 +349,32 @@ def coequalizer_posets(f: PosetMorphism, g: PosetMorphism):
 def coequalizer_bposets(f: PosetMorphism, g: PosetMorphism):
     """Coequalizer of a parallel pair in the category of bounded posets."""
     return _coequalizer(f, g, bounded=True)
+
+
+def is_coequalizer(leq, glued, q, target_leq) -> bool:
+    """True iff the map table ``q``, from the order rows ``leq`` to the order
+    rows ``target_leq``, is a coequalizer in posets of an isotone parallel
+    pair whose images, zipped, are ``glued``.
+
+    Lemma: exactly when q is onto and x <=* y iff q(x) <= q(y), where <=*
+    is :func:`glued_preorder`; the proof is in
+    :func:`pealab.transfer.i_preserves_fork`.  Each row of <=* is compared
+    with the pull-back along q of the row of its image.
+    """
+    if len(set(q)) != len(target_leq):
+        return False
+    preimage = [0] * len(target_leq)
+    for x, v in enumerate(q):
+        preimage[v] |= 1 << x
+    pulled = []
+    for row in target_leq:
+        mask = 0
+        for v in iter_bits(row):
+            mask |= preimage[v]
+        pulled.append(mask)
+    return all(
+        row == pulled[v] for row, v in zip(glued_preorder(leq, glued), q)
+    )
 
 
 def comparison_isomorphism(onto: PosetMorphism, q: PosetMorphism):
@@ -398,12 +431,18 @@ class SplitFork:
 
 
 def is_split_fork(fork: SplitFork) -> bool:
-    """Decide the four split-fork equations pointwise."""
+    """Decide the four split-fork equations pointwise on the map tables.
+
+    The constructor has checked every boundary, so each equation is one
+    between tables: q(f(a)) = q(g(a)), q(s(z)) = z, f(t(b)) = b and
+    g(t(b)) = s(q(b)).
+    """
+    f, g, q, s, t = (m.map for m in (fork.f, fork.g, fork.q, fork.s, fork.t))
     return (
-        fork.f.then(fork.q) == fork.g.then(fork.q)
-        and fork.s.then(fork.q) == identity(fork.Q)
-        and fork.t.then(fork.f) == identity(fork.B)
-        and fork.t.then(fork.g) == fork.q.then(fork.s)
+        all(q[x] == q[y] for x, y in zip(f, g))
+        and all(q[v] == z for z, v in enumerate(s))
+        and all(f[a] == b for b, a in enumerate(t))
+        and all(g[a] == s[q[b]] for b, a in enumerate(t))
     )
 
 

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import InvalidStructure, TransferError
-from .functors import interval_map, interval_poset
+from .functors import interval_elements, interval_order, interval_table
 from .pdp import (
     PDPMorphism,
     PseudoDPoset,
@@ -29,9 +29,8 @@ from .posets import (
     PosetMorphism,
     SplitFork,
     check_morphism,
-    coequalizer_posets,
-    comparison_isomorphism,
     induced_subposet,
+    is_coequalizer,
     is_split_fork,
 )
 from .reports import Report, Violation
@@ -214,21 +213,39 @@ def verify_coequalizer_psdpos(
 
 
 def i_preserves_fork(fork: SplitFork) -> bool:
-    """True iff the interval construction carries the fork to a coequalizer.
+    """True iff the interval construction carries the fork to a coequalizer:
+    I(q) is a coequalizer in posets of I(f) and I(g).
 
-    The parallel pair is transported to interval posets, its coequalizer
-    is recomputed from scratch, and the comparison with the transported
-    quotient map, onto the interval poset of Q, must be an isomorphism.
-    Each distinct object's interval poset is built once.
+    Lemma.  Let f, g: A -> B and q: B -> R be isotone, and let <=* be the
+    preorder on B generated by B's order and both directions of every pair
+    (f(a), g(a)).  Then q is a coequalizer of f and g iff q is onto and
+    x <=* y <=> q(x) <= q(y) for all x, y of B.
+    Proof.  The coequalizer is the quotient map onto B/~, x ~ y iff
+    x <=* y <=* x, ordered by <=* on the classes, and q is one iff
+    e([x]) = q(x) defines an order isomorphism B/~ -> R.  If q is onto
+    and reflects <=* exactly, e is well defined and one-to-one (q(x) = q(y)
+    iff x ~ y), onto, and e([x]) <= e([y]) iff x <=* y iff [x] <= [y].
+    Conversely, if e is an isomorphism, q = e o [-] is onto and
+    q(x) <= q(y) iff [x] <= [y] iff x <=* y.
+
+    The lemma is decided on I(B)'s order rows and index tables: I(f), I(g)
+    and I(q) are read off the interval indices of A, B and Q (a lookup
+    that fails raises InvalidStructure: the map is not isotone), and
+    :func:`is_coequalizer` compares each row of <=* on I(B) with the
+    pull-back of I(Q)'s row along I(q).  No interval poset is built.
     """
     if not is_split_fork(fork):
         raise InvalidStructure("not a split fork")
-    IB, IQ = interval_poset(fork.B), interval_poset(fork.Q)
-    IA = IB if fork.A == fork.B else interval_poset(fork.A)
-    _, onto = coequalizer_posets(
-        interval_map(fork.f, IA, IB), interval_map(fork.g, IA, IB)
+    index_b, rows_b = interval_order(fork.B)
+    index_q, rows_q = interval_order(fork.Q)
+    pairs_a = interval_elements(fork.A)
+    glued = zip(
+        interval_table(fork.f.map, pairs_a, index_b),
+        interval_table(fork.g.map, pairs_a, index_b),
     )
-    return comparison_isomorphism(onto, interval_map(fork.q, IB, IQ)) is not None
+    return is_coequalizer(
+        rows_b, glued, interval_table(fork.q.map, index_b, index_q), rows_q
+    )
 
 
 def split_fork_from_idempotent(
@@ -260,14 +277,39 @@ def split_fork_from_idempotent(
     return phi, g, fork
 
 
+def split_fork_pool(structures, homs: HomSets | None = None):
+    """Every (X, idempotent, automorphism) triple of difference-preserving
+    endomorphisms of each structure X, in enumeration order.
+
+    ``homs`` shares the endomorphism sets with later calls; a fresh table
+    is used when it is omitted.  Automorphisms are the bijective
+    endomorphisms (see :func:`generate_split_forks` for why their inverses
+    need no check).
+    """
+    if homs is None:
+        homs = HomSets()
+    pool = []
+    for X in structures:
+        endos = homs[X, X]
+        idems = [
+            e for e in endos if e.poset_map.then(e.poset_map) == e.poset_map
+        ]
+        autos = [phi for phi in endos if len(set(phi.map)) == X.n]
+        for e in idems:
+            for phi in autos:
+                pool.append((X, e, phi))
+    return pool
+
+
 def generate_split_forks(
     structures, count: int, seed: int, homs: HomSets | None = None
 ):
     """Seeded sample of split forks over difference-preserving maps.
 
     Every structure contributes one fork per (idempotent endomorphism,
-    automorphism) pair; sampling draws from that pool with replacement
-    and randomly permutes the presentation of Q half of the time.
+    automorphism) pair of :func:`split_fork_pool`; sampling draws from that
+    pool with replacement and randomly permutes the presentation of Q half
+    of the time.
 
     ``homs`` shares the endomorphism sets with later calls; a fresh table
     is used when it is omitted.
@@ -281,19 +323,8 @@ def generate_split_forks(
     fixes the bounds, as phi does.  Then phi(b/a) = phi(b)/phi(a) = y/x
     gives phi^-1(y/x) = phi^-1(y)/phi^-1(x), and likewise for \\.
     """
-    if homs is None:
-        homs = HomSets()
     rng = random.Random(seed)
-    pool = []
-    for X in structures:
-        endos = homs[X, X]
-        idems = [
-            e for e in endos if e.poset_map.then(e.poset_map) == e.poset_map
-        ]
-        autos = [phi for phi in endos if len(set(phi.map)) == X.n]
-        for e in idems:
-            for phi in autos:
-                pool.append((X, e, phi))
+    pool = split_fork_pool(structures, homs)
     if not pool:
         raise InvalidStructure("no split forks available over these structures")
     out = []

@@ -26,8 +26,14 @@ from pealab import (
     PseudoEffectAlgebra,
     Report,
     Violation,
+    coequalizer_posets,
+    comparison_isomorphism,
     enumerate_morphisms,
     enumerate_pdp_morphisms,
+    identity,
+    interval_map,
+    split_fork_from_idempotent,
+    split_fork_pool,
     validate_bounded_poset,
 )
 from pealab.pdp import preserves_differences
@@ -120,20 +126,27 @@ def wide3_cyclic() -> PseudoEffectAlgebra:
     return pea_from(wide3(), [("a", "b", "1"), ("b", "c", "1"), ("c", "a", "1")])
 
 
-def brute_force_bounded_maps(P: BoundedPoset, R: BoundedPoset):
-    """All bound-preserving isotone maps by scanning every function."""
-    out = []
-    for values in itertools.product(range(R.n), repeat=P.n):
-        if values[P.bottom] != R.bottom or values[P.top] != R.top:
-            continue
+def brute_force_isotone_maps(P, R):
+    """All isotone maps, in table order, by scanning every function."""
+    return [
+        values
+        for values in itertools.product(range(R.n), repeat=P.n)
         if all(
             R.le(values[x], values[y])
             for x in range(P.n)
             for y in range(P.n)
             if P.le(x, y)
-        ):
-            out.append(values)
-    return sorted(out)
+        )
+    ]
+
+
+def brute_force_bounded_maps(P: BoundedPoset, R: BoundedPoset):
+    """All bound-preserving isotone maps by scanning every function."""
+    return [
+        values
+        for values in brute_force_isotone_maps(P, R)
+        if values[P.bottom] == R.bottom and values[P.top] == R.top
+    ]
 
 
 def pdp_maps_by_filter(X: PseudoDPoset, Y: PseudoDPoset):
@@ -256,6 +269,37 @@ def coequalizer_order_oracle(f: PosetMorphism, g: PosetMorphism):
         for y in range(B.n)
         if all(U >> y & 1 for U in upsets if U >> x & 1)
     }
+
+
+def i_preserves_fork_by_coequalizer(fork) -> bool:
+    """i_preserves_fork by its definition: the interval posets and maps
+    built as objects, the coequalizer of I(f) and I(g) recomputed in
+    posets, and the comparison with I(q) tested for an isomorphism."""
+    _, onto = coequalizer_posets(interval_map(fork.f), interval_map(fork.g))
+    return comparison_isomorphism(onto, interval_map(fork.q)) is not None
+
+
+def split_fork_equations_by_composition(fork) -> tuple[bool, ...]:
+    """The four split-fork equations, each decided by composing morphisms:
+    q o f = q o g, q o s = 1, f o t = 1 and g o t = s o q."""
+    return (
+        fork.f.then(fork.q) == fork.g.then(fork.q),
+        fork.s.then(fork.q) == identity(fork.Q),
+        fork.t.then(fork.f) == identity(fork.B),
+        fork.t.then(fork.g) == fork.q.then(fork.s),
+    )
+
+
+def pooled_split_forks(structures):
+    """Every fork of split_fork_pool over ``structures``, each in up to
+    three presentations of Q: the first three orders of its carrier in
+    itertools.permutations order, the unpermuted one first."""
+    forks = []
+    for X, e, phi in split_fork_pool(structures):
+        size = len(set(e.map))
+        for shuffle in itertools.islice(itertools.permutations(range(size)), 3):
+            forks.append(split_fork_from_idempotent(X, e, phi, list(shuffle))[2])
+    return forks
 
 
 def as_morphism(P, R, labelled: dict[str, str]) -> PosetMorphism:

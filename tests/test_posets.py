@@ -6,12 +6,14 @@ from helpers import (
     brute_force_bounded_maps,
     brute_force_dual_automorphisms,
     brute_force_isomorphisms,
+    brute_force_isotone_maps,
     c2,
     c3,
     c4,
     coequalizer_order_oracle,
     diamond,
     relabelled,
+    split_fork_equations_by_composition,
 )
 from pealab import (
     InvalidStructure,
@@ -27,6 +29,7 @@ from pealab import (
     find_isomorphism,
     identity,
     interval_poset,
+    is_coequalizer,
     is_split_fork,
     isomorphisms,
     product_bposets,
@@ -257,6 +260,33 @@ class TestComparisonIsomorphism:
             comparison_isomorphism(identity(c2()), identity(c3()))
 
 
+class TestIsCoequalizer:
+    def test_agrees_with_the_comparison_isomorphism(self):
+        # every parallel pair of bounded-poset maps between the classes up
+        # to n=4, against every isotone map out of their target into those
+        # classes: most such maps are not coequalizers
+        classes = [P for n in range(1, 5) for P in enumerate_bounded_posets(n)]
+        out_of = {
+            B: [(R, q) for R in classes for q in brute_force_isotone_maps(B, R)]
+            for B in classes
+        }
+        verdicts = {True: 0, False: 0}
+        for A in classes:
+            for B in classes:
+                maps = enumerate_morphisms(A, B)
+                for f in maps:
+                    for g in maps:
+                        _, onto = coequalizer_posets(f, g)
+                        glued = list(zip(f.map, g.map))
+                        for R, q in out_of[B]:
+                            expected = comparison_isomorphism(
+                                onto, PosetMorphism(B, R, q)
+                            ) is not None
+                            assert is_coequalizer(B.leq, glued, q, R.leq) == expected
+                            verdicts[expected] += 1
+        assert verdicts == {True: 919, False: 76713}
+
+
 class TestSplitFork:
     def fork_example(self, good_s=True):
         B, Q = c3(), c2()
@@ -279,6 +309,34 @@ class TestSplitFork:
 
     def test_broken_section_fails(self):
         assert not is_split_fork(self.fork_example(good_s=False))
+
+    @pytest.mark.parametrize(
+        "broken, changes",
+        [
+            # q o f = q o g: A = c4 is larger than B, so f and g may differ
+            # outside the image of t
+            (0, dict(A=c4(), f=(0, 0, 1, 2), g=(0, 1, 2, 2), t=(0, 2, 3))),
+            # q o s = 1: q misses the middle of Q = c3
+            (1, dict(A=c2(), B=c2(), Q=c3(), f=(0, 1), g=(0, 1),
+                     q=(0, 2), s=(0, 0, 1), t=(0, 1))),
+            (2, dict(t=(0, 2, 2))),  # f o t = 1
+            (3, dict(g=(0, 1, 2))),  # g o t = s o q
+        ],
+    )
+    def test_each_equation_is_decided(self, broken, changes):
+        ends = dict(A=c3(), B=c3(), Q=c2(), f=(0, 1, 2), g=(0, 2, 2),
+                    q=(0, 1, 1), s=(0, 2), t=(0, 1, 2))
+        ends.update(changes)
+        A, B, Q = ends["A"], ends["B"], ends["Q"]
+        arrows = [
+            PosetMorphism(src, dst, ends[name])
+            for name, src, dst in (("f", A, B), ("g", A, B), ("q", B, Q),
+                                   ("s", Q, B), ("t", B, A))
+        ]
+        fork = SplitFork(A, B, Q, *arrows)
+        equations = split_fork_equations_by_composition(fork)
+        assert equations == tuple(k != broken for k in range(4))
+        assert not is_split_fork(fork)
 
     def test_boundary_mismatch_is_rejected(self):
         B, Q = c3(), c2()

@@ -3,10 +3,14 @@ import hashlib
 import pytest
 
 from helpers import (
+    c3,
     coequalizer_report_by_hom_sets,
     d4_hsum,
     edit_table,
+    i_preserves_fork_by_coequalizer,
     pdp_morphism_report_by_definition,
+    pooled_split_forks,
+    split_fork_equations_by_composition,
     wide3_selfsum,
 )
 from pealab import (
@@ -348,6 +352,24 @@ class TestIntervalPreservation:
         )
         with pytest.raises(InvalidStructure):
             i_preserves_fork(broken)
+
+    def test_agrees_with_the_interval_objects_on_every_pooled_fork(self, pdps5):
+        forks = pooled_split_forks(pdps5)
+        assert len(forks) == 317
+        for fork in forks:
+            assert is_split_fork(fork)
+            assert all(split_fork_equations_by_composition(fork))
+            assert i_preserves_fork(fork) == i_preserves_fork_by_coequalizer(fork)
+
+    def test_non_isotone_parallel_pair_is_rejected(self):
+        # swapping 0 and a of c3 is its own inverse: the equations hold
+        B = c3()
+        swap, i = PosetMorphism(B, B, (1, 0, 2)), identity(B)
+        fork = SplitFork(B, B, B, swap, swap, i, i, swap)
+        assert is_split_fork(fork)
+        for decide in (i_preserves_fork, i_preserves_fork_by_coequalizer):
+            with pytest.raises(InvalidStructure, match="not isotone"):
+                decide(fork)
 
 
 class TestGenerator:

@@ -6,14 +6,15 @@ element at a time: each class on k elements gets a new maximal element
 above each of its down-sets, and the results are deduplicated by their
 least relabelled row tuple, which also orders the classes (McKay,
 Isomorph-free exhaustive generation, J. Algorithms 1998; Brinkmann &
-McKay, Posets on up to 16 points, Order 2002).  Structures are then
-searched per class, as labelled tables, in their difference form: by PD1
-and PD2, c/- is a dual automorphism of the down-set of c whose inverse is
-c\\-, so a structure is one dual automorphism per element that satisfies
-the two PD2 equations; enumerate_pea_structures proves the lemma.  A base
-with a down-set that is not self-dual carries no structure.  Every hit is
-re-checked as a pseudo D-poset and as a pseudo effect algebra before it is
-kept.
+McKay, Posets on up to 16 points, Order 2002).  Each level grows from
+the one below, so one pass lists every size up to a bound, by size.
+Structures are then searched per class, as labelled tables, in their
+difference form: by PD1 and PD2, c/- is a dual automorphism of the
+down-set of c whose inverse is c\\-, so a structure is one dual
+automorphism per element that satisfies the two PD2 equations;
+enumerate_pea_structures proves the lemma.  A base with a down-set that
+is not self-dual carries no structure.  Every hit is re-checked as a
+pseudo D-poset and as a pseudo effect algebra before it is kept.
 """
 
 from __future__ import annotations
@@ -130,8 +131,8 @@ def _canonical_rows(rows, m: int) -> tuple[int, ...]:
 
 
 def enumerate_posets(m: int) -> list[Poset]:
-    """One representative per isomorphism class of m-element posets, in
-    order of their canonical row tuples.
+    """One representative per isomorphism class of posets on 0..m
+    elements, by size and then by canonical row tuple.
 
     Classes on k+1 elements come from those on k by adding a new maximal
     element above each down-set, the empty one included.  That reaches
@@ -150,39 +151,37 @@ def enumerate_posets(m: int) -> list[Poset]:
             f"m={m} exceeds {len(_MIDDLE_LABELS)}, the largest poset the "
             "catalog can label"
         )
-    classes: list[tuple[int, ...]] = [()]
+    level: list[tuple[int, ...]] = [()]
+    classes = list(level)
     for k in range(m):
         canon = set()
-        for rows in classes:
+        for rows in level:
             down = transpose_rows(rows)
             for ideal in range(1 << k):
                 if any(down[x] & ~ideal for x in iter_bits(ideal)):
                     continue
                 grown = [row | (ideal >> i & 1) << k for i, row in enumerate(rows)]
                 canon.add(_canonical_rows(grown + [1 << k], k + 1))
-        classes = sorted(canon)
-    return [Poset(tuple(_MIDDLE_LABELS[:m]), rows) for rows in classes]
+        level = sorted(canon)
+        classes += level
+    return [Poset(tuple(_MIDDLE_LABELS[: len(rows)]), rows) for rows in classes]
 
 
-def enumerate_bounded_posets(n: int) -> list[BoundedPoset]:
-    """One representative per isomorphism class of bounded posets."""
-    check_size(n)
-    if n < 1:
+def enumerate_bounded_posets(max_n: int) -> list[BoundedPoset]:
+    """One representative per isomorphism class of bounded posets on
+    1..max_n elements, in the order of enumerate_posets: the one-element
+    poset, then each class on n-2 points between a new bottom and top."""
+    check_size(max_n)
+    if max_n < 1:
         raise InvalidStructure("a bounded poset needs at least one element")
-    if n == 1:
-        return [BoundedPoset(("0",), (1,), 0, 0)]
-    out = []
-    for middle in enumerate_posets(n - 2):
-        labels = ("0",) + middle.labels + ("1",)
-        rows = [0] * n
-        rows[0] = (1 << n) - 1
-        for i in range(middle.n):
-            row = 1 << n - 1
-            for j in iter_bits(middle.leq[i]):
-                row |= 1 << j + 1
-            rows[i + 1] = row
-        rows[n - 1] = 1 << n - 1
-        out.append(BoundedPoset(labels, tuple(rows), 0, n - 1))
+    out = [BoundedPoset(("0",), (1,), 0, 0)]
+    if max_n == 1:
+        return out
+    for middle in enumerate_posets(max_n - 2):
+        n = middle.n + 2
+        top = 1 << n - 1
+        rows = ((1 << n) - 1, *(top | row << 1 for row in middle.leq), top)
+        out.append(BoundedPoset(("0", *middle.labels, "1"), rows, 0, n - 1))
     return out
 
 
@@ -256,15 +255,13 @@ def enumerate_pea_structures(base: BoundedPoset) -> list[PseudoEffectAlgebra]:
 class CatalogEntry:
     base: BoundedPoset
     structures: tuple[PseudoEffectAlgebra, ...] | None  # None: not searched
-    class_index: int  # position of base among the classes of its size
 
 
 def build_catalog(max_n: int) -> list[CatalogEntry]:
     """Catalog entries for every bounded-poset class of size 1..max_n."""
     return [
-        CatalogEntry(base, tuple(enumerate_pea_structures(base)), k)
-        for n in range(1, max_n + 1)
-        for k, base in enumerate(enumerate_bounded_posets(n))
+        CatalogEntry(base, tuple(enumerate_pea_structures(base)))
+        for base in enumerate_bounded_posets(max_n)
     ]
 
 
@@ -277,11 +274,15 @@ def catalog_pdps(max_n: int) -> list[PseudoDPoset]:
     ]
 
 
-def catalog_to_obj(entries, max_n: int, noncommutative=None) -> dict:
-    """The pealab-catalog@1 object; unsearched entries get no tables."""
+def catalog_to_obj(entries, max_n: int) -> dict:
+    """The pealab-catalog@1 object of entries in order of size; the
+    class_index of each is its position among those of its size.  Unsearched
+    entries get no tables, searched ones the noncommutative-witness record
+    of their first noncommutative table, a smallest one by that order."""
     items = []
-    for e in entries:
-        item = {"n": e.base.n, "class_index": e.class_index}
+    first: dict[int, int] = {}  # position of the first entry of each size
+    for k, e in enumerate(entries):
+        item = {"n": e.base.n, "class_index": k - first.setdefault(e.base.n, k)}
         item.update(io.poset_obj(e.base))
         if e.structures is not None:
             item["structure_count"] = len(e.structures)
@@ -290,30 +291,14 @@ def catalog_to_obj(entries, max_n: int, noncommutative=None) -> dict:
             ]
         items.append(item)
     obj = {"schema": "pealab-catalog@1", "max_n": max_n, "entries": items}
-    if noncommutative is not None:
-        obj["noncommutative"] = noncommutative
-    return obj
-
-
-def results_obj(max_n: int) -> dict:
-    """Catalog results with the noncommutative-witness record attached."""
-    entries = build_catalog(max_n)
-    # entries come in order of n, so the first noncommutative table is a
-    # smallest one
-    found = next(
-        (A for entry in entries for A in entry.structures
-         if not is_commutative(A)),
-        None,
-    )
-    noncomm = {"limit": max_n, "found": found is not None}
-    if found is not None:
-        noncomm["size"] = found.n
-        noncomm["plus"] = io.table_obj(found.plus, found.labels)
-    return catalog_to_obj(entries, max_n, noncomm)
-
-
-def write_catalog(path, max_n: int) -> dict:
-    """Build the catalog and persist it as a canonical results file."""
-    obj = results_obj(max_n)
-    io.write_json(path, obj)
+    if all(e.structures is not None for e in entries):
+        found = next(
+            (A for e in entries for A in e.structures if not is_commutative(A)),
+            None,
+        )
+        noncomm = {"limit": max_n, "found": found is not None}
+        if found is not None:
+            noncomm["size"] = found.n
+            noncomm["plus"] = io.table_obj(found.plus, found.labels)
+        obj["noncommutative"] = noncomm
     return obj

@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import groupby
 
 from . import io
 from .catalog import (
     CatalogEntry,
+    build_catalog,
     catalog_pdps,
     catalog_to_obj,
     check_size,
     enumerate_bounded_posets,
-    results_obj,
 )
 from .errors import FormatError, InvalidStructure, LimitExceeded, TransferError
 from .functors import interval_poset, triple_poset
@@ -346,34 +347,28 @@ def _cmd_enumerate(args) -> int:
     out = _Output("enumerate", args.json)
     if args.n < 1:
         raise FormatError(f"--n needs at least one element, got {args.n}")
-    check_size(args.n)
-    summary = []
     if args.structures:
-        obj = results_obj(args.n)
-        per_n: dict[int, list[int]] = {}
-        for entry in obj["entries"]:
-            per_n.setdefault(entry["n"], []).append(entry["structure_count"])
-        for n, counts in sorted(per_n.items()):
-            out.say(
-                f"n={n}: {len(counts)} bounded-poset classes, "
-                f"structure counts {counts}"
-            )
-            summary.append({"n": n, "classes": len(counts), "structures": counts})
-        noncomm = obj["noncommutative"]
-        if noncomm["found"]:
-            out.say(
-                f"smallest noncommutative structure has {noncomm['size']} elements"
-            )
-        else:
-            out.say(f"all structures up to {args.n} elements are commutative")
+        entries = build_catalog(args.n)
     else:
-        entries = []
-        for n in range(1, args.n + 1):
-            posets = enumerate_bounded_posets(n)
-            out.say(f"n={n}: {len(posets)} bounded-poset classes")
-            summary.append({"n": n, "classes": len(posets)})
-            entries += (CatalogEntry(p, None, k) for k, p in enumerate(posets))
-        obj = catalog_to_obj(entries, args.n)
+        entries = [CatalogEntry(b, None) for b in enumerate_bounded_posets(args.n)]
+    summary = []
+    for n, group in groupby(entries, key=lambda e: e.base.n):
+        group = list(group)
+        record = {"n": n, "classes": len(group)}
+        line = f"n={n}: {len(group)} bounded-poset classes"
+        if args.structures:
+            record["structures"] = [len(e.structures) for e in group]
+            line += f", structure counts {record['structures']}"
+        out.say(line)
+        summary.append(record)
+    obj = catalog_to_obj(entries, args.n)
+    if args.structures:
+        noncomm = obj["noncommutative"]
+        out.say(
+            f"smallest noncommutative structure has {noncomm['size']} elements"
+            if noncomm["found"]
+            else f"all structures up to {args.n} elements are commutative"
+        )
     out.write(args.output, obj)
     out.payload["summary"] = summary
     return out.finish(True)

@@ -67,6 +67,12 @@ def _validate_fork(f: PDPMorphism, g: PDPMorphism, fork: SplitFork) -> None:
         )
     if not is_split_fork(fork):
         raise InvalidStructure("fork invalid: the split-fork equations fail")
+    for X, gap in (
+        (f.target, "the source difference tables are incomplete"),
+        (f.source, "A, the domain of the parallel pair, has undefined differences"),
+    ):
+        if any(None in pair for pair in X.pairs):
+            raise InvalidStructure(f"fork invalid: {gap}")
 
 
 def transfer_structure(
@@ -74,18 +80,21 @@ def transfer_structure(
 ) -> TransferResult:
     """Equip the fork's coequalizer object with both differences.
 
-    Raises InvalidStructure for a malformed fork and TransferError when
-    the commutation or axiom verification fails (which cannot happen once
-    the preconditions hold).
+    Raises InvalidStructure for a malformed fork, including one whose A
+    or B has an undefined difference, and TransferError when the
+    commutation or axiom verification fails.  Once the fork is valid and
+    A is complete, the commutation (descent) cannot fail.  For a <= b in
+    B, t is isotone and f t = 1, so b/a = f(t b)/f(t a) = f(t b / t a), as
+    f preserves the differences; then q f = q g and g t = s q give
+    q(b/a) = q(g(t b / t a)) = q(g(t b)/g(t a)) = q(s(q b)/s(q a)), the
+    difference pulled onto [q a, q b].  Likewise for \\.  The first step
+    also makes B complete once A is; B is checked first, so that a gap in
+    B is named as such.
     """
     _validate_fork(f, g, fork)
     B = f.target
     Q = fork.Q
     n = Q.n
-    if any(None in pair for pair in B.pairs):
-        raise InvalidStructure(
-            "fork invalid: the source difference tables are incomplete"
-        )
     pulled = []
     for tableB in (B.slash, B.bslash):
         table = [[None] * n for _ in range(n)]

@@ -132,7 +132,7 @@ def cancellative_structures(base) -> list[PseudoEffectAlgebra]:
 def compare_routes(n: int):
     """(classes, tables, noncommutative tables, indices of the classes
     where the two routes differ) over the bounded posets of size n."""
-    bases = enumerate_bounded_posets(n)
+    bases = [b for b in enumerate_bounded_posets(n) if b.n == n]
     tables = noncommutative = 0
     differing = []
     for k, base in enumerate(bases):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,6 +18,7 @@ from pealab import (
     LimitExceeded,
     Poset,
     PseudoEffectAlgebra,
+    build_catalog,
     check_pdp,
     check_pea,
     enumerate_bounded_posets,
@@ -29,7 +31,7 @@ from pealab import (
     size_limit,
 )
 from pealab import catalog, io
-from pealab.catalog import results_obj
+from pealab.catalog import catalog_to_obj
 from pealab.posets import iter_bits
 
 
@@ -90,20 +92,32 @@ def dumb_structures(base):
 
 class TestPosetEnumeration:
     def test_class_counts(self):
-        assert [len(enumerate_posets(m)) for m in range(6)] == [1, 1, 2, 5, 16, 63]
+        counts = Counter(P.n for P in enumerate_posets(5))
+        assert [counts[m] for m in range(6)] == [1, 1, 2, 5, 16, 63]
 
     def test_matches_brute_force_classification(self):
+        counts = Counter(P.n for P in enumerate_posets(3))
         for m in range(4):
-            assert len(enumerate_posets(m)) == len(brute_force_poset_classes(m))
+            assert counts[m] == len(brute_force_poset_classes(m))
 
     @pytest.mark.parametrize("m", range(6))
     def test_rows_match_the_relation_scan(self, m):
-        assert [P.leq for P in enumerate_posets(m)] == scanned_poset_classes(m)
+        assert [
+            P.leq for P in enumerate_posets(m) if P.n == m
+        ] == scanned_poset_classes(m)
+
+    def test_one_pass_lists_every_level_by_size(self):
+        # the up-to list is the relation scan's classes, size by size
+        posets = enumerate_posets(5)
+        assert [P.leq for P in posets] == [
+            rows for k in range(6) for rows in scanned_poset_classes(k)
+        ]
+        assert all(P.labels == tuple("abcde"[: P.n]) for P in posets)
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_canonical_form_matches_brute_force(self, m):
         rng = random.Random(m)
-        for P in enumerate_posets(m):
+        for P in (P for P in enumerate_posets(m) if P.n == m):
             perm = list(range(m))
             rng.shuffle(perm)
             rows = [0] * m
@@ -115,7 +129,7 @@ class TestPosetEnumeration:
             )
 
     def test_representatives_are_pairwise_non_isomorphic(self):
-        posets = enumerate_posets(4)
+        posets = [P for P in enumerate_posets(4) if P.n == 4]
         for i, P in enumerate(posets):
             for Q in posets[i + 1 :]:
                 assert find_isomorphism(P, Q) is None
@@ -142,20 +156,24 @@ class TestPosetEnumeration:
 
 class TestBoundedPosetEnumeration:
     def test_class_counts(self, monkeypatch):
-        # OEIS A000112 shifted by two: posets on n-2 points
+        # OEIS A000112 shifted by two: posets on n-2 points; one pass lists
+        # every size, in order of size
         monkeypatch.setenv("PEALAB_MAX_N", "9")
-        assert [len(enumerate_bounded_posets(n)) for n in range(1, 10)] == [
+        sizes = [P.n for P in enumerate_bounded_posets(9)]
+        assert sizes == sorted(sizes)
+        assert [sizes.count(n) for n in range(1, 10)] == [
             1, 1, 1, 2, 5, 16, 63, 318, 2045,
         ]
 
     def test_four_element_classes_are_chain_and_diamond(self):
-        classes = enumerate_bounded_posets(4)
+        classes = [P for P in enumerate_bounded_posets(4) if P.n == 4]
         assert any(find_isomorphism(P, c4()) for P in classes)
         assert any(find_isomorphism(P, diamond()) for P in classes)
 
     def test_small_classes_are_chains(self):
-        assert find_isomorphism(enumerate_bounded_posets(2)[0], c2())
-        assert find_isomorphism(enumerate_bounded_posets(3)[0], c3())
+        _, two, three = enumerate_bounded_posets(3)
+        assert find_isomorphism(two, c2())
+        assert find_isomorphism(three, c3())
 
     def test_limit_is_enforced(self):
         with pytest.raises(LimitExceeded):
@@ -176,7 +194,7 @@ class TestBoundedPosetEnumeration:
         with pytest.raises(LimitExceeded):
             enumerate_bounded_posets(4)
         monkeypatch.delenv("PEALAB_MAX_N")
-        assert len(enumerate_bounded_posets(4)) == 2
+        assert sum(P.n == 4 for P in enumerate_bounded_posets(4)) == 2
 
 
 class TestStructureEnumeration:
@@ -224,7 +242,7 @@ class TestStructureEnumeration:
                     assert sorted(col) == up
 
     def test_seven_element_catalog(self):
-        bases = enumerate_bounded_posets(7)
+        bases = [b for b in enumerate_bounded_posets(7) if b.n == 7]
         tables = [enumerate_pea_structures(base) for base in bases]
         counts = [len(t) for t in tables]
         assert len(bases) == 63
@@ -237,7 +255,8 @@ class TestStructureEnumeration:
 
     def test_eight_element_catalog(self, monkeypatch):
         monkeypatch.setenv("PEALAB_MAX_N", "8")
-        tables = [enumerate_pea_structures(b) for b in enumerate_bounded_posets(8)]
+        bases = [b for b in enumerate_bounded_posets(8) if b.n == 8]
+        tables = [enumerate_pea_structures(b) for b in bases]
         assert len(tables) == 318
         assert sum(len(t) for t in tables) == 836
         assert sum(not is_commutative(A) for t in tables for A in t) == 680
@@ -266,26 +285,26 @@ class TestCommittedResultsFile:
     def test_regeneration_matches_the_committed_catalog(self, tmp_path):
         from pathlib import Path
 
-        from pealab.catalog import write_catalog
-
         committed = Path(__file__).resolve().parent.parent / "catalog.json"
         regenerated = tmp_path / "catalog.json"
-        write_catalog(regenerated, 6)
+        io.write_json(regenerated, catalog_to_obj(build_catalog(6), 6))
         assert regenerated.read_text() == committed.read_text()
 
 
 class TestSmallestNoncommutative:
-    """The noncommutative-witness record of results_obj names a smallest
+    """The noncommutative-witness record of catalog_to_obj names a smallest
     noncommutative structure, since catalog entries come in order of n."""
 
     def test_none_up_to_two(self):
-        assert results_obj(2)["noncommutative"] == {"limit": 2, "found": False}
+        obj = catalog_to_obj(build_catalog(2), 2)
+        assert obj["noncommutative"] == {"limit": 2, "found": False}
 
     def test_none_up_to_four(self):
-        assert results_obj(4)["noncommutative"] == {"limit": 4, "found": False}
+        obj = catalog_to_obj(build_catalog(4), 4)
+        assert obj["noncommutative"] == {"limit": 4, "found": False}
 
     def test_found_at_five(self):
-        obj = results_obj(5)
+        obj = catalog_to_obj(build_catalog(5), 5)
         record = obj["noncommutative"]
         assert record["found"] and record["size"] == 5
         entry = next(e for e in obj["entries"]

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from helpers import c2, c3, c3_pea, c4, d4_hsum, diamond
-from pealab import io, pea_to_pdp
+from pealab import catalog, io, pea_to_pdp
 from pealab.cli import main
 from pealab.io import dumps, save_structure, structure_to_obj
 from pealab.plmaps import pl_map
@@ -306,6 +306,28 @@ class TestEnumerate:
         assert "RESULT: PASS" not in out
         assert out.rstrip().endswith("RESULT: FAIL enumerate")
         assert not json_path.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("enumerate", "--n", "5"),
+     ("enumerate", "--n", "5", "--structures"),
+     ("verify-coeq", "--generate", "3")],
+    ids=["enumerate", "enumerate-structures", "verify-coeq"],
+)
+def test_each_verb_generates_the_classes_once(capsys, monkeypatch, argv):
+    # one pass grows every level, so no verb asks for a size twice
+    sizes = []
+    generate = catalog.enumerate_posets
+
+    def counting(m):
+        sizes.append(m)
+        return generate(m)
+
+    monkeypatch.setattr(catalog, "enumerate_posets", counting)
+    code, _ = run(capsys, *argv)
+    assert code == 0
+    assert sizes == [3]
 
 
 class TestTransferVerbs:

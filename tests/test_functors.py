@@ -71,12 +71,12 @@ class TestIntervalPoset:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_the_definition_on_bounded_posets(self, n):
-        for P in enumerate_bounded_posets(n):
+        for P in (P for P in enumerate_bounded_posets(n) if P.n == n):
             assert interval_poset(P) == interval_poset_by_definition(P)
 
     @pytest.mark.parametrize("m", range(6))
     def test_matches_the_definition_on_posets(self, m):
-        for P in enumerate_posets(m):
+        for P in (P for P in enumerate_posets(m) if P.n == m):
             assert interval_poset(P) == interval_poset_by_definition(P)
 
 

@@ -104,13 +104,12 @@ class TestShape:
         assert PosetMorphism(empty, c2(), ()).map == ()
 
     def test_cached_up_rows_are_the_set_bits_of_leq(self):
-        for n in range(1, 8):
-            for base in enumerate_bounded_posets(n):
-                for P in (base, interval_poset(base)):
-                    assert P.up == tuple(
-                        tuple(j for j in range(P.n) if P.leq[i] >> j & 1)
-                        for i in range(P.n)
-                    )
+        for base in enumerate_bounded_posets(7):
+            for P in (base, interval_poset(base)):
+                assert P.up == tuple(
+                    tuple(j for j in range(P.n) if P.leq[i] >> j & 1)
+                    for i in range(P.n)
+                )
 
 
 class TestProduct:
@@ -179,7 +178,7 @@ class TestCoequalizer:
         }
 
     def test_both_coequalizers_match_the_up_set_oracle(self):
-        classes = [P for n in range(1, 6) for P in enumerate_bounded_posets(n)]
+        classes = enumerate_bounded_posets(5)
         pairs = 0
         for A in (P for P in classes if P.n <= 4):
             for B in classes:
@@ -265,7 +264,7 @@ class TestIsCoequalizer:
         # every parallel pair of bounded-poset maps between the classes up
         # to n=4, against every isotone map out of their target into those
         # classes: most such maps are not coequalizers
-        classes = [P for n in range(1, 5) for P in enumerate_bounded_posets(n)]
+        classes = enumerate_bounded_posets(4)
         out_of = {
             B: [(R, q) for R in classes for q in brute_force_isotone_maps(B, R)]
             for B in classes
@@ -383,7 +382,7 @@ class TestEnumerateMorphisms:
         assert got == [tuple(v) for v in expected]
 
     def test_agrees_with_brute_force_on_every_class_pair(self):
-        classes = [P for n in range(1, 6) for P in enumerate_bounded_posets(n)]
+        classes = enumerate_bounded_posets(5)
         total = 0
         for source in classes:
             for target in classes:
@@ -419,8 +418,9 @@ class TestFindIsomorphism:
 class TestIsomorphisms:
     def test_matches_brute_force_on_relabelled_classes(self):
         rng = random.Random(2024)
+        every = enumerate_bounded_posets(6)
         for n in range(1, 7):
-            classes = enumerate_bounded_posets(n)
+            classes = [P for P in every if P.n == n]
             for P in classes:
                 for R in classes:
                     for _ in range(3):
@@ -439,10 +439,9 @@ class TestIsomorphisms:
                             assert first is None
 
     def test_dual_automorphisms_of_down_sets(self):
-        for n in range(1, 7):
-            for base in enumerate_bounded_posets(n):
-                dual = Poset(base.labels, base.down)
-                for c in range(n):
-                    assert list(
-                        isomorphisms(base, dual, base.down[c])
-                    ) == brute_force_dual_automorphisms(base, c)
+        for base in enumerate_bounded_posets(6):
+            dual = Poset(base.labels, base.down)
+            for c in range(base.n):
+                assert list(
+                    isomorphisms(base, dual, base.down[c])
+                ) == brute_force_dual_automorphisms(base, c)

@@ -147,7 +147,8 @@ class TestTransferStructure:
     def non_descending_fork(slash_cells, bslash_cells):
         """The collapse b -> a of the horizontal-sum diamond, with B's
         tables edited and every difference of A undefined, so that f and g
-        preserve the differences vacuously."""
+        preserve the differences vacuously.  Only such an A lets an edit of
+        B pass as a fork: once A is complete, every difference descends."""
         X = hsum_pdp()
         _, _, fork = split_fork_from_idempotent(X, collapse_idempotent(X))
         B = PseudoDPoset(
@@ -160,15 +161,34 @@ class TestTransferStructure:
         return PDPMorphism(A, B, fork.f), PDPMorphism(A, B, fork.g), fork
 
     @pytest.mark.parametrize(
+        "slash_cells, bslash_cells",
+        [({}, {}), ({(2, 0): 3}, {}), ({}, {(2, 0): 3})],
+        ids=["unedited", "slash", "bslash"],
+    )
+    def test_source_of_the_pair_with_undefined_differences_is_rejected(
+        self, slash_cells, bslash_cells
+    ):
+        fork = self.non_descending_fork(slash_cells, bslash_cells)
+        with pytest.raises(InvalidStructure) as caught:
+            transfer_structure(*fork)
+        assert str(caught.value) == (
+            "fork invalid: A, the domain of the parallel pair, has "
+            "undefined differences"
+        )
+
+    @pytest.mark.parametrize(
         "slash_cells, bslash_cells, name",
         [({(2, 0): 3}, {}, "/"), ({}, {(2, 0): 3}, "\\")],
         ids=["slash", "bslash"],
     )
     def test_difference_that_does_not_descend_is_reported(
-        self, slash_cells, bslash_cells, name
+        self, slash_cells, bslash_cells, name, monkeypatch
     ):
         # b/0 (or b\0) moved to 1: q sends it to 1, but [0,b] goes to
-        # [0,a], whose difference is q(a/0) = a
+        # [0,a], whose difference is q(a/0) = a.  The fork checks reject
+        # A first, and no valid fork reaches this guard, so they are
+        # skipped to show that the guard still names the broken interval.
+        monkeypatch.setattr("pealab.transfer._validate_fork", lambda *_: None)
         fork = self.non_descending_fork(slash_cells, bslash_cells)
         with pytest.raises(TransferError) as caught:
             transfer_structure(*fork)
@@ -179,10 +199,13 @@ class TestTransferStructure:
 
     def test_incomplete_source_is_reported_before_a_mismatch(self):
         # b\b is undefined; [b,b] comes after [0,b] and is not in the image
-        # of the section, yet completeness is checked first
+        # of the section, yet B's completeness is checked first, before A's
         fork = self.non_descending_fork({(2, 0): 3}, {(2, 2): None})
-        with pytest.raises(InvalidStructure, match="tables are incomplete"):
+        with pytest.raises(InvalidStructure) as caught:
             transfer_structure(*fork)
+        assert str(caught.value) == (
+            "fork invalid: the source difference tables are incomplete"
+        )
 
     def test_mismatched_pair_is_rejected(self):
         X = hsum_pdp()

@@ -26,7 +26,6 @@ from .functors import (
     alpha,
     beta,
     check_square,
-    interval_elements,
     interval_map,
     interval_poset,
     triple_elements,
@@ -80,6 +79,7 @@ from .posets import (
     enumerate_morphisms,
     find_isomorphism,
     identity,
+    interval_elements,
     is_coequalizer,
     is_split_fork,
     isomorphisms,

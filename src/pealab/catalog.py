@@ -274,11 +274,24 @@ def catalog_pdps(max_n: int) -> list[PseudoDPoset]:
     ]
 
 
+def noncommutative_record(entries, max_n: int) -> dict:
+    """The noncommutative-witness record of searched entries in order of
+    size: their first noncommutative table, a smallest one by that order."""
+    found = next(
+        (A for e in entries for A in e.structures if not is_commutative(A)),
+        None,
+    )
+    noncomm = {"limit": max_n, "found": found is not None}
+    if found is not None:
+        noncomm["size"] = found.n
+        noncomm["plus"] = io.table_obj(found.plus, found.labels)
+    return noncomm
+
+
 def catalog_to_obj(entries, max_n: int) -> dict:
     """The pealab-catalog@1 object of entries in order of size; the
     class_index of each is its position among those of its size.  Unsearched
-    entries get no tables, searched ones the noncommutative-witness record
-    of their first noncommutative table, a smallest one by that order."""
+    entries get no tables, searched ones the :func:`noncommutative_record`."""
     items = []
     first: dict[int, int] = {}  # position of the first entry of each size
     for k, e in enumerate(entries):
@@ -292,13 +305,5 @@ def catalog_to_obj(entries, max_n: int) -> dict:
         items.append(item)
     obj = {"schema": "pealab-catalog@1", "max_n": max_n, "entries": items}
     if all(e.structures is not None for e in entries):
-        found = next(
-            (A for e in entries for A in e.structures if not is_commutative(A)),
-            None,
-        )
-        noncomm = {"limit": max_n, "found": found is not None}
-        if found is not None:
-            noncomm["size"] = found.n
-            noncomm["plus"] = io.table_obj(found.plus, found.labels)
-        obj["noncommutative"] = noncomm
+        obj["noncommutative"] = noncommutative_record(entries, max_n)
     return obj

@@ -21,6 +21,7 @@ from .catalog import (
     catalog_to_obj,
     check_size,
     enumerate_bounded_posets,
+    noncommutative_record,
 )
 from .errors import FormatError, InvalidStructure, LimitExceeded, TransferError
 from .functors import interval_poset, triple_poset
@@ -361,15 +362,15 @@ def _cmd_enumerate(args) -> int:
             line += f", structure counts {record['structures']}"
         out.say(line)
         summary.append(record)
-    obj = catalog_to_obj(entries, args.n)
     if args.structures:
-        noncomm = obj["noncommutative"]
+        noncomm = noncommutative_record(entries, args.n)
         out.say(
             f"smallest noncommutative structure has {noncomm['size']} elements"
             if noncomm["found"]
             else f"all structures up to {args.n} elements are commutative"
         )
-    out.write(args.output, obj)
+    if args.output:  # the catalog object is built only to be written
+        out.write(args.output, catalog_to_obj(entries, args.n))
     out.payload["summary"] = summary
     return out.finish(True)
 

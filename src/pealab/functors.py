@@ -16,41 +16,17 @@ from .posets import (
     Poset,
     PosetMorphism,
     check_morphism,
-    iter_bits,
+    interval_elements,
+    interval_index,
+    interval_order,
 )
-
-
-def interval_elements(P: Poset) -> list[tuple[int, int]]:
-    """All pairs (a, b) with a <= b, lexicographically ordered."""
-    return [(a, b) for a, ups in enumerate(P.up) for b in ups]
-
-
-def interval_index(P: Poset) -> dict[tuple[int, int], int]:
-    """Each interval (a, b) of P with its position in interval_elements(P)."""
-    return {p: k for k, p in enumerate(interval_elements(P))}
-
-
-def interval_order(P: Poset) -> tuple[dict[tuple[int, int], int], list[int]]:
-    """interval_index(P) and the order rows of interval_poset(P), unvalidated."""
-    index = interval_index(P)
-    up = P.up
-    down = [tuple(iter_bits(column)) for column in P.down]
-    rows = []
-    for a, b in index:
-        # [a,b] <= [c,d] iff c <= a <= b <= d
-        row = 0
-        for c in down[a]:
-            for d in up[b]:
-                row |= 1 << index[c, d]
-        rows.append(row)
-    return index, rows
 
 
 def interval_poset(P: Poset) -> Poset:
     """Poset of closed intervals of P, ordered by inclusion."""
     index, rows = interval_order(P)
     labels = tuple(f"[{P.labels[a]},{P.labels[b]}]" for a, b in index)
-    return Poset(labels, tuple(rows))
+    return Poset(labels, rows)
 
 
 def interval_table(fm, pairs, index) -> list[int]:

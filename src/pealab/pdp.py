@@ -22,13 +22,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InvalidStructure
-from .functors import interval_elements, interval_poset
+from .functors import interval_poset
 from .posets import (
     BoundedPoset,
     PosetMorphism,
     check_morphism,
     enumerate_morphisms,
     induced_subposet,
+    interval_elements,
     morphism_violations,
     product_bposets,
 )
@@ -64,11 +65,33 @@ class PseudoDPoset:
     def labels(self) -> tuple[str, ...]:
         return self.base.labels
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # every field is immutable, so the value hash never changes
+        return hash((self.base, self.slash, self.bslash))
+
     @cached_property
     def pairs(self) -> tuple[tuple[int, int, int | None, int | None], ...]:
         """Each a <= b in row-major order, with its differences: (a, b, b/a, b\\a)."""
         s, t = self.slash, self.bslash
         return tuple((a, b, s[b][a], t[b][a]) for a, b in interval_elements(self.base))
+
+    @cached_property
+    def forcing_rules(self) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
+        """For each element x, the rules (a, b, d, k) that placing x
+        triggers in :func:`enumerate_pdp_morphisms`: one for each a <= b with
+        x among a and b and each defined difference d, b/a with k = 0 or
+        b\\a with k = 1, in the order of :attr:`pairs`."""
+        triggers = [[] for _ in range(self.n)]
+        for a, b, s, t in self.pairs:
+            for k, d in enumerate((s, t)):
+                if d is not None:
+                    for x in {a, b}:
+                        triggers[x].append((a, b, d, k))
+        return tuple(map(tuple, triggers))
 
 
 def is_dposet(X: PseudoDPoset) -> bool:
@@ -203,9 +226,20 @@ def pdp_morphism_violations(X: PseudoDPoset, Y: PseudoDPoset, m):
 
 
 def preserves_differences(X: PseudoDPoset, Y: PseudoDPoset, m) -> bool:
-    """Whether the map table ``m`` is a morphism X -> Y, from a scan that
-    stops at the first violation."""
-    return next(pdp_morphism_violations(X, Y, m), None) is None
+    """Whether the map table ``m`` is a morphism X -> Y: the verdict of
+    :func:`pdp_morphism_violations`, from one pass over X's cached pairs
+    that stops at the first violation, then the bounds.  Each pair is
+    checked for isotonicity, then for both differences."""
+    yleq, yslash, ybslash = Y.base.leq, Y.slash, Y.bslash
+    for a, b, s, t in X.pairs:
+        fa, fb = m[a], m[b]
+        if not yleq[fa] >> fb & 1:
+            return False
+        if s is not None and yslash[fb][fa] != m[s]:
+            return False
+        if t is not None and ybslash[fb][fa] != m[t]:
+            return False
+    return m[X.base.bottom] == Y.base.bottom and m[X.base.top] == Y.base.top
 
 
 def check_pdp_morphism(h: PDPMorphism) -> Report:
@@ -219,20 +253,17 @@ def check_pdp_morphism(h: PDPMorphism) -> Report:
 def enumerate_pdp_morphisms(X: PseudoDPoset, Y: PseudoDPoset) -> list[PDPMorphism]:
     """All difference-preserving morphisms X -> Y, in map-table order.
 
-    :func:`enumerate_morphisms` with a rule for each a <= b of X and each of
-    its differences: f(b/a) is forced to be f(b)/f(a) (likewise for \\).
-    Nothing is lost, since a forced value is the only one a completion can
-    take, and each rule is decided once a, b and b/a are all placed.  Pairs
-    whose difference is ``None`` give no rule, so the result equals
-    filtering every bounded-poset map through :func:`check_pdp_morphism`,
-    also when X or Y fails :func:`check_pdp`.
+    :func:`enumerate_morphisms` with X's :attr:`~PseudoDPoset.forcing_rules`
+    read on Y's tables: for each a <= b of X and each of its differences,
+    f(b/a) is forced to be f(b)/f(a) (likewise for \\).  Nothing is lost,
+    since a forced value is the only one a completion can take, and each
+    rule is decided once a, b and b/a are all placed.  Pairs whose
+    difference is ``None`` give no rule, so the result equals filtering
+    every bounded-poset map through :func:`check_pdp_morphism`, also when X
+    or Y fails :func:`check_pdp`.  The rules are built once per source;
+    only Y's two tables are bound per call.
     """
-    rules = [
-        (a, b, d, table)
-        for a, b, s, t in X.pairs
-        for d, table in ((s, Y.slash), (t, Y.bslash))
-        if d is not None
-    ]
+    rules = ((Y.slash, Y.bslash), X.forcing_rules)
     return [PDPMorphism(X, Y, m) for m in enumerate_morphisms(X.base, Y.base, rules)]
 
 

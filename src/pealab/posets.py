@@ -111,6 +111,12 @@ class Poset:
             raise InvalidStructure(f"unknown element {label!r}") from None
 
     @cached_property
+    def interval_order(self) -> tuple[dict[tuple[int, int], int], tuple[int, ...]]:
+        """:func:`interval_order` of this poset, built once per object and
+        shared by every caller, which must not change the index."""
+        return interval_order(self)
+
+    @cached_property
     def _label_index(self) -> dict[str, int]:
         return {lab: i for i, lab in enumerate(self.labels)}
 
@@ -143,6 +149,58 @@ class BoundedPoset(Poset):
             raise InvalidStructure("declared bottom is not below every element")
         if any(not row >> self.top & 1 for row in self.leq):
             raise InvalidStructure("declared top is not above every element")
+
+    @cached_property
+    def search_plan(self) -> tuple:
+        """What :func:`enumerate_morphisms` reads of a source, built once per
+        object: the :func:`placement_order`, then for each element x the
+        elements x covers and those that cover x, bounds left out.
+
+        Isotonicity along the covers implies it along the whole order, and
+        covers at the bounds hold whatever the other image, since the
+        bounds' images are the target's.
+        """
+        lower = [[] for _ in range(self.n)]
+        upper = [[] for _ in range(self.n)]
+        for a, b in self.cover_pairs():
+            if a != self.bottom:
+                lower[b].append(a)
+            if b != self.top:
+                upper[a].append(b)
+        return (
+            tuple(placement_order(self)),
+            tuple(map(tuple, lower)),
+            tuple(map(tuple, upper)),
+        )
+
+
+def interval_elements(P: Poset) -> list[tuple[int, int]]:
+    """All pairs (a, b) with a <= b, lexicographically ordered."""
+    return [(a, b) for a, ups in enumerate(P.up) for b in ups]
+
+
+def interval_index(P: Poset) -> dict[tuple[int, int], int]:
+    """Each interval (a, b) of P with its position in interval_elements(P)."""
+    return {p: k for k, p in enumerate(interval_elements(P))}
+
+
+def interval_order(P: Poset) -> tuple[dict[tuple[int, int], int], tuple[int, ...]]:
+    """interval_index(P) and the order rows of interval_poset(P), unvalidated.
+
+    Built afresh on each call; ``P.interval_order`` builds it once per P.
+    """
+    index = interval_index(P)
+    up = P.up
+    down = [tuple(iter_bits(column)) for column in P.down]
+    rows = []
+    for a, b in index:
+        # [a,b] <= [c,d] iff c <= a <= b <= d
+        row = 0
+        for c in down[a]:
+            for d in up[b]:
+                row |= 1 << index[c, d]
+        rows.append(row)
+    return index, tuple(rows)
 
 
 def induced_subposet(B: BoundedPoset, carrier) -> BoundedPoset:
@@ -453,60 +511,53 @@ def placement_order(P: Poset) -> list[int]:
 
 
 def enumerate_morphisms(
-    P: BoundedPoset, R: BoundedPoset, rules=()
+    P: BoundedPoset, R: BoundedPoset, rules=None
 ) -> list[PosetMorphism]:
     """All bound-preserving isotone maps P -> R obeying ``rules``, in table order.
 
-    A rule ``(a, b, d, table)`` forces the image of d to be
-    ``table[image of b][image of a]`` once a and b are placed; a ``None``
-    entry admits no map.  The bounds are placed first, placing a value
-    places what it forces, and the search branches, in
-    :func:`placement_order`, only on unplaced elements.  Nothing is lost: a
-    forced value is the only one any completion can take.  A complete table
-    is a valid map: each cover pair was checked when its second end was
-    placed, and each rule once its a, b and d were.
+    ``rules``, if given, is a pair ``(tables, triggers)``: ``triggers[x]``
+    lists the rules ``(a, b, d, k)`` with x among a and b, and such a rule
+    forces the image of d to be ``tables[k][image of b][image of a]`` once
+    a and b are placed; a ``None`` entry admits no map.  The bounds are
+    placed first, placing a value places what it forces, and the search
+    branches, in :func:`placement_order`, only on unplaced elements.
+    Nothing is lost: a forced value is the only one any completion can
+    take.  A complete table is a valid map: each cover pair was checked
+    when its second end was placed, and each rule once its a, b and d were.
+    The order and the covers are read from ``P.search_plan``, built once
+    per source; only the target's rows are bound per call.
     """
     if not isinstance(P, BoundedPoset) or not isinstance(R, BoundedPoset):
         raise InvalidStructure("morphism enumeration needs bounded posets")
     n, free, full = P.n, R.n, (1 << R.n) - 1
+    order, lower, upper = P.search_plan
+    tables, triggers = rules or ((), ((),) * n)
     # the images above and below each image; ``free``, the image of an
     # unplaced element, admits every image
     above, below = R.leq + (full,), R.down + (full,)
-    # isotonicity along the covers implies it along the whole order; covers
-    # at the bounds hold whatever the other image, since theirs are R's
-    covers = [[] for _ in range(n)]
-    for a, b in P.cover_pairs():
-        if a != P.bottom:
-            covers[b].append((a, above))
-        if b != P.top:
-            covers[a].append((b, below))
-    forces = [[] for _ in range(n)]
-    for rule in rules:
-        for x in {rule[0], rule[1]}:
-            forces[x].append(rule)
     found: list[tuple[int, ...]] = []
 
     def admitted(x: int, current: list[int]) -> int:
         cand = full
-        for j, images in covers[x]:
-            cand &= images[current[j]]
+        for j in lower[x]:
+            cand &= above[current[j]]
+        for j in upper[x]:
+            cand &= below[current[j]]
         return cand
 
     def settle(current: list[int], pending: list[int]) -> bool:
         # place what the placed ``pending`` force, or return False on a conflict
         while pending:
-            for a, b, d, table in forces[pending.pop()]:
+            for a, b, d, k in triggers[pending.pop()]:
                 if current[a] == free or current[b] == free:
                     continue
-                v, w = table[current[b]][current[a]], current[d]
+                v, w = tables[k][current[b]][current[a]], current[d]
                 if w == free and v is not None and admitted(d, current) >> v & 1:
                     current[d] = v
                     pending.append(d)
                 elif w != v:
                     return False
         return True
-
-    order = placement_order(P)
 
     def extend(k: int, current: list[int]) -> None:
         while k < n and current[order[k]] != free:

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import InvalidStructure, TransferError
-from .functors import interval_elements, interval_order, interval_table
+from .functors import interval_table
 from .pdp import (
     PDPMorphism,
     PseudoDPoset,
@@ -30,6 +30,8 @@ from .posets import (
     SplitFork,
     check_morphism,
     induced_subposet,
+    interval_elements,
+    interval_order,
     is_coequalizer,
     is_split_fork,
 )
@@ -167,11 +169,11 @@ def verify_coequalizer_psdpos(
     is, as q o s = 1), else InvalidStructure is raised.  So e is fixed by
     h: e(q(b)) = h(b), read off one preimage of each element of Q'.  At
     most one e exists, and it is a mediator iff e o q = h and its raw table
-    passes :func:`preserves_differences`: check_pdp_morphism's lazy scan over
-    the cached pairs of Q', stopped at the first violation.  No morphism is
-    built per candidate and no hom set out of Q' is enumerated.  ``homs``
-    shares the hom sets out of B between calls; a fresh table is used when
-    it is omitted.
+    passes :func:`preserves_differences`: one pass over the cached pairs of
+    Q' that stops at the first violation.  No morphism is built per
+    candidate and no hom set out of Q' is enumerated.  ``homs`` shares the
+    hom sets out of B between calls; a fresh table is used when it is
+    omitted.
     """
     if homs is None:
         homs = HomSets()
@@ -241,11 +243,14 @@ def i_preserves_fork(fork: SplitFork) -> bool:
     and I(q) are read off the interval indices of A, B and Q (a lookup
     that fails raises InvalidStructure: the map is not isotone), and
     :func:`is_coequalizer` compares each row of <=* on I(B) with the
-    pull-back of I(Q)'s row along I(q).  No interval poset is built.
+    pull-back of I(Q)'s row along I(q).  No interval poset is built.  B's
+    index and rows are ``fork.B.interval_order``, built once per object,
+    since a run's forks share few catalog structures as B; Q's are built
+    per fork.
     """
     if not is_split_fork(fork):
         raise InvalidStructure("not a split fork")
-    index_b, rows_b = interval_order(fork.B)
+    index_b, rows_b = fork.B.interval_order
     index_q, rows_q = interval_order(fork.Q)
     pairs_a = interval_elements(fork.A)
     glued = zip(

@@ -18,6 +18,7 @@ the whole hom set out of Q'.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
 from pealab import (
     BoundedPoset,
@@ -37,6 +38,23 @@ from pealab import (
     validate_bounded_poset,
 )
 from pealab.pdp import preserves_differences
+
+
+def count_builds(monkeypatch, cls, name: str) -> list:
+    """Patch the cached property ``cls.name`` to record each object it is
+    built for, and return the record.  Objects that built it before the
+    patch keep their value and are not recorded."""
+    built = []
+    build = vars(cls)[name].func
+
+    def counted(self):
+        built.append(self)
+        return build(self)
+
+    prop = cached_property(counted)
+    prop.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, prop)
+    return built
 
 
 def chain(*labels) -> BoundedPoset:

@@ -3,8 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from helpers import c2, c3, c3_pea, c4, d4_hsum, diamond
-from pealab import catalog, io, pea_to_pdp
+from helpers import c2, c3, c3_pea, c4, count_builds, d4_hsum, diamond
+from pealab import Poset, catalog, cli, io, pea_to_pdp
 from pealab.cli import main
 from pealab.io import dumps, save_structure, structure_to_obj
 from pealab.plmaps import pl_map
@@ -328,6 +328,45 @@ def test_each_verb_generates_the_classes_once(capsys, monkeypatch, argv):
     code, _ = run(capsys, *argv)
     assert code == 0
     assert sizes == [3]
+
+
+@pytest.mark.parametrize("structures", [(), ("--structures",)])
+def test_enumerate_builds_the_catalog_object_only_for_a_file(
+    capsys, monkeypatch, tmp_path, structures
+):
+    built = []
+    to_obj = cli.catalog_to_obj
+
+    def counting(entries, max_n):
+        built.append(max_n)
+        return to_obj(entries, max_n)
+
+    monkeypatch.setattr(cli, "catalog_to_obj", counting)
+    assert run(capsys, "enumerate", "--n", "4", *structures)[0] == 0
+    assert built == []
+    path = tmp_path / "catalog.json"
+    assert run(capsys, "enumerate", "--n", "4", *structures, "-o", str(path))[0] == 0
+    assert built == [4] and path.exists()
+
+
+def test_verify_coeq_builds_the_interval_rows_once_per_b(capsys, monkeypatch):
+    # B is a catalog structure shared by many forks; Q is built per fork and
+    # gets its rows afresh
+    built = count_builds(monkeypatch, Poset, "interval_order")
+    forks = []
+    check = cli.i_preserves_fork
+
+    def recording(fork):
+        forks.append(fork)
+        return check(fork)
+
+    monkeypatch.setattr(cli, "i_preserves_fork", recording)
+    code, _ = run(capsys, "verify-coeq", "--generate", "120",
+                  "--max-target-n", "5")
+    assert code == 0 and len(forks) == 120
+    distinct = {id(fork.B) for fork in forks}
+    assert len(built) == len(distinct) < len(forks)
+    assert set(map(id, built)) == distinct
 
 
 class TestTransferVerbs:

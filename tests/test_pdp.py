@@ -6,6 +6,7 @@ import pytest
 
 from helpers import (
     brute_force_bounded_maps,
+    count_builds,
     morphism_report_by_definition,
     pdp_morphism_report_by_definition,
     c2_pea,
@@ -17,6 +18,7 @@ from helpers import (
     swapped,
 )
 from pealab import (
+    BoundedPoset,
     InvalidStructure,
     PDPMorphism,
     Poset,
@@ -42,6 +44,7 @@ from pealab import (
     validate_bounded_poset,
     zero_embedding,
 )
+from pealab.catalog import catalog_pdps
 from pealab.pdp import pdp_morphism_violations, preserves_differences
 
 
@@ -271,9 +274,21 @@ class TestPdpMorphism:
         assert set(rules) == {"isotone", "bounds", "slash", "bslash"}
 
     def test_the_lazy_scan_stops_at_the_report_s_first_violation(self, pdps5):
-        # the tables of the test above
-        pairs = [(X, Y) for X in pdps5 for Y in pdps5 if X.n <= 4 and Y.n <= 4]
-        pairs += [(X, X) for X in pdps5 if X.n == 5 and not is_dposet(X)]
+        # the tables of the test above, and from the sources with n = 4 each
+        # with one or both difference tables blanked: between structures
+        # that pass check_pdp, a map that breaks / also breaks \ (b/a is
+        # (1/a)\(1/b), and 1/x the y with 1\y = x) and a map that is not
+        # isotone breaks both, so only partial sources let every check of
+        # the verdict decide some table alone
+        small = [(X, Y) for X in pdps5 for Y in pdps5 if X.n <= 4 and Y.n <= 4]
+        pairs = small + [(X, X) for X in pdps5 if X.n == 5 and not is_dposet(X)]
+        blank = ((None,) * 4,) * 4
+        pairs += [
+            (PseudoDPoset(X.base, s, t), Y)
+            for X, Y in small
+            if X.n == 4
+            for s, t in ((X.slash, blank), (blank, X.bslash), (blank, blank))
+        ]
         verdicts = Counter()
         for X, Y in pairs:
             for table in itertools.product(range(Y.n), repeat=X.n):
@@ -315,6 +330,16 @@ class TestEnumeratePdpMorphisms:
                 assert got == filtered_brute_force(X, Y)
                 total += len(got)
         assert total == 340
+
+    def test_search_tables_are_built_once_per_source(self, monkeypatch):
+        # fresh structures, so that none built its tables before the patch
+        pdps = catalog_pdps(5)
+        plans = count_builds(monkeypatch, BoundedPoset, "search_plan")
+        rules = count_builds(monkeypatch, PseudoDPoset, "forcing_rules")
+        total = sum(len(enumerate_pdp_morphisms(X, Y)) for X in pdps for Y in pdps)
+        assert len(pdps) == 14 and total == 340
+        assert list(map(id, plans)) == [id(X.base) for X in pdps]
+        assert list(map(id, rules)) == list(map(id, pdps))
 
     def test_matches_the_filter_on_tables_failing_the_axioms(self):
         # a/0 = 1 is not below a; the bounds are placed first, so the rule

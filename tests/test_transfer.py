@@ -32,6 +32,7 @@ from pealab import (
     identity,
     is_commutative,
     is_split_fork,
+    pdp_to_pea,
     pea_to_pdp,
     split_fork_from_idempotent,
     transfer_structure,
@@ -352,6 +353,18 @@ class TestVerifyCoequalizer:
         assert 0 < len(homs) < homs.lookups
         for (S, C), found in homs.items():
             assert found == enumerate_pdp_morphisms(S, C)
+
+
+    def test_equal_structures_share_one_hom_set(self, pdps5):
+        # the cached hash is the value hash: a copy built separately is the
+        # same key
+        homs = HomSets()
+        for X in pdps5:
+            copy = pea_to_pdp(pdp_to_pea(X))
+            assert copy is not X and copy.base is not X.base
+            assert copy == X and hash(copy) == hash(X)
+            assert homs[X, X] is homs[copy, copy]
+        assert len(homs) == len(pdps5) and homs.lookups == 2 * len(pdps5)
 
 
 class TestIntervalPreservation:

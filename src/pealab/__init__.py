@@ -73,6 +73,7 @@ from .posets import (
     PosetMorphism,
     SplitFork,
     check_morphism,
+    check_order,
     coequalizer_bposets,
     coequalizer_posets,
     comparison_isomorphism,

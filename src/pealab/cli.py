@@ -19,7 +19,6 @@ from .catalog import (
     build_catalog,
     catalog_pdps,
     catalog_to_obj,
-    check_size,
     enumerate_bounded_posets,
     noncommutative_record,
 )
@@ -37,7 +36,7 @@ from .pea import (
     PseudoEffectAlgebra,
     check_pea,
     check_pea_morphism,
-    induced_rows,
+    induced_relation,
     is_commutative,
     pdp_to_pea,
     pea_to_pdp,
@@ -111,7 +110,7 @@ def _load_declared(path):
     the order that its addition induces (none for other kinds)."""
     structure, declared = io.parse_declared(io.load_json(path), str(path))
     if isinstance(structure, PseudoEffectAlgebra) and (
-        tuple(induced_rows(structure)) != declared.leq
+        induced_relation(structure).leq != declared.leq
     ):
         return structure, (
             Violation(
@@ -302,8 +301,8 @@ def _cmd_verify_coeq(args) -> int:
                         ("--max-source-n", args.max_source_n)):
         if value < 1:
             raise FormatError(f"{flag} needs at least one element, got {value}")
-    check_size(max(args.max_target_n, args.max_source_n))
     source_n = 0 if args.fork else args.max_source_n  # a fork file brings its own
+    # catalog_pdps checks PEALAB_MAX_N against the one size it builds
     pdps = catalog_pdps(max(args.max_target_n, source_n))
     targets = [X for X in pdps if X.n <= args.max_target_n]
     homs = HomSets()

@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidStructure
-from .pdp import PseudoDPoset
-from .posets import BoundedPoset, close_relation, iter_bits
+from .pdp import PseudoDPoset, _check_table
+from .posets import BoundedPoset, check_order, iter_bits
 from .reports import Report, Violation
 
 PlusTable = tuple[tuple[int | None, ...], ...]
@@ -42,12 +42,7 @@ class PseudoEffectAlgebra:
         n = len(self.labels)
         if len(set(self.labels)) != n:
             raise InvalidStructure("duplicate element labels")
-        if len(self.plus) != n or any(len(row) != n for row in self.plus):
-            raise InvalidStructure("addition table size does not match the carrier")
-        for row in self.plus:
-            for v in row:
-                if v is not None and not 0 <= v < n:
-                    raise InvalidStructure("addition table references unknown elements")
+        _check_table(self.plus, n, "addition")
         if not (0 <= self.zero < n and 0 <= self.one < n):
             raise InvalidStructure("zero/one index out of range")
 
@@ -59,19 +54,21 @@ class PseudoEffectAlgebra:
         return self.plus[a][b]
 
 
-def induced_rows(A: PseudoEffectAlgebra) -> list[int]:
-    """Bit rows of the relation a <= c iff a+b = c for some b."""
+def induced_relation(A: PseudoEffectAlgebra) -> BoundedPoset:
+    """The relation a <= c iff a+b = c for some b, with 0 and 1 as its
+    declared bounds; :func:`check_order` decides whether it is an order."""
     rows = [0] * A.n
-    for a in range(A.n):
-        for b in range(A.n):
-            c = A.plus[a][b]
+    for a, row in enumerate(A.plus):
+        for c in row:
             if c is not None:
                 rows[a] |= 1 << c
-    return rows
+    # A's own shape checks cover the poset's, so this cannot raise
+    return BoundedPoset(A.labels, tuple(rows), A.zero, A.one)
 
 
 def check_pea(A: PseudoEffectAlgebra) -> Report:
-    """Report every PE1..PE4 violation, then order-layer violations."""
+    """Report every PE1..PE4 violation, then :func:`check_order`'s lines
+    for :func:`induced_relation`."""
     n = A.n
     lab = A.labels
     plus = A.plus
@@ -131,60 +128,22 @@ def check_pea(A: PseudoEffectAlgebra) -> Report:
                 Violation("PE4", (("a", lab[a]),), "a+1 or 1+a exists with a != 0")
             )
 
-    violations.extend(_order_violations(A))
+    violations.extend(check_order(induced_relation(A)).violations)
     return Report("check_pea", tuple(violations))
 
 
-def _order_violations(A: PseudoEffectAlgebra) -> list[Violation]:
-    n = A.n
-    lab = A.labels
-    rows = induced_rows(A)
-    violations = []
-    for a in range(n):
-        if not rows[a] >> a & 1:
-            violations.append(
-                Violation("order", (("a", lab[a]),), "induced relation not reflexive")
-            )
-    for a in range(n):
-        for c in iter_bits(rows[a]):
-            if c != a and rows[c] >> a & 1:
-                violations.append(
-                    Violation(
-                        "order",
-                        (("a", lab[a]), ("c", lab[c])),
-                        "induced relation not antisymmetric",
-                    )
-                )
-    closed = list(rows)
-    close_relation(closed)
-    for a in range(n):
-        if closed[a] != rows[a] | 1 << a:
-            violations.append(
-                Violation("order", (("a", lab[a]),), "induced relation not transitive")
-            )
-    if rows[A.zero] != (1 << n) - 1:
-        violations.append(
-            Violation("order", (("a", lab[A.zero]),), "zero is not the minimum")
-        )
-    for a in range(n):
-        if not rows[a] >> A.one & 1:
-            violations.append(
-                Violation("order", (("a", lab[a]),), "one is not above this element")
-            )
-    return violations
-
-
 def induced_order(A: PseudoEffectAlgebra) -> BoundedPoset:
-    """The induced order as a validated bounded poset.
+    """The induced order as a checked bounded poset.
 
-    Raises InvalidStructure when the relation is not a bounded partial
-    order; the defect is reported, never repaired.
+    Raises InvalidStructure ("induced order: ...", with the first line of
+    :func:`check_order`) when the relation is not a bounded partial order;
+    the defect is reported, never repaired.
     """
-    rows = induced_rows(A)
-    try:
-        return BoundedPoset(A.labels, tuple(rows), A.zero, A.one)
-    except InvalidStructure as exc:
-        raise InvalidStructure(f"induced order: {exc}") from None
+    P = induced_relation(A)
+    report = check_order(P)
+    if not report.ok:
+        raise InvalidStructure(f"induced order: {report.violations[0]}")
+    return P
 
 
 def pea_to_pdp(A: PseudoEffectAlgebra) -> PseudoDPoset:

@@ -4,6 +4,10 @@ Order relations are bitmask tables: bit ``j`` of row ``leq[i]`` is set iff
 element ``i`` lies below element ``j``.  Every value is immutable after
 construction and every operation is pure, so structures can be shared
 freely between threads.
+
+Constructors check shape only; :func:`check_order` decides the order
+axioms where an order enters from outside.  Orders built from checked ones
+are orders by construction and are not checked again.
 """
 
 from __future__ import annotations
@@ -57,7 +61,8 @@ def glued_preorder(leq, glued) -> list[int]:
 
 @dataclass(frozen=True)
 class Poset:
-    """Finite poset with named elements and a full order table."""
+    """Finite poset with named elements and a full order table.  The
+    constructor checks shape only; :func:`check_order` decides the axioms."""
 
     labels: tuple[str, ...]
     leq: tuple[int, ...]
@@ -68,24 +73,8 @@ class Poset:
             raise InvalidStructure("duplicate element labels")
         if len(self.leq) != n:
             raise InvalidStructure("order table size does not match element count")
-        full = (1 << n) - 1
-        for i, row in enumerate(self.leq):
-            if row & ~full:
-                raise InvalidStructure("order table references unknown elements")
-            if not row >> i & 1:
-                raise InvalidStructure(f"order not reflexive at {self.labels[i]}")
-        for i in range(n):
-            row = self.leq[i]
-            for j in iter_bits(row):
-                if j != i and self.leq[j] >> i & 1:
-                    raise InvalidStructure(
-                        f"cycle detected: {self.labels[i]} and {self.labels[j]} "
-                        "are related both ways"
-                    )
-                if self.leq[j] & ~row:
-                    raise InvalidStructure(
-                        f"order not transitive above {self.labels[i]} <= {self.labels[j]}"
-                    )
+        if self.leq and (min(self.leq) < 0 or max(self.leq) >> n):
+            raise InvalidStructure("order table references unknown elements")
 
     @property
     def n(self) -> int:
@@ -136,7 +125,8 @@ class Poset:
 
 @dataclass(frozen=True)
 class BoundedPoset(Poset):
-    """Poset with distinguished bottom and top elements."""
+    """Poset with distinguished bottom and top elements, which the
+    constructor range-checks; :func:`check_order` decides they are bounds."""
 
     bottom: int
     top: int
@@ -145,10 +135,6 @@ class BoundedPoset(Poset):
         super().__post_init__()
         if not 0 <= self.bottom < self.n or not 0 <= self.top < self.n:
             raise InvalidStructure("bottom/top index out of range")
-        if self.leq[self.bottom] != (1 << self.n) - 1:
-            raise InvalidStructure("declared bottom is not below every element")
-        if any(not row >> self.top & 1 for row in self.leq):
-            raise InvalidStructure("declared top is not above every element")
 
     @cached_property
     def search_plan(self) -> tuple:
@@ -224,15 +210,46 @@ def induced_subposet(B: BoundedPoset, carrier) -> BoundedPoset:
     )
 
 
+def check_order(P: Poset) -> Report:
+    """Report, under the rule "order", every failure of reflexivity at an
+    element a; then of antisymmetry at a pair a, c, from both ends; then of
+    transitivity at a, naming the first a <= b <= c without a <= c; and for
+    a bounded poset, then a bottom not below every element and each element
+    not below the top."""
+    leq, lab = P.leq, P.labels
+    found = [((a,), "relation not reflexive")
+             for a, row in enumerate(leq) if not row >> a & 1]
+    found += [((a, c), "relation not antisymmetric")
+              for a, row in enumerate(leq)
+              for c in iter_bits(row) if c != a and leq[c] >> a & 1]
+    for a, row in enumerate(leq):
+        for b in iter_bits(row):
+            beyond = leq[b] & ~(row | 1 << a)  # c == a is reflexivity's line
+            if beyond:
+                x, y, z = lab[a], lab[b], lab[(beyond & -beyond).bit_length() - 1]
+                detail = f"{x} <= {y} <= {z} but not {x} <= {z}"
+                found.append(((a,), f"relation not transitive: {detail}"))
+                break
+    if isinstance(P, BoundedPoset):
+        if leq[P.bottom] != (1 << P.n) - 1:
+            found.append(((P.bottom,), "bottom is not below every element"))
+        found += [((a,), "top is not above this element")
+                  for a, row in enumerate(leq) if not row >> P.top & 1]
+    return Report("order", tuple(
+        Violation("order", tuple(zip("ac", (lab[x] for x in at))), detail)
+        for at, detail in found
+    ))
+
+
 def validate_bounded_poset(elements, cover_pairs) -> BoundedPoset:
     """Close a cover relation and return the bounded poset it presents.
 
     Raises InvalidStructure when the covers contain a cycle or when the
-    closed order lacks a unique bottom or top.
+    closed order lacks a unique bottom or top.  The closure is reflexive
+    and transitive, so the only axiom :func:`check_order` can find broken
+    is antisymmetry, and a pair related both ways lies on a cycle.
     """
     labels = tuple(str(e) for e in elements)
-    if len(set(labels)) != len(labels):
-        raise InvalidStructure("duplicate element labels")
     index = {lab: i for i, lab in enumerate(labels)}
     n = len(labels)
     rows = [0] * n
@@ -242,12 +259,10 @@ def validate_bounded_poset(elements, cover_pairs) -> BoundedPoset:
             raise InvalidStructure(f"cover ({lo}, {hi}) uses an undeclared element")
         rows[index[lo]] |= 1 << index[hi]
     close_relation(rows)
-    for i in range(n):
-        for j in iter_bits(rows[i]):
-            if j != i and rows[j] >> i & 1:
-                raise InvalidStructure(
-                    f"cycle detected through {labels[i]} and {labels[j]}"
-                )
+    order = check_order(Poset(labels, tuple(rows)))
+    if not order.ok:
+        where = dict(order.violations[0].where)
+        raise InvalidStructure(f"cycle detected through {where['a']} and {where['c']}")
     full = (1 << n) - 1
     bottoms = [i for i in range(n) if rows[i] == full]
     if len(bottoms) != 1:

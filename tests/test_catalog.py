@@ -19,6 +19,7 @@ from pealab import (
     Poset,
     PseudoEffectAlgebra,
     build_catalog,
+    check_order,
     check_pdp,
     check_pea,
     enumerate_bounded_posets,
@@ -44,11 +45,8 @@ def brute_force_poset_classes(m):
             for j in range(m):
                 if bits >> (i * m + j) & 1:
                     rows[i] |= 1 << j
-        try:
-            P = Poset(tuple(str(i) for i in range(m)), tuple(rows))
-        except Exception:
-            continue
-        if not any(find_isomorphism(P, Q) for Q in found):
+        P = Poset(tuple(str(i) for i in range(m)), tuple(rows))
+        if check_order(P).ok and not any(find_isomorphism(P, Q) for Q in found):
             found.append(P)
     return found
 

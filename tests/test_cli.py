@@ -11,6 +11,11 @@ from pealab.plmaps import pl_map
 from pealab.io import plmap_to_obj
 
 
+COLLAPSE_FORK = str(
+    Path(__file__).resolve().parent.parent / "samples" / "collapse_fork.json"
+)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -474,6 +479,8 @@ class TestTransferVerbs:
                      id="max-target-n=-2"),
         pytest.param(["--generate", "5", "--max-source-n", "0"],
                      id="max-source-n=0"),
+        pytest.param(["--fork", COLLAPSE_FORK, "--max-source-n", "0"],
+                     id="fork-max-source-n=0"),
     ])
     def test_verify_coeq_nonpositive_count_exits_two(self, capsys, argv):
         code, out = run(capsys, "verify-coeq", *argv)
@@ -481,6 +488,20 @@ class TestTransferVerbs:
         assert out.startswith("error: ")
         assert "RESULT: PASS" not in out
         assert out.rstrip().endswith("RESULT: FAIL verify-coeq")
+
+    def test_verify_coeq_fork_caps_only_the_target_size(self, capsys,
+                                                       monkeypatch):
+        # a fork file brings its own sources, so --max-source-n (default 5)
+        # builds nothing and is not held against PEALAB_MAX_N
+        monkeypatch.setenv("PEALAB_MAX_N", "4")
+        code, out = run(capsys, "verify-coeq", "--fork", COLLAPSE_FORK,
+                        "--max-target-n", "4")
+        assert code == 0
+        assert out.rstrip().endswith("RESULT: PASS verify-coeq")
+        code, out = run(capsys, "verify-coeq", "--fork", COLLAPSE_FORK,
+                        "--max-target-n", "5")
+        assert code == 2
+        assert out.startswith("error: n=5 exceeds the configured limit 4\n")
 
 
 class TestWitness:

@@ -117,7 +117,7 @@ class TestCheckPea:
             pytest.param({(1, 1): None}, [
                 "PE2 violated at a=a: 0 elements d satisfy a+d=1",
                 "PE2 violated at a=a: 0 elements e satisfy e+a=1",
-                "order violated at a=a: one is not above this element",
+                "order violated at a=a: top is not above this element",
             ], id="PE2"),
             pytest.param({(2, 0): None}, [
                 "PE1 violated at a=a, b=a, c=0: "
@@ -126,8 +126,8 @@ class TestCheckPea:
                 "PE2 violated at a=1: 0 elements d satisfy a+d=1",
                 "PE3 violated at a=0, b=1: no d with d+a = a+b",
                 "PE3 violated at a=0, b=1: no e with b+e = a+b",
-                "order violated at a=1: induced relation not reflexive",
-                "order violated at a=1: one is not above this element",
+                "order violated at a=1: relation not reflexive",
+                "order violated at a=1: top is not above this element",
             ], id="PE3"),
         ],
     )
@@ -135,10 +135,22 @@ class TestCheckPea:
         assert check_pea(with_cells(c3_pea(), cells)).lines() == expected
 
     def test_order_layer_is_reported_separately(self):
-        # dropping 0+a breaks reflexivity of the induced relation at a
+        # dropping 0+a takes a out of the induced up-set of 0
         broken = drop_cell(c3_pea(), 0, 1)
         rules = {v.rule for v in check_pea(broken).violations}
         assert "order" in rules
+
+
+class TestShape:
+    @pytest.mark.parametrize("plus, message", [
+        (((0, 1),), "addition table size does not match the carrier"),
+        (((0, 1), (1,)), "addition table size does not match the carrier"),
+        (((0, 2), (1, None)), "addition table references unknown elements"),
+        (((0, -1), (1, None)), "addition table references unknown elements"),
+    ])
+    def test_table_shape_messages(self, plus, message):
+        with pytest.raises(InvalidStructure, match=f"^{message}$"):
+            PseudoEffectAlgebra(("0", "1"), plus, 0, 1)
 
 
 class TestInducedOrder:
@@ -153,7 +165,11 @@ class TestInducedOrder:
 
     def test_invalid_relation_is_reported_not_repaired(self):
         broken = drop_cell(c3_pea(), 0, 1)
-        with pytest.raises(InvalidStructure, match="induced order"):
+        with pytest.raises(
+            InvalidStructure,
+            match="^induced order: order violated at a=0: "
+            "bottom is not below every element$",
+        ):
             induced_order(broken)
 
 

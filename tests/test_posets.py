@@ -12,29 +12,35 @@ from helpers import (
     c4,
     coequalizer_order_oracle,
     diamond,
+    pooled_split_forks,
     relabelled,
     split_fork_equations_by_composition,
 )
 from pealab import (
+    BoundedPoset,
     InvalidStructure,
     Poset,
     PosetMorphism,
     SplitFork,
     check_morphism,
+    check_order,
     coequalizer_bposets,
     coequalizer_posets,
     comparison_isomorphism,
     enumerate_bounded_posets,
     enumerate_morphisms,
     find_isomorphism,
+    generate_split_forks,
     identity,
     interval_poset,
     is_coequalizer,
     is_split_fork,
     isomorphisms,
     product_bposets,
+    triple_poset,
     validate_bounded_poset,
 )
+from pealab.pea import induced_relation
 
 
 class TestValidateBoundedPoset:
@@ -63,6 +69,103 @@ class TestValidateBoundedPoset:
         for P in (c3(), c4(), diamond()):
             covers = [(P.labels[a], P.labels[b]) for a, b in P.cover_pairs()]
             assert validate_bounded_poset(P.labels, covers) == P
+
+
+class TestCheckOrder:
+    @pytest.mark.parametrize(
+        "P, expected",
+        [
+            pytest.param(Poset(("a", "b"), (0b10, 0b10)), [
+                "order violated at a=a: relation not reflexive",
+            ], id="not-reflexive"),
+            pytest.param(Poset(("a", "b"), (0b11, 0b11)), [
+                "order violated at a=a, c=b: relation not antisymmetric",
+                "order violated at a=b, c=a: relation not antisymmetric",
+            ], id="cycle"),
+            pytest.param(Poset(("a", "b", "c"), (0b011, 0b110, 0b100)), [
+                "order violated at a=a: "
+                "relation not transitive: a <= b <= c but not a <= c",
+            ], id="not-transitive"),
+            pytest.param(BoundedPoset(c3().labels, c3().leq, 1, 2), [
+                "order violated at a=a: bottom is not below every element",
+            ], id="wrong-bottom"),
+            pytest.param(BoundedPoset(c3().labels, c3().leq, 0, 1), [
+                "order violated at a=1: top is not above this element",
+            ], id="wrong-top"),
+        ],
+    )
+    def test_each_failure_is_reported_with_its_witnesses(self, P, expected):
+        report = check_order(P)
+        assert report.subject == "order" and not report.ok
+        assert report.lines() == expected
+
+    def test_several_failures_are_all_listed_in_a_fixed_order(self):
+        # w is not reflexive and lies on a cycle with x; w <= x <= y and
+        # x <= y <= z are not closed; y is declared bottom and w top
+        P = BoundedPoset(("w", "x", "y", "z"), (0b0010, 0b0111, 0b1100, 0b1000),
+                         2, 0)
+        assert check_order(P).lines() == [
+            "order violated at a=w: relation not reflexive",
+            "order violated at a=w, c=x: relation not antisymmetric",
+            "order violated at a=x, c=w: relation not antisymmetric",
+            "order violated at a=w: relation not transitive: "
+            "w <= x <= y but not w <= y",
+            "order violated at a=x: relation not transitive: "
+            "x <= y <= z but not x <= z",
+            "order violated at a=y: bottom is not below every element",
+            "order violated at a=w: top is not above this element",
+            "order violated at a=y: top is not above this element",
+            "order violated at a=z: top is not above this element",
+        ]
+        assert [dict(v.where) for v in check_order(P).violations][:3] == [
+            {"a": "w"}, {"a": "w", "c": "x"}, {"a": "x", "c": "w"},
+        ]
+
+    def test_orders_pass(self):
+        for P in (c2(), c3(), c4(), diamond(), Poset((), ())):
+            assert check_order(P).ok
+        # the same rows pass as a plain poset without bounds
+        assert check_order(Poset(c3().labels, c3().leq)).ok
+
+
+class TestGeneratedOrdersPassCheckOrder:
+    """Constructors check shape only, so every order the program generates
+    or derives is checked here instead."""
+
+    def test_bounded_classes_and_their_opposites(self, monkeypatch):
+        monkeypatch.setenv("PEALAB_MAX_N", "8")
+        classes = enumerate_bounded_posets(8)
+        assert len(classes) == 407
+        for P in classes:
+            assert check_order(P).ok
+            assert check_order(Poset(P.labels, P.down)).ok
+
+    def test_interval_and_triple_posets(self, catalog6):
+        for entry in catalog6:
+            assert check_order(interval_poset(entry.base)).ok
+            assert check_order(triple_poset(entry.base)).ok
+
+    def test_products_of_pairs(self):
+        bases = enumerate_bounded_posets(4)
+        for P in bases:
+            for R in bases:
+                assert check_order(product_bposets([P, R])).ok
+
+    def test_coequalizers_of_pooled_split_forks(self, pdps5):
+        for fork in pooled_split_forks(pdps5):
+            for coequalize in (coequalizer_posets, coequalizer_bposets):
+                Q, _ = coequalize(fork.f, fork.g)
+                assert check_order(Q).ok
+
+    def test_fork_quotients(self, pdps5):
+        forks = generate_split_forks(pdps5, 120, 2024)
+        assert all(check_order(fork.Q).ok for _, _, fork in forks)
+
+    def test_induced_orders_of_the_catalog(self, catalog6):
+        for entry in catalog6:
+            for A in entry.structures:
+                P = induced_relation(A)
+                assert check_order(P).ok and P == entry.base
 
 
 class TestCheckMorphism:
@@ -98,6 +201,18 @@ class TestShape:
     def test_short_table_is_rejected(self):
         with pytest.raises(InvalidStructure, match="does not cover the source"):
             PosetMorphism(c3(), c3(), (0, 2))
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Poset(("a",), (0b11,)), "order table references unknown elements"),
+        (lambda: Poset(("a",), (-1,)), "order table references unknown elements"),
+        (lambda: Poset(("a", "a"), (1, 2)), "duplicate element labels"),
+        (lambda: Poset(("a",), ()), "order table size does not match element count"),
+        (lambda: BoundedPoset(c2().labels, c2().leq, 0, 2),
+         "bottom/top index out of range"),
+    ])
+    def test_constructors_check_shape(self, make, message):
+        with pytest.raises(InvalidStructure, match=f"^{message}$"):
+            make()
 
     def test_empty_poset_has_the_empty_map(self):
         empty = Poset((), ())

@@ -6,8 +6,13 @@ element at a time: each class on k elements gets a new maximal element
 above each of its down-sets, and the results are deduplicated by their
 least relabelled row tuple, which also orders the classes (McKay,
 Isomorph-free exhaustive generation, J. Algorithms 1998; Brinkmann &
-McKay, Posets on up to 16 points, Order 2002).  Each level grows from
-the one below, so one pass lists every size up to a bound, by size.
+McKay, Posets on up to 16 points, Order 2002).  Following McKay's
+canonical construction path, a child is kept only when its new element
+has a largest down-set among its maximal elements, which every class
+has, so about half the children are dropped before their canonical form
+is computed; enumerate_posets proves that no class is lost.  Each level
+grows from the one below, so one pass lists every size up to a bound, by
+size.
 Structures are then searched per class, as labelled tables, in their
 difference form: by PD1 and PD2, c/- is a dual automorphism of the
 down-set of c whose inverse is c\\-, so a structure is one dual
@@ -88,9 +93,13 @@ def _canonical_rows(rows, m: int) -> tuple[int, ...]:
        strict down-set as well are exchanged by an automorphism that fixes
        every other element, labelled ones included, so their subtrees hold
        the same keys and one branch suffices.
+
+    By fact 1 everything strictly below a newly labelled element is still
+    unlabelled, so each unlabelled element keeps the bits of the labels
+    above it in ``above``, set as labels are given and cleared on backtrack.
     """
     down = transpose_rows(rows)
-    label = [0] * m
+    above = [0] * m
     key = [0] * m
     best: tuple[int, ...] = ()
 
@@ -100,13 +109,12 @@ def _canonical_rows(rows, m: int) -> tuple[int, ...]:
         if k == m:
             best = tuple(key)
             return
+        bit = 1 << k
         least, picks = 1 << m, []
         for x in iter_bits(free):
             if rows[x] & free != 1 << x:
                 continue  # not maximal among the unlabelled (fact 1)
-            row = 1 << k
-            for y in iter_bits(rows[x] ^ 1 << x):
-                row |= 1 << label[y]
+            row = above[x] | bit
             if row < least:
                 least, picks = row, [x]
             elif row == least:
@@ -122,25 +130,49 @@ def _canonical_rows(rows, m: int) -> tuple[int, ...]:
             if below in strict_downs:
                 continue  # fact 3
             strict_downs.add(below)
-            label[x] = k
+            for y in iter_bits(below):
+                above[y] |= bit
             extend(k + 1, free ^ 1 << x, tied)
+            for y in iter_bits(below):
+                above[y] ^= bit
             tied = True  # best now completes key[:k+1]
 
     extend(0, (1 << m) - 1, False)
     return best
 
 
-def enumerate_posets(m: int) -> list[Poset]:
+def enumerate_posets(m: int, generation: list | None = None) -> list[Poset]:
     """One representative per isomorphism class of posets on 0..m
     elements, by size and then by canonical row tuple.
 
     Classes on k+1 elements come from those on k by adding a new maximal
-    element above each down-set, the empty one included.  That reaches
-    every class: removing a maximal element of a (k+1)-poset leaves a poset
-    isomorphic to a representative, under which its strict down-set maps
-    to a down-set.  Duplicates meet in the canonical form.  A negative m
-    raises InvalidStructure, and an m past the labels in _MIDDLE_LABELS
-    LimitExceeded, before any work.
+    element above a down-set, the empty one included, and duplicates meet
+    in the canonical form.  A child is skipped when another of its maximal
+    elements has a larger down-set than the new one.
+
+    Lemma: every class C on k+1 elements is still reached.  Let z be a
+    maximal element of C whose down-set is largest among them.  C - z is
+    isomorphic to a representative P, under which the strict down-set of z,
+    a down-set of C - z, maps to a down-set I of P; the child of P over I
+    is isomorphic to C with the new element in z's place.  The child's
+    other maximal elements are the maximal elements of P outside I, the
+    images of the maximal elements of C other than z.  The new element lies
+    above none of them, so their down-sets are those in C, none larger
+    than z's, and the child is kept.  Every skipped child is thus
+    isomorphic to a kept one, and the classes are those of the unskipped
+    generation.
+
+    The down-sets of a parent are built directly: its rows are canonical,
+    so everything below an element has a larger index (fact 1 of
+    _canonical_rows).  Elements are decided from the last index to the
+    first, so the whole strict down-set of each is decided before it, and
+    it joins exactly the down-sets that already hold that strict down-set.
+
+    When a list is given as ``generation``, one record per grown level is
+    appended to it: the level's size n, the down-sets of its parents, the
+    children skipped, the canonical forms computed and the classes found.
+    A negative m raises InvalidStructure, and an m past the labels in
+    _MIDDLE_LABELS LimitExceeded, before any work.
     """
     if m < 0:
         raise InvalidStructure(
@@ -155,29 +187,50 @@ def enumerate_posets(m: int) -> list[Poset]:
     classes = list(level)
     for k in range(m):
         canon = set()
+        down_sets = skipped = 0
         for rows in level:
             down = transpose_rows(rows)
-            for ideal in range(1 << k):
-                if any(down[x] & ~ideal for x in iter_bits(ideal)):
+            ideals = [0]
+            for i in range(k - 1, -1, -1):
+                below = down[i] ^ 1 << i
+                ideals += [ideal | 1 << i for ideal in ideals if below & ~ideal == 0]
+            # larger[s]: the maximal elements whose down-set has more than s
+            larger = [0] * (k + 2)
+            for x in range(k):
+                if rows[x] == 1 << x:
+                    for s in range(down[x].bit_count()):
+                        larger[s] |= 1 << x
+            down_sets += len(ideals)
+            for ideal in ideals:
+                if larger[ideal.bit_count() + 1] & ~ideal:
+                    skipped += 1
                     continue
                 grown = [row | (ideal >> i & 1) << k for i, row in enumerate(rows)]
                 canon.add(_canonical_rows(grown + [1 << k], k + 1))
         level = sorted(canon)
         classes += level
+        if generation is not None:
+            generation.append(dict(
+                n=k + 1, down_sets=down_sets, skipped=skipped,
+                canonical_forms=down_sets - skipped, classes=len(level),
+            ))
     return [Poset(tuple(_MIDDLE_LABELS[: len(rows)]), rows) for rows in classes]
 
 
-def enumerate_bounded_posets(max_n: int) -> list[BoundedPoset]:
+def enumerate_bounded_posets(
+    max_n: int, generation: list | None = None
+) -> list[BoundedPoset]:
     """One representative per isomorphism class of bounded posets on
     1..max_n elements, in the order of enumerate_posets: the one-element
-    poset, then each class on n-2 points between a new bottom and top."""
+    poset, then each class on n-2 points between a new bottom and top.
+    ``generation`` gets enumerate_posets's records, by number of points."""
     check_size(max_n)
     if max_n < 1:
         raise InvalidStructure("a bounded poset needs at least one element")
     out = [BoundedPoset(("0",), (1,), 0, 0)]
     if max_n == 1:
         return out
-    for middle in enumerate_posets(max_n - 2):
+    for middle in enumerate_posets(max_n - 2, generation):
         n = middle.n + 2
         top = 1 << n - 1
         rows = ((1 << n) - 1, *(top | row << 1 for row in middle.leq), top)
@@ -257,11 +310,14 @@ class CatalogEntry:
     structures: tuple[PseudoEffectAlgebra, ...] | None  # None: not searched
 
 
-def build_catalog(max_n: int) -> list[CatalogEntry]:
-    """Catalog entries for every bounded-poset class of size 1..max_n."""
+def build_catalog(
+    max_n: int, generation: list | None = None
+) -> list[CatalogEntry]:
+    """Catalog entries for every bounded-poset class of size 1..max_n;
+    ``generation`` as for enumerate_bounded_posets."""
     return [
         CatalogEntry(base, tuple(enumerate_pea_structures(base)))
-        for base in enumerate_bounded_posets(max_n)
+        for base in enumerate_bounded_posets(max_n, generation)
     ]
 
 

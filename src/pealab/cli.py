@@ -347,10 +347,14 @@ def _cmd_enumerate(args) -> int:
     out = _Output("enumerate", args.json)
     if args.n < 1:
         raise FormatError(f"--n needs at least one element, got {args.n}")
+    generation: list[dict] = []
     if args.structures:
-        entries = build_catalog(args.n)
+        entries = build_catalog(args.n, generation)
     else:
-        entries = [CatalogEntry(b, None) for b in enumerate_bounded_posets(args.n)]
+        entries = [
+            CatalogEntry(b, None)
+            for b in enumerate_bounded_posets(args.n, generation)
+        ]
     summary = []
     for n, group in groupby(entries, key=lambda e: e.base.n):
         group = list(group)
@@ -371,6 +375,8 @@ def _cmd_enumerate(args) -> int:
     if args.output:  # the catalog object is built only to be written
         out.write(args.output, catalog_to_obj(entries, args.n))
     out.payload["summary"] = summary
+    # by bounded size, as in the summary: a poset on n points gains two bounds
+    out.payload["generation"] = [dict(r, n=r["n"] + 2) for r in generation]
     return out.finish(True)
 
 

@@ -9,7 +9,9 @@ values asserted in the tests were computed with these.  Hom sets of
 pseudo D-posets also have a faster second route, which uses the
 package's map search without forcing rules (itself checked against the
 scan over all functions): every bounded-poset map, filtered through
-``preserves_differences``.  The morphism
+``preserves_differences``.  Poset-class generation is checked against
+its unfiltered loop, which tests every subset of each parent for a
+down-set and canonicalises every child.  The morphism
 checkers get plain restatements of their definitions, and the
 universal-property check a reference that counts mediators by scanning
 the whole hom set out of Q'.
@@ -37,7 +39,9 @@ from pealab import (
     split_fork_pool,
     validate_bounded_poset,
 )
+from pealab.catalog import _canonical_rows
 from pealab.pdp import preserves_differences
+from pealab.posets import iter_bits, transpose_rows
 
 
 def count_builds(monkeypatch, cls, name: str) -> list:
@@ -258,6 +262,32 @@ def scanned_poset_classes(m: int) -> list[tuple[int, ...]]:
         ):
             canon.add(brute_force_canonical_rows(rows, m))
     return sorted(canon)
+
+
+def unfiltered_poset_levels(m: int) -> list[tuple[list, int]]:
+    """For k = 1..m, the sorted canonical row tuples of the k-point poset
+    classes and the number of children they were grown from.
+
+    Each class on k-1 points gets a new maximal element above every subset
+    that is a down-set, found by testing all of them, and every child is
+    canonicalised: no skip rule and no direct down-set construction.
+    """
+    level: list[tuple[int, ...]] = [()]
+    out = []
+    for k in range(m):
+        canon = set()
+        children = 0
+        for rows in level:
+            down = transpose_rows(rows)
+            for ideal in range(1 << k):
+                if any(down[x] & ~ideal for x in iter_bits(ideal)):
+                    continue
+                children += 1
+                grown = [row | (ideal >> i & 1) << k for i, row in enumerate(rows)]
+                canon.add(_canonical_rows(grown + [1 << k], k + 1))
+        level = sorted(canon)
+        out.append((level, children))
+    return out
 
 
 def coequalizer_order_oracle(f: PosetMorphism, g: PosetMorphism):

@@ -12,6 +12,7 @@ from helpers import (
     c4,
     diamond,
     scanned_poset_classes,
+    unfiltered_poset_levels,
 )
 from pealab import (
     InvalidStructure,
@@ -104,6 +105,21 @@ class TestPosetEnumeration:
             P.leq for P in enumerate_posets(m) if P.n == m
         ] == scanned_poset_classes(m)
 
+    def test_generation_matches_the_unfiltered_loop(self):
+        # the skip rule and the direct down-sets change no level, and every
+        # down-set is either skipped or canonicalised
+        generation = []
+        posets = enumerate_posets(7, generation)
+        oracle = unfiltered_poset_levels(7)
+        for k, (level, children) in enumerate(oracle, start=1):
+            assert [P.leq for P in posets if P.n == k] == level
+            record = generation[k - 1]
+            assert record["n"] == k
+            assert record["down_sets"] == children
+            assert record["skipped"] + record["canonical_forms"] == children
+            assert record["classes"] == len(level)
+        assert len(generation) == 7
+
     def test_one_pass_lists_every_level_by_size(self):
         # the up-to list is the relation scan's classes, size by size
         posets = enumerate_posets(5)
@@ -156,11 +172,11 @@ class TestBoundedPosetEnumeration:
     def test_class_counts(self, monkeypatch):
         # OEIS A000112 shifted by two: posets on n-2 points; one pass lists
         # every size, in order of size
-        monkeypatch.setenv("PEALAB_MAX_N", "9")
-        sizes = [P.n for P in enumerate_bounded_posets(9)]
+        monkeypatch.setenv("PEALAB_MAX_N", "10")
+        sizes = [P.n for P in enumerate_bounded_posets(10)]
         assert sizes == sorted(sizes)
-        assert [sizes.count(n) for n in range(1, 10)] == [
-            1, 1, 1, 2, 5, 16, 63, 318, 2045,
+        assert [sizes.count(n) for n in range(1, 11)] == [
+            1, 1, 1, 2, 5, 16, 63, 318, 2045, 16999,
         ]
 
     def test_four_element_classes_are_chain_and_diamond(self):

@@ -277,6 +277,24 @@ class TestEnumerate:
             "error": {"kind": "LimitExceeded", "message": message},
         }
 
+    def test_json_records_each_generated_level(self, capsys, tmp_path):
+        json_path = tmp_path / "report.json"
+        code, out = run(capsys, "enumerate", "--n", "7", "--json", str(json_path))
+        assert code == 0
+        assert out.splitlines()[-2:] == [
+            "n=7: 63 bounded-poset classes", "RESULT: PASS enumerate",
+        ]
+        payload = json.loads(json_path.read_text())
+        fields = ("n", "down_sets", "skipped", "canonical_forms", "classes")
+        assert [tuple(r[f] for f in fields) for r in payload["generation"]] == [
+            (3, 1, 0, 1, 1),
+            (4, 2, 0, 2, 2),
+            (5, 7, 1, 6, 5),
+            (6, 28, 7, 21, 16),
+            (7, 135, 44, 91, 63),
+        ]
+        assert all(len(r) == len(fields) for r in payload["generation"])
+
     def test_nonpositive_n_exits_two(self, capsys):
         code, out = run(capsys, "enumerate", "--n", "0")
         assert code == 2
@@ -325,9 +343,9 @@ def test_each_verb_generates_the_classes_once(capsys, monkeypatch, argv):
     sizes = []
     generate = catalog.enumerate_posets
 
-    def counting(m):
+    def counting(m, generation=None):
         sizes.append(m)
-        return generate(m)
+        return generate(m, generation)
 
     monkeypatch.setattr(catalog, "enumerate_posets", counting)
     code, _ = run(capsys, *argv)

@@ -80,6 +80,12 @@ class _Output:
         self.say(f"wrote {path}")
         return True
 
+    def result(self, path, obj) -> bool:
+        """Record obj, the structure a verb made, in the payload and write
+        it to the -o path, if one was given."""
+        self.payload["structure"] = obj
+        return self.write(path, obj)
+
     def finish(self, ok: bool, code: int | None = None) -> int:
         code = (0 if ok else 1) if code is None else code
         self.payload["ok"] = ok
@@ -96,9 +102,9 @@ def _arrows(label_map: dict[str, str]) -> str:
     return ", ".join(f"{k}->{v}" for k, v in label_map.items())
 
 
-def _report_into(out: _Output, report: Report) -> bool:
+def _report_into(out: _Output, report: Report, named: bool = False) -> bool:
     for line in report.lines():
-        out.say(line)
+        out.say(f"{report.subject}: {line}" if named else line)
     for note in report.notes:
         out.say(note)
     out.payload.setdefault("reports", []).append(report.to_obj())
@@ -122,12 +128,37 @@ def _load_declared(path):
     return structure, ()
 
 
-def _load_pdp_morphism(mf: io.MorphismFile, what: str) -> PDPMorphism:
-    if not isinstance(mf.source, PseudoDPoset) or not isinstance(
-        mf.target, PseudoDPoset
-    ):
-        raise FormatError(f"{what} needs difference tables on both ends")
-    return PDPMorphism(mf.source, mf.target, mf.poset_map())
+def _checked(structure, kind, name: str):
+    """A parsed structure as the kind a verb computes with, checked where
+    it enters: a BoundedPoset kind takes its order (io.base_of); the other
+    two kinds take either kind of tables, converted once check_pea or
+    check_pdp passes.  InvalidStructure names the input and the first
+    violation; an input without tables raises FormatError."""
+    if kind is BoundedPoset:
+        try:
+            return io.base_of(structure)
+        except InvalidStructure as exc:  # an addition that induces no order
+            raise InvalidStructure(f"{name}: {exc}") from exc
+    if isinstance(structure, BoundedPoset):
+        raise FormatError(f"{name} carries no addition or difference tables")
+    pea = isinstance(structure, PseudoEffectAlgebra)
+    report = (check_pea if pea else check_pdp)(structure)
+    if not report.ok:
+        raise InvalidStructure(f"{name} fails {report.subject}: {report.violations[0]}")
+    if isinstance(structure, kind):
+        return structure
+    return pea_to_pdp(structure) if pea else pdp_to_pea(structure)
+
+
+def _load(path, kind):
+    return _checked(io.load_structure(path), kind, path)
+
+
+def _arrow(mf: io.MorphismFile, kind):
+    """(source, target, map) of a morphism file, both ends taken in as kind."""
+    source = _checked(mf.source, kind, mf.names[0])
+    target = _checked(mf.target, kind, mf.names[1])
+    return source, target, mf.poset_map()
 
 
 def _cmd_check(args) -> int:
@@ -151,25 +182,18 @@ def _cmd_check(args) -> int:
         if ok:
             out.say(f"pseudo D-poset on {X.n} elements")
     elif args.bposet:
-        structure = io.load_structure(args.bposet)
-        base = io.base_of(structure)
+        base = _load(args.bposet, BoundedPoset)
         out.say(f"bounded poset on {base.n} elements "
                 f"(bottom {base.labels[base.bottom]}, top {base.labels[base.top]})")
     elif args.morphism:
-        mf = io.load_morphism(args.morphism)
-        ok = _report_into(out, check_morphism(mf.poset_map()))
+        m = _arrow(io.load_morphism(args.morphism), BoundedPoset)[2]
+        ok = _report_into(out, check_morphism(m))
     elif args.pdp_morphism:
-        h = _load_pdp_morphism(io.load_morphism(args.pdp_morphism), "check")
+        h = PDPMorphism(*_arrow(io.load_morphism(args.pdp_morphism), PseudoDPoset))
         ok = _report_into(out, check_pdp_morphism(h))
     elif args.pea_morphism:
-        mf = io.load_morphism(args.pea_morphism)
-        if not isinstance(mf.source, PseudoEffectAlgebra) or not isinstance(
-            mf.target, PseudoEffectAlgebra
-        ):
-            raise FormatError("check needs addition tables on both ends")
-        ok = _report_into(
-            out, check_pea_morphism(mf.poset_map(), mf.source, mf.target)
-        )
+        A, B, m = _arrow(io.load_morphism(args.pea_morphism), PseudoEffectAlgebra)
+        ok = _report_into(out, check_pea_morphism(m, A, B))
     elif args.plmap:
         f = io.load_plmap(args.plmap)
         hit = find_band_violation(f)
@@ -181,15 +205,21 @@ def _cmd_check(args) -> int:
             out.say("map stays inside the band x <= f(x) <= 2x")
     elif args.fork:
         fork = _assemble_fork(io.load_fork(args.fork))
-        ok = is_split_fork(fork)
-        out.say("split-fork equations " + ("hold" if ok else "fail"))
+        for name in ("f", "g", "q", "s", "t"):  # named as io names them
+            arrow = Report(f"{args.fork}.{name}",
+                           check_morphism(getattr(fork, name)).violations)
+            if not arrow.ok:
+                ok = _report_into(out, arrow, named=True)
+        equations = is_split_fork(fork)
+        out.say("split-fork equations " + ("hold" if equations else "fail"))
+        ok = ok and equations
     else:  # pragma: no cover - argparse enforces the group
         raise FormatError("nothing to check")
     return out.finish(ok)
 
 
 def _assemble_fork(ff: io.ForkFile) -> SplitFork:
-    f, g, q, s, t = (m.poset_map() for m in (ff.f, ff.g, ff.q, ff.s, ff.t))
+    f, g, q, s, t = (_arrow(m, BoundedPoset)[2] for m in (ff.f, ff.g, ff.q, ff.s, ff.t))
     return SplitFork(f.source, f.target, q.target, f, g, q, s, t)
 
 
@@ -197,87 +227,64 @@ def _cmd_convert(args) -> int:
     out = _Output("convert", args.json)
     structure, extra = _load_declared(args.input)
     if args.to in ("interval", "triple"):
-        base = io.base_of(structure)
+        base = _checked(structure, BoundedPoset, args.input)
         made = (interval_poset if args.to == "interval" else triple_poset)(base)
         obj = io.poset_obj(made)
         out.say(f"{args.to} poset on {made.n} elements (dump-only: "
                 "derived posets need not be bounded)")
-    elif isinstance(structure, PseudoEffectAlgebra):
-        if extra:
-            raise InvalidStructure(extra[0].detail)
-        obj = io.structure_to_obj(
-            pea_to_pdp(structure) if args.to == "pdp" else structure
-        )
-    elif isinstance(structure, PseudoDPoset):
-        obj = io.structure_to_obj(
-            pdp_to_pea(structure) if args.to == "pea" else structure
-        )
     else:
-        raise FormatError("input has no algebraic tables to convert")
-    if not out.write(args.output, obj):
+        if extra:
+            raise InvalidStructure(f"{args.input}: {extra[0].detail}")
+        kind = PseudoEffectAlgebra if args.to == "pea" else PseudoDPoset
+        obj = io.structure_to_obj(_checked(structure, kind, args.input))
+    if not out.result(args.output, obj):
         out.say(io.dumps(obj).rstrip("\n"))
-    out.payload["structure"] = obj
     return out.finish(True)
 
 
 def _cmd_product(args) -> int:
     out = _Output("product", args.json)
     structures = [io.load_structure(p) for p in args.inputs]
-    if any(isinstance(s, PseudoEffectAlgebra) for s in structures):
-        structures = [
-            pea_to_pdp(s) if isinstance(s, PseudoEffectAlgebra) else s
-            for s in structures
-        ]
-    if all(isinstance(s, PseudoDPoset) for s in structures):
-        result = product_pdp(structures)
-        out.say(f"product pseudo D-poset on {result.n} elements")
-    elif all(isinstance(s, BoundedPoset) for s in structures):
-        result = product_bposets(structures)
-        out.say(f"product bounded poset on {result.n} elements")
-    else:
-        raise FormatError("product inputs must all be of the same kind")
-    obj = io.structure_to_obj(result)
-    out.write(args.output, obj)
-    out.payload["structure"] = obj
+    # plain orders multiply as orders; any tables make it a pseudo D-poset,
+    # and so does the empty product
+    plain = structures and all(isinstance(s, BoundedPoset) for s in structures)
+    kind = BoundedPoset if plain else PseudoDPoset
+    factors = [_checked(s, kind, p) for s, p in zip(structures, args.inputs)]
+    result = (product_bposets if plain else product_pdp)(factors)
+    out.say(f"product {'bounded poset' if plain else 'pseudo D-poset'} "
+            f"on {result.n} elements")
+    out.result(args.output, io.structure_to_obj(result))
     return out.finish(True)
 
 
 def _cmd_equalize(args) -> int:
     out = _Output("equalize", args.json)
-    f = _load_pdp_morphism(io.load_morphism(args.f), "equalize")
-    g = _load_pdp_morphism(io.load_morphism(args.g), "equalize")
+    f, g = (
+        PDPMorphism(*_arrow(io.load_morphism(p), PseudoDPoset))
+        for p in (args.f, args.g)
+    )
     E, inclusion = equalizer_pdp(f, g)
     out.say(f"equalizer carrier: {{{', '.join(E.labels)}}}")
-    obj = io.structure_to_obj(E)
-    out.write(args.output, obj)
-    out.payload["structure"] = obj
+    out.result(args.output, io.structure_to_obj(E))
     out.payload["inclusion"] = inclusion.poset_map.label_map()
     return out.finish(True)
 
 
 def _cmd_coequalize(args) -> int:
     out = _Output("coequalize", args.json)
-    f = io.load_morphism(args.f).poset_map()
-    g = io.load_morphism(args.g).poset_map()
+    f, g = (_arrow(io.load_morphism(p), BoundedPoset)[2] for p in (args.f, args.g))
     Q, q = coequalizer_bposets(f, g)
     out.say(f"coequalizer object on {Q.n} elements")
     out.say("quotient map: " + _arrows(q.label_map()))
-    obj = io.structure_to_obj(Q)
-    out.write(args.output, obj)
-    out.payload["structure"] = obj
+    out.result(args.output, io.structure_to_obj(Q))
     out.payload["quotient"] = q.label_map()
     return out.finish(True)
 
 
 def _fork_with_pdp_pair(ff: io.ForkFile):
-    fork = _assemble_fork(ff)
-    if not isinstance(ff.f.source, PseudoDPoset) or not isinstance(
-        ff.f.target, PseudoDPoset
-    ):
-        raise FormatError("transfer needs difference tables on A and B")
-    f = PDPMorphism(ff.f.source, ff.f.target, fork.f)
-    g = PDPMorphism(ff.f.source, ff.f.target, fork.g)
-    return f, g, fork
+    """The parallel pair, A and B taken in as pseudo D-posets, and the fork."""
+    f, g = (PDPMorphism(*_arrow(mf, PseudoDPoset)) for mf in (ff.f, ff.g))
+    return f, g, _assemble_fork(ff)
 
 
 def _cmd_transfer(args) -> int:
@@ -285,9 +292,7 @@ def _cmd_transfer(args) -> int:
     f, g, fork = _fork_with_pdp_pair(io.load_fork(args.fork))
     result = transfer_structure(f, g, fork)
     _report_into(out, result.diagnostics)
-    obj = io.structure_to_obj(result.Qprime)
-    out.write(args.output, obj)
-    out.payload["structure"] = obj
+    out.result(args.output, io.structure_to_obj(result.Qprime))
     return out.finish(True)
 
 
@@ -382,8 +387,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_hom(args) -> int:
     out = _Output("hom", args.json)
-    P = io.base_of(io.load_structure(args.source))
-    R = io.base_of(io.load_structure(args.target))
+    P, R = (_load(p, BoundedPoset) for p in (args.source, args.target))
     morphisms = enumerate_morphisms(P, R)
     out.say(f"{len(morphisms)} bound-preserving isotone maps")
     for m in morphisms:
@@ -395,8 +399,7 @@ def _cmd_hom(args) -> int:
 
 def _cmd_iso(args) -> int:
     out = _Output("iso", args.json)
-    P = io.base_of(io.load_structure(args.source))
-    R = io.base_of(io.load_structure(args.target))
+    P, R = (_load(p, BoundedPoset) for p in (args.source, args.target))
     iso = find_isomorphism(P, R)
     if iso is None:
         out.say("not isomorphic")
@@ -431,9 +434,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p):
+    def common(p, func, output=True):
+        """The options every verb ends with, and the verb's command."""
+        if output:
+            p.add_argument("-o", "--output", metavar="FILE")
         p.add_argument("--json", metavar="PATH",
                        help="write a machine-readable report to PATH")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("check", help="validate a structure, morphism or map")
     kinds = p.add_mutually_exclusive_group(required=True)
@@ -445,42 +452,31 @@ def build_parser() -> argparse.ArgumentParser:
     kinds.add_argument("--pea-morphism", metavar="FILE")
     kinds.add_argument("--plmap", metavar="FILE")
     kinds.add_argument("--fork", metavar="FILE")
-    common(p)
-    p.set_defaults(func=_cmd_check)
+    common(p, _cmd_check, output=False)
 
     p = sub.add_parser("convert", help="convert between addition and differences")
     p.add_argument("input", metavar="FILE")
     p.add_argument("--to", choices=("pea", "pdp", "interval", "triple"),
                    required=True)
-    p.add_argument("-o", "--output", metavar="FILE")
-    common(p)
-    p.set_defaults(func=_cmd_convert)
+    common(p, _cmd_convert)
 
     p = sub.add_parser("product", help="finite product of structures")
     p.add_argument("inputs", metavar="FILE", nargs="*")
-    p.add_argument("-o", "--output", metavar="FILE")
-    common(p)
-    p.set_defaults(func=_cmd_product)
+    common(p, _cmd_product)
 
     p = sub.add_parser("equalize", help="equalizer of two parallel morphisms")
     p.add_argument("f", metavar="F_FILE")
     p.add_argument("g", metavar="G_FILE")
-    p.add_argument("-o", "--output", metavar="FILE")
-    common(p)
-    p.set_defaults(func=_cmd_equalize)
+    common(p, _cmd_equalize)
 
     p = sub.add_parser("coequalize", help="coequalizer of two parallel morphisms")
     p.add_argument("f", metavar="F_FILE")
     p.add_argument("g", metavar="G_FILE")
-    p.add_argument("-o", "--output", metavar="FILE")
-    common(p)
-    p.set_defaults(func=_cmd_coequalize)
+    common(p, _cmd_coequalize)
 
     p = sub.add_parser("transfer", help="equip a fork's coequalizer with differences")
     p.add_argument("--fork", metavar="FILE", required=True)
-    p.add_argument("-o", "--output", metavar="FILE")
-    common(p)
-    p.set_defaults(func=_cmd_transfer)
+    common(p, _cmd_transfer)
 
     p = sub.add_parser("verify-coeq",
                        help="verify the universal property over catalog targets")
@@ -490,34 +486,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-target-n", type=int, default=4)
     p.add_argument("--max-source-n", type=int, default=5)
-    common(p)
-    p.set_defaults(func=_cmd_verify_coeq)
+    common(p, _cmd_verify_coeq, output=False)
 
     p = sub.add_parser("enumerate", help="catalog small structures up to isomorphism")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--structures", action="store_true",
                    help="also enumerate the addition tables per class")
-    p.add_argument("-o", "--output", metavar="FILE")
-    common(p)
-    p.set_defaults(func=_cmd_enumerate)
+    common(p, _cmd_enumerate)
 
     p = sub.add_parser("hom", help="enumerate bound-preserving isotone maps")
     p.add_argument("source", metavar="SRC_FILE")
     p.add_argument("target", metavar="DST_FILE")
-    common(p)
-    p.set_defaults(func=_cmd_hom)
+    common(p, _cmd_hom, output=False)
 
     p = sub.add_parser("iso", help="search for an order isomorphism")
     p.add_argument("source", metavar="SRC_FILE")
     p.add_argument("target", metavar="DST_FILE")
-    common(p)
-    p.set_defaults(func=_cmd_iso)
+    common(p, _cmd_iso, output=False)
 
     p = sub.add_parser("witness-noncomm",
                        help="emit the noncommutativity witness pair")
-    p.add_argument("-o", "--output", metavar="FILE")
-    common(p)
-    p.set_defaults(func=_cmd_witness_noncomm)
+    common(p, _cmd_witness_noncomm)
 
     return parser
 

@@ -27,18 +27,28 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import FormatError
+from .errors import FormatError, InvalidStructure
 from .pdp import PseudoDPoset
 from .pea import PseudoEffectAlgebra, induced_order
-from .plmaps import BandViolation, PLMap, _frac
+from .plmaps import BandViolation, PLMap
 from .posets import BoundedPoset, PosetMorphism, validate_bounded_poset
-
-_STRUCTURE_KEYS = {"elements", "covers", "plus", "slash", "bslash"}
 
 
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise FormatError(message)
+
+
+def _read_object(obj, what: str, required, optional=(), needs=None) -> None:
+    """Require obj to be a JSON object with every required key and no
+    keys but those; needs words the missing-key message."""
+    _require(isinstance(obj, dict), f"{what} must be a JSON object")
+    unknown = set(obj) - set(required) - set(optional)
+    _require(not unknown, f"{what} has unknown keys: {sorted(unknown)}")
+    if needs is None:
+        *rest, last = map(repr, required)
+        needs = f"{', '.join(rest)} and {last}"
+    _require(all(k in obj for k in required), f"{what} needs {needs}")
 
 
 def _string_list(value, what: str) -> list[str]:
@@ -76,11 +86,7 @@ def parse_declared(obj, what: str = "structure"):
     """(parse_structure's value, the bounded poset that the object's
     elements and covers declare).  For an addition table the two orders
     can differ; callers compare them against the induced order."""
-    _require(isinstance(obj, dict), f"{what} must be a JSON object")
-    unknown = set(obj) - _STRUCTURE_KEYS
-    _require(not unknown, f"{what} has unknown keys: {sorted(unknown)}")
-    _require("elements" in obj and "covers" in obj,
-             f"{what} needs 'elements' and 'covers'")
+    _read_object(obj, what, ("elements", "covers"), ("plus", "slash", "bslash"))
     elements = _string_list(obj["elements"], f"{what} elements")
     _require(len(set(elements)) == len(elements),
              f"{what} declares duplicate elements")
@@ -94,7 +100,10 @@ def parse_declared(obj, what: str = "structure"):
         )
         _require(pair[0] in elements and pair[1] in elements,
                  f"{what} cover {pair} uses unknown elements")
-    base = validate_bounded_poset(elements, covers)
+    try:
+        base = validate_bounded_poset(elements, covers)
+    except InvalidStructure as exc:  # a cycle, or no unique bound
+        raise InvalidStructure(f"{what}: {exc}") from exc
     has_plus = "plus" in obj
     has_diff = "slash" in obj or "bslash" in obj
     _require(not (has_plus and has_diff),
@@ -203,6 +212,8 @@ class MorphismFile:
     source: object
     target: object
     map_labels: dict[str, str]
+    # what errors call each end: its file, or "<what> source|target" inline
+    names: tuple[str, str]
 
     def poset_map(self) -> PosetMorphism:
         src = base_of(self.source)
@@ -216,28 +227,24 @@ class MorphismFile:
 
 
 def parse_morphism(obj, base_dir=None, what: str = "morphism") -> MorphismFile:
-    _require(isinstance(obj, dict), f"{what} must be a JSON object")
-    unknown = set(obj) - {"source", "target", "map"}
-    _require(not unknown, f"{what} has unknown keys: {sorted(unknown)}")
-    _require(all(k in obj for k in ("source", "target", "map")),
-             f"{what} needs 'source', 'target' and 'map'")
+    _read_object(obj, what, ("source", "target", "map"))
 
-    def resolve(value, side):
+    def resolve(side):
+        value, name = obj[side], f"{what} {side}"
         if isinstance(value, str):
             path = Path(value)
             if base_dir is not None and not path.is_absolute():
                 path = Path(base_dir) / path
-            return load_structure(path)
-        return parse_structure(value, f"{what} {side}")
+            value, name = load_json(path), str(path)
+        return parse_structure(value, name), name
 
-    source = resolve(obj["source"], "source")
-    target = resolve(obj["target"], "target")
+    (source, source_name), (target, target_name) = map(resolve, ("source", "target"))
     mapping = obj["map"]
     _require(isinstance(mapping, dict)
              and all(isinstance(k, str) and isinstance(v, str)
                      for k, v in mapping.items()),
              f"{what} map must send element names to element names")
-    return MorphismFile(source, target, dict(mapping))
+    return MorphismFile(source, target, dict(mapping), (source_name, target_name))
 
 
 def load_morphism(path) -> MorphismFile:
@@ -254,11 +261,8 @@ class ForkFile:
 
 
 def parse_fork(obj, base_dir=None, what: str = "fork") -> ForkFile:
-    _require(isinstance(obj, dict), f"{what} must be a JSON object")
     names = ("f", "g", "q", "s", "t")
-    unknown = set(obj) - set(names)
-    _require(not unknown, f"{what} has unknown keys: {sorted(unknown)}")
-    _require(all(k in obj for k in names), f"{what} needs morphisms f, g, q, s, t")
+    _read_object(obj, what, names, needs="morphisms f, g, q, s, t")
     parts = {
         name: parse_morphism(obj[name], base_dir, f"{what}.{name}")
         for name in names
@@ -271,20 +275,11 @@ def load_fork(path) -> ForkFile:
 
 
 def parse_plmap(obj, what: str = "plmap") -> PLMap:
-    _require(isinstance(obj, dict), f"{what} must be a JSON object")
-    unknown = set(obj) - {"breakpoints", "slopes"}
-    _require(not unknown, f"{what} has unknown keys: {sorted(unknown)}")
-    _require("breakpoints" in obj and "slopes" in obj,
-             f"{what} needs 'breakpoints' and 'slopes'")
+    _read_object(obj, what, ("breakpoints", "slopes"))
     _require(isinstance(obj["breakpoints"], list) and isinstance(obj["slopes"], list),
              f"{what} breakpoints and slopes must be lists")
     try:
-        return PLMap(
-            tuple(_frac(b) for b in obj["breakpoints"]),
-            tuple(_frac(s) for s in obj["slopes"]),
-        )
-    except FormatError:
-        raise
+        return PLMap(tuple(obj["breakpoints"]), tuple(obj["slopes"]))
     except Exception as exc:
         raise FormatError(f"{what}: {exc}") from exc
 

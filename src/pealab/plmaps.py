@@ -99,7 +99,7 @@ def doubling_map() -> PLMap:
 
 def pl_map(breakpoints, slopes) -> PLMap:
     """Build a map from rationals given as Fraction, int or 'p/q' strings."""
-    return PLMap(tuple(_frac(b) for b in breakpoints), tuple(_frac(s) for s in slopes))
+    return PLMap(tuple(breakpoints), tuple(slopes))
 
 
 def pl_compose(f: PLMap, g: PLMap) -> PLMap:

@@ -11,9 +11,8 @@ from pealab.plmaps import pl_map
 from pealab.io import plmap_to_obj
 
 
-COLLAPSE_FORK = str(
-    Path(__file__).resolve().parent.parent / "samples" / "collapse_fork.json"
-)
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+COLLAPSE_FORK = str(SAMPLES / "collapse_fork.json")
 
 
 def run(capsys, *argv):
@@ -544,3 +543,180 @@ class TestWitness:
         assert payload["error"]["kind"] == "FormatError"
         assert payload["error"]["message"].startswith(
             f"cannot write {out_path}: ")
+
+
+# Outputs of the commands on valid sample files, as they read before
+# structures were checked where they enter; they must not change.
+def _sample(name):
+    return str(SAMPLES / name)
+
+
+SAMPLE_OUTPUTS = [
+    (["check", "--pea", _sample("c3.json")], 0,
+     "pseudo effect algebra on 3 elements; commutative: True\n"),
+    (["check", "--pdp", _sample("d4_hsum_pdp.json")], 0,
+     "pseudo D-poset on 4 elements\n"),
+    (["check", "--bposet", _sample("c3.json")], 0,
+     "bounded poset on 3 elements (bottom 0, top 1)\n"),
+    (["check", "--plmap", _sample("steep_map.json")], 1,
+     "band violated: value 5 at x = 2 escapes [2, 4]\n"),
+    (["check", "--fork", COLLAPSE_FORK], 0, "split-fork equations hold\n"),
+    (["convert", _sample("d4_hsum_pdp.json"), "--to", "pea"], 0,
+     (SAMPLES / "d4_hsum.json").read_text()),
+    (["convert", _sample("d4_hsum.json"), "--to", "pdp"], 0,
+     (SAMPLES / "d4_hsum_pdp.json").read_text()),
+    (["product", _sample("c3.json"), _sample("c3.json")], 0,
+     "product pseudo D-poset on 9 elements\n"),
+    (["product", _sample("c3.json"), _sample("d4_hsum_pdp.json")], 0,
+     "product pseudo D-poset on 12 elements\n"),
+    (["product"], 0, "product pseudo D-poset on 1 elements\n"),
+    (["transfer", "--fork", COLLAPSE_FORK], 0,
+     "verified commutation of / and \\ over 9 source intervals\n"
+     "transferred structure passes the axioms\n"
+     "quotient map preserves both differences\n"),
+    (["verify-coeq", "--fork", COLLAPSE_FORK], 0,
+     "verified 1 forks against 6 targets of size <= 4; failures: 0\n"),
+    (["hom", _sample("c3.json"), _sample("d4_hsum.json")], 0,
+     "4 bound-preserving isotone maps\n"
+     "  0->0, a->0, 1->1\n  0->0, a->a, 1->1\n"
+     "  0->0, a->b, 1->1\n  0->0, a->1, 1->1\n"),
+    (["iso", _sample("d4_hsum.json"), _sample("d4_hsum_pdp.json")], 0,
+     "isomorphism: 0->0, a->a, b->b, 1->1\n"),
+    (["iso", _sample("c3.json"), _sample("d4_hsum.json")], 1, "not isomorphic\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, expected", SAMPLE_OUTPUTS,
+    ids=["-".join(Path(a).stem.lstrip("-") for a in case[0])
+         for case in SAMPLE_OUTPUTS],
+)
+def test_valid_samples_keep_their_output(capsys, argv, code, expected):
+    verdict = "PASS" if code == 0 else "FAIL"
+    assert run(capsys, *argv) == (code, f"{expected}RESULT: {verdict} {argv[0]}\n")
+
+
+class TestInputsAreCheckedWhereTheyEnter:
+    """Every verb takes its structures in through one checked routine: an
+    input that breaks an axiom exits 1 with an error naming it and its
+    first violation, and one without the tables a verb needs exits 2."""
+
+    # what follows the input's name in the error line
+    PD2 = (" fails check_pdp: PD2 violated at a=0, b=a, c=1: "
+           "(c/a)\\(c/b) differs from b/a")
+    PE1 = (" fails check_pea: PE1 violated at a=a, b=a, c=1: "
+           "(a+b)+c exists but a+(b+c) does not")
+    ORDER = (": induced order: order violated at a=a, c=b: "
+             "relation not antisymmetric")
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        pdp = json.loads((SAMPLES / "d4_hsum_pdp.json").read_text())
+        pdp["slash"]["1,a"] = "1"  # breaks PD2 at a=0, b=a, c=1
+        pea = json.loads((SAMPLES / "d4_hsum.json").read_text())
+        pea["plus"]["1,1"] = "1"  # breaks PE1 at a=a, b=a, c=1
+        cyclic = json.loads((SAMPLES / "d4_hsum.json").read_text())
+        cyclic["plus"].update({"a,b": "b", "b,a": "a"})  # a <= b <= a
+        plain = {"elements": pdp["elements"], "covers": pdp["covers"]}
+        ident = {"0": "0", "a": "a", "b": "b", "1": "1"}
+        paths = {"c3": _sample("c3.json")}
+        for name, obj in (("pdp", pdp), ("pea", pea), ("cyclic", cyclic),
+                          ("plain", plain)):
+            paths[name] = write_json(tmp_path, f"{name}.json", obj)
+            paths[f"m_{name}"] = write_json(
+                tmp_path, f"m_{name}.json",
+                {"source": f"{name}.json", "target": f"{name}.json",
+                 "map": ident})
+        paths["cover_cycle"] = write_json(
+            tmp_path, "cover_cycle.json",
+            {"elements": ["0", "a", "b", "1"],
+             "covers": [["0", "a"], ["a", "b"], ["b", "a"], ["b", "1"]]})
+        fork = (SAMPLES / "collapse_fork.json").read_text()
+        paths["fork"] = str(tmp_path / "fork.json")
+        Path(paths["fork"]).write_text(fork.replace("d4_hsum_pdp.json", "pdp.json"))
+        return paths
+
+    BROKEN = [
+        (["product", "{pdp}"], "pdp", PD2),
+        (["product", "{pea}", "{c3}"], "pea", PE1),
+        (["equalize", "{m_pdp}", "{m_pdp}"], "pdp", PD2),
+        (["convert", "{pdp}", "--to", "pdp"], "pdp", PD2),
+        (["convert", "{pea}", "--to", "pea"], "pea", PE1),
+        (["transfer", "--fork", "{fork}"], "pdp", PD2),
+        (["verify-coeq", "--fork", "{fork}", "--max-target-n", "3"], "pdp", PD2),
+        (["check", "--pdp-morphism", "{m_pdp}"], "pdp", PD2),
+        (["check", "--pea-morphism", "{m_pea}"], "pea", PE1),
+        (["hom", "{cyclic}", "{c3}"], "cyclic", ORDER),
+        (["iso", "{c3}", "{cyclic}"], "cyclic", ORDER),
+        (["coequalize", "{m_cyclic}", "{m_cyclic}"], "cyclic", ORDER),
+        (["check", "--bposet", "{cyclic}"], "cyclic", ORDER),
+        (["hom", "{cover_cycle}", "{c3}"], "cover_cycle",
+         ": cycle detected through a and b"),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, bad, violation", BROKEN,
+        ids=["-".join(a.strip("{}-") for a in case[0][:2]) for case in BROKEN],
+    )
+    def test_axiom_breaking_input_exits_one_naming_it(
+        self, capsys, tmp_path, files, argv, bad, violation
+    ):
+        json_path = tmp_path / "report.json"
+        argv = [a.format(**files) for a in argv]
+        code, out = run(capsys, *argv, "--json", str(json_path))
+        message = files[bad] + violation
+        assert code == 1
+        assert out == f"error: {message}\nRESULT: FAIL {argv[0]}\n"
+        assert json.loads(json_path.read_text()) == {
+            "verb": argv[0], "ok": False, "exit": 1,
+            "error": {"kind": "InvalidStructure", "message": message},
+        }
+
+    @pytest.mark.parametrize("argv", [
+        ["product", "{plain}", "{pdp}"],
+        ["check", "--pdp-morphism", "{m_plain}"],
+    ], ids=["product", "pdp-morphism"])
+    def test_input_without_tables_exits_two(self, capsys, files, argv):
+        code, out = run(capsys, *(a.format(**files) for a in argv))
+        assert code == 2
+        message = f"{files['plain']} carries no addition or difference tables"
+        assert out == f"error: {message}\nRESULT: FAIL {argv[0]}\n"
+
+    def test_addition_and_difference_ends_convert(self, capsys, tmp_path):
+        # an end with the other kind of tables is checked, then converted
+        ident = {"0": "0", "a": "a", "b": "b", "1": "1"}
+        pea, pdp = _sample("d4_hsum.json"), _sample("d4_hsum_pdp.json")
+        for verb, end in (("--pdp-morphism", pea), ("--pea-morphism", pdp)):
+            m = write_json(tmp_path, "m.json",
+                           {"source": end, "target": end, "map": ident})
+            assert run(capsys, "check", verb, m) == (0, "RESULT: PASS check\n")
+
+
+def test_check_fork_reports_each_arrow_that_is_no_morphism(capsys, tmp_path):
+    # f, g and t swap 0 and a on the 3-chain: the split-fork equations hold,
+    # but those three maps are neither isotone nor bottom-preserving
+    chain = structure_to_obj(pea_to_pdp(c3_pea()))
+    swap, ident = {"0": "a", "a": "0", "1": "1"}, {"0": "0", "a": "a", "1": "1"}
+    fork = {name: {"source": chain, "target": chain, "map": table}
+            for name, table in (("f", swap), ("g", swap), ("q", ident),
+                                ("s", ident), ("t", swap))}
+    path = write_json(tmp_path, "swap_fork.json", fork)
+    json_path = tmp_path / "report.json"
+    code, out = run(capsys, "check", "--fork", path, "--json", str(json_path))
+    assert code == 1
+    expected = [
+        f"{path}.{name}: {line}"
+        for name in ("f", "g", "t")
+        for line in ("isotone violated at x=0, y=a: images a and 0 are not related",
+                     "bounds violated at element=0: bottom not preserved")
+    ]
+    assert out.splitlines() == expected + [
+        "split-fork equations hold", "RESULT: FAIL check"]
+    payload = json.loads(json_path.read_text())
+    assert [r["subject"] for r in payload["reports"]] == [
+        f"{path}.{name}" for name in ("f", "g", "t")]
+    assert payload["ok"] is False and payload["exit"] == 1
+    # transfer rejects the same fork
+    code, out = run(capsys, "transfer", "--fork", path)
+    assert code == 1
+    assert out.startswith("error: fork invalid: f is not a bounded-poset morphism\n")

@@ -12,6 +12,7 @@ from pealab.io import (
     load_morphism,
     load_plmap,
     load_structure,
+    parse_fork,
     parse_morphism,
     parse_plmap,
     parse_structure,
@@ -131,6 +132,50 @@ class TestMorphismFiles:
         path = write(tmp_path, "fork.json", {"f": ident})
         with pytest.raises(FormatError, match="needs morphisms"):
             load_fork(path)
+
+
+READER_ERRORS = [
+    (parse_structure, [], "structure must be a JSON object"),
+    (parse_structure, {"elements": [], "covers": [], "x": 1},
+     "structure has unknown keys: ['x']"),
+    (parse_structure, {"elements": []}, "structure needs 'elements' and 'covers'"),
+    (parse_morphism, 3, "morphism must be a JSON object"),
+    (parse_morphism, {"map": {}, "y": 0, "x": 0},
+     "morphism has unknown keys: ['x', 'y']"),
+    (parse_morphism, {"map": {}}, "morphism needs 'source', 'target' and 'map'"),
+    (parse_fork, None, "fork must be a JSON object"),
+    (parse_fork, {"f": 0, "h": 0}, "fork has unknown keys: ['h']"),
+    (parse_fork, {"f": 0}, "fork needs morphisms f, g, q, s, t"),
+    (parse_plmap, "x", "plmap must be a JSON object"),
+    (parse_plmap, {"slopes": [], "z": 1}, "plmap has unknown keys: ['z']"),
+    (parse_plmap, {"slopes": []}, "plmap needs 'breakpoints' and 'slopes'"),
+    (parse_plmap, {"breakpoints": ["x"], "slopes": ["1", "1"]},
+     "plmap: not a rational number: 'x'"),
+]
+
+
+@pytest.mark.parametrize(
+    "parse, obj, message", READER_ERRORS,
+    ids=[f"{parse.__name__}-{k}" for k, (parse, _, _) in enumerate(READER_ERRORS)],
+)
+def test_each_reader_words_its_shape_errors(parse, obj, message):
+    with pytest.raises(FormatError) as caught:
+        parse(obj)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("obj, problem", [
+    ({"elements": ["0", "0"], "covers": []}, "declares duplicate elements"),
+    ({"elements": ["0", "1"], "covers": [["0", "z"]]},
+     "cover ['0', 'z'] uses unknown elements"),
+], ids=["duplicate", "unknown-cover-element"])
+def test_file_labels_are_checked_by_the_reader_first(tmp_path, obj, problem):
+    # posets.validate_bounded_poset checks the same for library callers;
+    # on file input the reader's FormatError, which names the file, comes first
+    path = write(tmp_path, "s.json", obj)
+    with pytest.raises(FormatError) as caught:
+        load_structure(path)
+    assert str(caught.value) == f"{path} {problem}"
 
 
 class TestPlmapFiles:

@@ -168,8 +168,8 @@ class TestNormalForm:
             pl_map((1,), (1, 0))  # zero slope
         with pytest.raises(InvalidStructure):
             pl_map((), (1, 1))  # slope count mismatch
-        with pytest.raises(InvalidStructure):
-            pl_map((), (float("inf"),))  # not a rational number
+        with pytest.raises(InvalidStructure, match="not a rational number: inf"):
+            pl_map((), (float("inf"),))
 
 
 class TestSum:

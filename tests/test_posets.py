@@ -61,6 +61,16 @@ class TestValidateBoundedPoset:
         with pytest.raises(InvalidStructure, match="bottom"):
             validate_bounded_poset(("a", "b", "1"), [("a", "1"), ("b", "1")])
 
+    @pytest.mark.parametrize("elements, covers, message", [
+        (("0", "a", "1"), [("0", "a"), ("a", "z")],
+         r"cover \(a, z\) uses an undeclared element"),
+        (("0", "0"), [], "duplicate element labels"),
+    ], ids=["undeclared-cover-element", "duplicate"])
+    def test_library_callers_meet_the_label_guards(self, elements, covers, message):
+        # io.parse_declared rejects both first on file input, naming the file
+        with pytest.raises(InvalidStructure, match=message):
+            validate_bounded_poset(elements, covers)
+
     def test_singleton_is_admitted(self):
         P = validate_bounded_poset(("0",), [])
         assert P.n == 1 and P.bottom == P.top

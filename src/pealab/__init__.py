@@ -80,7 +80,6 @@ from .posets import (
     enumerate_morphisms,
     find_isomorphism,
     identity,
-    interval_elements,
     is_coequalizer,
     is_split_fork,
     isomorphisms,

@@ -128,37 +128,56 @@ def _load_declared(path):
     return structure, ()
 
 
-def _checked(structure, kind, name: str):
-    """A parsed structure as the kind a verb computes with, checked where
-    it enters: a BoundedPoset kind takes its order (io.base_of); the other
-    two kinds take either kind of tables, converted once check_pea or
-    check_pdp passes.  InvalidStructure names the input and the first
-    violation; an input without tables raises FormatError."""
-    if kind is BoundedPoset:
-        try:
+class _Intake:
+    """The structures one verb computes with, each checked where it enters.
+
+    check_pea or check_pdp runs on every input that carries tables, once
+    per distinct structure however many ends name it, and InvalidStructure
+    names the input and the first violation.  Then a BoundedPoset kind
+    takes the order (io.base_of); the other two kinds take either kind of
+    tables, converted when needed, and an input without tables raises
+    FormatError.
+    """
+
+    def __init__(self):
+        self.passed = set()
+
+    def checked(self, structure, kind, name: str):
+        if isinstance(structure, BoundedPoset):
+            if kind is BoundedPoset:
+                return structure
+            raise FormatError(f"{name} carries no addition or difference tables")
+        pea = isinstance(structure, PseudoEffectAlgebra)
+        if structure not in self.passed:
+            report = (check_pea if pea else check_pdp)(structure)
+            if not report.ok:
+                raise InvalidStructure(
+                    f"{name} fails {report.subject}: {report.violations[0]}")
+            self.passed.add(structure)
+        if kind is BoundedPoset:  # a checked addition induces an order
             return io.base_of(structure)
-        except InvalidStructure as exc:  # an addition that induces no order
-            raise InvalidStructure(f"{name}: {exc}") from exc
-    if isinstance(structure, BoundedPoset):
-        raise FormatError(f"{name} carries no addition or difference tables")
-    pea = isinstance(structure, PseudoEffectAlgebra)
-    report = (check_pea if pea else check_pdp)(structure)
-    if not report.ok:
-        raise InvalidStructure(f"{name} fails {report.subject}: {report.violations[0]}")
-    if isinstance(structure, kind):
-        return structure
-    return pea_to_pdp(structure) if pea else pdp_to_pea(structure)
+        if isinstance(structure, kind):
+            return structure
+        return pea_to_pdp(structure) if pea else pdp_to_pea(structure)
 
+    def load(self, path, kind):
+        return self.checked(io.load_structure(path), kind, path)
 
-def _load(path, kind):
-    return _checked(io.load_structure(path), kind, path)
+    def arrow(self, mf: io.MorphismFile, kind):
+        """(source, target, map) of a morphism file, both ends taken as kind."""
+        source = self.checked(mf.source, kind, mf.names[0])
+        target = self.checked(mf.target, kind, mf.names[1])
+        return source, target, mf.poset_map()
 
+    def fork(self, ff: io.ForkFile) -> SplitFork:
+        arrows = (ff.f, ff.g, ff.q, ff.s, ff.t)
+        f, g, q, s, t = (self.arrow(m, BoundedPoset)[2] for m in arrows)
+        return SplitFork(f.source, f.target, q.target, f, g, q, s, t)
 
-def _arrow(mf: io.MorphismFile, kind):
-    """(source, target, map) of a morphism file, both ends taken in as kind."""
-    source = _checked(mf.source, kind, mf.names[0])
-    target = _checked(mf.target, kind, mf.names[1])
-    return source, target, mf.poset_map()
+    def pdp_fork(self, ff: io.ForkFile):
+        """The parallel pair, A and B taken as pseudo D-posets, and the fork."""
+        f, g = (PDPMorphism(*self.arrow(mf, PseudoDPoset)) for mf in (ff.f, ff.g))
+        return f, g, self.fork(ff)
 
 
 def _cmd_check(args) -> int:
@@ -182,17 +201,19 @@ def _cmd_check(args) -> int:
         if ok:
             out.say(f"pseudo D-poset on {X.n} elements")
     elif args.bposet:
-        base = _load(args.bposet, BoundedPoset)
+        base = _Intake().load(args.bposet, BoundedPoset)
         out.say(f"bounded poset on {base.n} elements "
                 f"(bottom {base.labels[base.bottom]}, top {base.labels[base.top]})")
     elif args.morphism:
-        m = _arrow(io.load_morphism(args.morphism), BoundedPoset)[2]
+        m = _Intake().arrow(io.load_morphism(args.morphism), BoundedPoset)[2]
         ok = _report_into(out, check_morphism(m))
     elif args.pdp_morphism:
-        h = PDPMorphism(*_arrow(io.load_morphism(args.pdp_morphism), PseudoDPoset))
+        mf = io.load_morphism(args.pdp_morphism)
+        h = PDPMorphism(*_Intake().arrow(mf, PseudoDPoset))
         ok = _report_into(out, check_pdp_morphism(h))
     elif args.pea_morphism:
-        A, B, m = _arrow(io.load_morphism(args.pea_morphism), PseudoEffectAlgebra)
+        mf = io.load_morphism(args.pea_morphism)
+        A, B, m = _Intake().arrow(mf, PseudoEffectAlgebra)
         ok = _report_into(out, check_pea_morphism(m, A, B))
     elif args.plmap:
         f = io.load_plmap(args.plmap)
@@ -204,7 +225,7 @@ def _cmd_check(args) -> int:
         else:
             out.say("map stays inside the band x <= f(x) <= 2x")
     elif args.fork:
-        fork = _assemble_fork(io.load_fork(args.fork))
+        fork = _Intake().fork(io.load_fork(args.fork))
         for name in ("f", "g", "q", "s", "t"):  # named as io names them
             arrow = Report(f"{args.fork}.{name}",
                            check_morphism(getattr(fork, name)).violations)
@@ -218,16 +239,11 @@ def _cmd_check(args) -> int:
     return out.finish(ok)
 
 
-def _assemble_fork(ff: io.ForkFile) -> SplitFork:
-    f, g, q, s, t = (_arrow(m, BoundedPoset)[2] for m in (ff.f, ff.g, ff.q, ff.s, ff.t))
-    return SplitFork(f.source, f.target, q.target, f, g, q, s, t)
-
-
 def _cmd_convert(args) -> int:
     out = _Output("convert", args.json)
     structure, extra = _load_declared(args.input)
     if args.to in ("interval", "triple"):
-        base = _checked(structure, BoundedPoset, args.input)
+        base = _Intake().checked(structure, BoundedPoset, args.input)
         made = (interval_poset if args.to == "interval" else triple_poset)(base)
         obj = io.poset_obj(made)
         out.say(f"{args.to} poset on {made.n} elements (dump-only: "
@@ -236,7 +252,7 @@ def _cmd_convert(args) -> int:
         if extra:
             raise InvalidStructure(f"{args.input}: {extra[0].detail}")
         kind = PseudoEffectAlgebra if args.to == "pea" else PseudoDPoset
-        obj = io.structure_to_obj(_checked(structure, kind, args.input))
+        obj = io.structure_to_obj(_Intake().checked(structure, kind, args.input))
     if not out.result(args.output, obj):
         out.say(io.dumps(obj).rstrip("\n"))
     return out.finish(True)
@@ -249,7 +265,8 @@ def _cmd_product(args) -> int:
     # and so does the empty product
     plain = structures and all(isinstance(s, BoundedPoset) for s in structures)
     kind = BoundedPoset if plain else PseudoDPoset
-    factors = [_checked(s, kind, p) for s, p in zip(structures, args.inputs)]
+    intake = _Intake()
+    factors = [intake.checked(s, kind, p) for s, p in zip(structures, args.inputs)]
     result = (product_bposets if plain else product_pdp)(factors)
     out.say(f"product {'bounded poset' if plain else 'pseudo D-poset'} "
             f"on {result.n} elements")
@@ -259,8 +276,9 @@ def _cmd_product(args) -> int:
 
 def _cmd_equalize(args) -> int:
     out = _Output("equalize", args.json)
+    intake = _Intake()
     f, g = (
-        PDPMorphism(*_arrow(io.load_morphism(p), PseudoDPoset))
+        PDPMorphism(*intake.arrow(io.load_morphism(p), PseudoDPoset))
         for p in (args.f, args.g)
     )
     E, inclusion = equalizer_pdp(f, g)
@@ -272,7 +290,9 @@ def _cmd_equalize(args) -> int:
 
 def _cmd_coequalize(args) -> int:
     out = _Output("coequalize", args.json)
-    f, g = (_arrow(io.load_morphism(p), BoundedPoset)[2] for p in (args.f, args.g))
+    intake = _Intake()
+    f, g = (intake.arrow(io.load_morphism(p), BoundedPoset)[2]
+            for p in (args.f, args.g))
     Q, q = coequalizer_bposets(f, g)
     out.say(f"coequalizer object on {Q.n} elements")
     out.say("quotient map: " + _arrows(q.label_map()))
@@ -281,15 +301,9 @@ def _cmd_coequalize(args) -> int:
     return out.finish(True)
 
 
-def _fork_with_pdp_pair(ff: io.ForkFile):
-    """The parallel pair, A and B taken in as pseudo D-posets, and the fork."""
-    f, g = (PDPMorphism(*_arrow(mf, PseudoDPoset)) for mf in (ff.f, ff.g))
-    return f, g, _assemble_fork(ff)
-
-
 def _cmd_transfer(args) -> int:
     out = _Output("transfer", args.json)
-    f, g, fork = _fork_with_pdp_pair(io.load_fork(args.fork))
+    f, g, fork = _Intake().pdp_fork(io.load_fork(args.fork))
     result = transfer_structure(f, g, fork)
     _report_into(out, result.diagnostics)
     out.result(args.output, io.structure_to_obj(result.Qprime))
@@ -312,7 +326,7 @@ def _cmd_verify_coeq(args) -> int:
     targets = [X for X in pdps if X.n <= args.max_target_n]
     homs = HomSets()
     if args.fork:
-        triples = [_fork_with_pdp_pair(io.load_fork(args.fork))]
+        triples = [_Intake().pdp_fork(io.load_fork(args.fork))]
     else:
         sources = [X for X in pdps if X.n <= args.max_source_n]
         triples = generate_split_forks(sources, args.generate, args.seed, homs)
@@ -387,7 +401,8 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_hom(args) -> int:
     out = _Output("hom", args.json)
-    P, R = (_load(p, BoundedPoset) for p in (args.source, args.target))
+    intake = _Intake()
+    P, R = (intake.load(p, BoundedPoset) for p in (args.source, args.target))
     morphisms = enumerate_morphisms(P, R)
     out.say(f"{len(morphisms)} bound-preserving isotone maps")
     for m in morphisms:
@@ -399,7 +414,8 @@ def _cmd_hom(args) -> int:
 
 def _cmd_iso(args) -> int:
     out = _Output("iso", args.json)
-    P, R = (_load(p, BoundedPoset) for p in (args.source, args.target))
+    intake = _Intake()
+    P, R = (intake.load(p, BoundedPoset) for p in (args.source, args.target))
     iso = find_isomorphism(P, R)
     if iso is None:
         out.say("not isomorphic")

@@ -11,22 +11,13 @@ object deterministic.
 from __future__ import annotations
 
 from .errors import InvalidStructure
-from .posets import (
-    BoundedPoset,
-    Poset,
-    PosetMorphism,
-    check_morphism,
-    interval_elements,
-    interval_index,
-    interval_order,
-)
+from .posets import BoundedPoset, Poset, PosetMorphism, check_morphism
 
 
 def interval_poset(P: Poset) -> Poset:
     """Poset of closed intervals of P, ordered by inclusion."""
-    index, rows = interval_order(P)
-    labels = tuple(f"[{P.labels[a]},{P.labels[b]}]" for a, b in index)
-    return Poset(labels, rows)
+    labels = tuple(f"[{P.labels[a]},{P.labels[b]}]" for a, b in P.intervals)
+    return Poset(labels, P.interval_rows)
 
 
 def interval_table(fm, pairs, index) -> list[int]:
@@ -46,9 +37,7 @@ def interval_table(fm, pairs, index) -> list[int]:
 
 def interval_map(f: PosetMorphism) -> PosetMorphism:
     """Action on intervals: [a,b] goes to [f(a), f(b)]."""
-    values = interval_table(
-        f.map, interval_elements(f.source), interval_index(f.target)
-    )
+    values = interval_table(f.map, f.source.intervals, f.target.intervals)
     return PosetMorphism(
         interval_poset(f.source), interval_poset(f.target), tuple(values)
     )
@@ -106,8 +95,7 @@ def zero_embedding(P: BoundedPoset) -> PosetMorphism:
     """The map x -> [bottom, x] from a bounded poset into its intervals."""
     if not isinstance(P, BoundedPoset):
         raise InvalidStructure("zero embedding needs a bounded poset")
-    index = interval_index(P)
-    values = tuple(index[(P.bottom, x)] for x in range(P.n))
+    values = tuple(P.intervals[P.bottom, x] for x in range(P.n))
     return PosetMorphism(P, interval_poset(P), values)
 
 
@@ -125,8 +113,7 @@ def alpha(P: Poset) -> PosetMorphism:
     verified on construction rather than assumed.
     """
     ip = interval_poset(P)
-    pair_index = interval_index(P)
-    nest_index = interval_index(ip)
+    pair_index, nest_index = P.intervals, ip.intervals
     values = tuple(
         nest_index[(pair_index[(y, z)], pair_index[(x, z)])]
         for x, y, z in triple_elements(P)
@@ -139,8 +126,7 @@ def alpha(P: Poset) -> PosetMorphism:
 
 def beta(P: Poset) -> PosetMorphism:
     """Triples to their lower interval: (x,y,z) -> [x,y]."""
-    pair_index = interval_index(P)
-    values = tuple(pair_index[(x, y)] for x, y, z in triple_elements(P))
+    values = tuple(P.intervals[x, y] for x, y, z in triple_elements(P))
     return _verified(
         PosetMorphism(triple_poset(P), interval_poset(P), values),
         "triple-to-lower-interval map",

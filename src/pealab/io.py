@@ -226,17 +226,26 @@ class MorphismFile:
         return PosetMorphism(src, dst, tuple(values))
 
 
-def parse_morphism(obj, base_dir=None, what: str = "morphism") -> MorphismFile:
+def parse_morphism(
+    obj, base_dir=None, what: str = "morphism", loaded=None
+) -> MorphismFile:
+    """The morphism in obj.  ``loaded`` maps each path already parsed to
+    its structure, so that a file several ends name is read once; a fresh
+    map is used when it is omitted."""
     _read_object(obj, what, ("source", "target", "map"))
+    loaded = {} if loaded is None else loaded
 
     def resolve(side):
         value, name = obj[side], f"{what} {side}"
-        if isinstance(value, str):
-            path = Path(value)
-            if base_dir is not None and not path.is_absolute():
-                path = Path(base_dir) / path
-            value, name = load_json(path), str(path)
-        return parse_structure(value, name), name
+        if not isinstance(value, str):
+            return parse_structure(value, name), name
+        path = Path(value)
+        if base_dir is not None and not path.is_absolute():
+            path = Path(base_dir) / path
+        name = str(path)
+        if name not in loaded:
+            loaded[name] = parse_structure(load_json(path), name)
+        return loaded[name], name
 
     (source, source_name), (target, target_name) = map(resolve, ("source", "target"))
     mapping = obj["map"]
@@ -263,8 +272,9 @@ class ForkFile:
 def parse_fork(obj, base_dir=None, what: str = "fork") -> ForkFile:
     names = ("f", "g", "q", "s", "t")
     _read_object(obj, what, names, needs="morphisms f, g, q, s, t")
+    loaded = {}  # each file the five arrows name is parsed once
     parts = {
-        name: parse_morphism(obj[name], base_dir, f"{what}.{name}")
+        name: parse_morphism(obj[name], base_dir, f"{what}.{name}", loaded)
         for name in names
     }
     return ForkFile(**parts)

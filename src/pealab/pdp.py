@@ -29,7 +29,6 @@ from .posets import (
     check_morphism,
     enumerate_morphisms,
     induced_subposet,
-    interval_elements,
     morphism_violations,
     product_bposets,
 )
@@ -73,11 +72,24 @@ class PseudoDPoset:
         # every field is immutable, so the value hash never changes
         return hash((self.base, self.slash, self.bslash))
 
+    @classmethod
+    def from_pairs(cls, base: BoundedPoset, differences) -> PseudoDPoset:
+        """The inverse of :attr:`pairs`: the structure on ``base`` whose
+        tables hold one (b/a, b\\a) of ``differences`` for each a <= b, in
+        the order of ``base.intervals``, and ``None`` elsewhere."""
+        n = base.n
+        slash = [[None] * n for _ in range(n)]
+        bslash = [[None] * n for _ in range(n)]
+        for (a, b), (s, t) in zip(base.intervals, differences, strict=True):
+            slash[b][a], bslash[b][a] = s, t
+        return cls(base, tuple(map(tuple, slash)), tuple(map(tuple, bslash)))
+
     @cached_property
     def pairs(self) -> tuple[tuple[int, int, int | None, int | None], ...]:
-        """Each a <= b in row-major order, with its differences: (a, b, b/a, b\\a)."""
+        """Each a <= b in the order of ``base.intervals``, with its
+        differences: (a, b, b/a, b\\a)."""
         s, t = self.slash, self.bslash
-        return tuple((a, b, s[b][a], t[b][a]) for a, b in interval_elements(self.base))
+        return tuple((a, b, s[b][a], t[b][a]) for a, b in self.base.intervals)
 
     @cached_property
     def forcing_rules(self) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
@@ -151,7 +163,7 @@ def check_pdp(X: PseudoDPoset) -> Report:
 
 def _difference_morphism(X: PseudoDPoset, table, name: str) -> PosetMorphism:
     values = []
-    for a, b in interval_elements(X.base):
+    for a, b in X.base.intervals:
         v = table[b][a]
         if v is None:
             raise InvalidStructure(
@@ -273,19 +285,14 @@ def subalgebra_generated(X: PseudoDPoset, seed) -> tuple[int, ...]:
     for i in members:
         if not 0 <= i < X.n:
             raise InvalidStructure("seed references unknown elements")
-    changed = True
-    while changed:
-        changed = False
-        for b in list(members):
-            for a in list(members):
-                if not X.base.le(a, b):
-                    continue
-                for table in (X.slash, X.bslash):
-                    v = table[b][a]
-                    if v is not None and v not in members:
-                        members.add(v)
-                        changed = True
-    return tuple(sorted(members))
+    while True:
+        new = {
+            v for a, b, *diffs in X.pairs if a in members and b in members
+            for v in diffs
+        } - members - {None}
+        if not new:
+            return tuple(sorted(members))
+        members |= new
 
 
 def product_pdp(factors) -> PseudoDPoset:
@@ -294,24 +301,16 @@ def product_pdp(factors) -> PseudoDPoset:
     base = product_bposets([x.base for x in factors])
     tuples = list(itertools.product(*(range(x.n) for x in factors)))
     index = {t: k for k, t in enumerate(tuples)}
-    size = len(tuples)
-    slash = [[None] * size for _ in range(size)]
-    bslash = [[None] * size for _ in range(size)]
-    for tb in tuples:
-        for ta in tuples:
-            if not all(x.base.le(a, b) for x, a, b in zip(factors, ta, tb)):
-                continue
-            sv = tuple(x.slash[b][a] for x, a, b in zip(factors, ta, tb))
-            bv = tuple(x.bslash[b][a] for x, a, b in zip(factors, ta, tb))
-            if any(v is None for v in sv) or any(v is None for v in bv):
-                raise InvalidStructure("factor difference table is incomplete")
-            slash[index[tb]][index[ta]] = index[sv]
-            bslash[index[tb]][index[ta]] = index[bv]
-    return PseudoDPoset(
-        base,
-        tuple(tuple(row) for row in slash),
-        tuple(tuple(row) for row in bslash),
-    )
+
+    def differences(ka, kb):
+        ends = list(zip(factors, tuples[ka], tuples[kb]))
+        sv = tuple(x.slash[b][a] for x, a, b in ends)
+        bv = tuple(x.bslash[b][a] for x, a, b in ends)
+        if None in sv or None in bv:
+            raise InvalidStructure("factor difference table is incomplete")
+        return index[sv], index[bv]
+
+    return PseudoDPoset.from_pairs(base, (differences(*p) for p in base.intervals))
 
 
 def equalizer_pdp(f: PDPMorphism, g: PDPMorphism):
@@ -326,25 +325,17 @@ def equalizer_pdp(f: PDPMorphism, g: PDPMorphism):
         )
     pos = {v: k for k, v in enumerate(carrier)}
     base = induced_subposet(X.base, carrier)
-    size = len(carrier)
-    slash = [[None] * size for _ in range(size)]
-    bslash = [[None] * size for _ in range(size)]
-    for kb, b in enumerate(carrier):
-        for ka, a in enumerate(carrier):
-            if not X.base.le(a, b):
-                continue
-            for table, sub in ((X.slash, slash), (X.bslash, bslash)):
-                v = table[b][a]
-                if v is None or v not in pos:
-                    raise InvalidStructure(
-                        "agreement set is not closed under the differences; "
-                        "the maps do not preserve them"
-                    )
-                sub[kb][ka] = pos[v]
-    E = PseudoDPoset(
-        base,
-        tuple(tuple(row) for row in slash),
-        tuple(tuple(row) for row in bslash),
-    )
+
+    def differences(ka, kb):
+        a, b = carrier[ka], carrier[kb]
+        try:
+            return pos[X.slash[b][a]], pos[X.bslash[b][a]]
+        except KeyError:  # undefined, or outside the agreement set
+            raise InvalidStructure(
+                "agreement set is not closed under the differences; "
+                "the maps do not preserve them"
+            ) from None
+
+    E = PseudoDPoset.from_pairs(base, (differences(*p) for p in base.intervals))
     inclusion = PDPMorphism(E, X, PosetMorphism(base, X.base, tuple(carrier)))
     return E, inclusion

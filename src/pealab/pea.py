@@ -153,23 +153,22 @@ def pea_to_pdp(A: PseudoEffectAlgebra) -> PseudoDPoset:
     which signals that A is not a pseudo effect algebra.
     """
     base = induced_order(A)
-    n = A.n
-    lab = A.labels
-    slash = [[None] * n for _ in range(n)]
-    bslash = [[None] * n for _ in range(n)]
     # c\a is c/a in the opposite algebra, whose table is the transpose
-    sides = ((A.plus, slash, "{a}+x={c}"), (tuple(zip(*A.plus)), bslash, "y+{a}={c}"))
-    for c in range(n):
-        for a in iter_bits(base.down[c]):
-            for table, diff, equation in sides:
-                xs = [x for x, v in enumerate(table[a]) if v == c]
-                if len(xs) != 1:
-                    raise InvalidStructure(
-                        f"{len(xs)} solutions of "
-                        + equation.format(a=lab[a], c=lab[c])
-                    )
-                diff[c][a] = xs[0]
-    return PseudoDPoset(base, *(tuple(map(tuple, t)) for t in (slash, bslash)))
+    sides = ((A.plus, "{a}+x={c}"), (tuple(zip(*A.plus)), "y+{a}={c}"))
+
+    def differences(a, c):
+        for table, equation in sides:
+            xs = [x for x, v in enumerate(table[a]) if v == c]
+            if len(xs) != 1:
+                raise InvalidStructure(
+                    f"{len(xs)} solutions of "
+                    + equation.format(a=A.labels[a], c=A.labels[c])
+                )
+            yield xs[0]
+
+    return PseudoDPoset.from_pairs(
+        base, (tuple(differences(*p)) for p in base.intervals)
+    )
 
 
 def pdp_to_pea(X: PseudoDPoset) -> PseudoEffectAlgebra:

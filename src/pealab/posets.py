@@ -8,6 +8,11 @@ freely between threads.
 Constructors check shape only; :func:`check_order` decides the order
 axioms where an order enters from outside.  Orders built from checked ones
 are orders by construction and are not checked again.
+
+Each poset caches one index of its comparable pairs a <= b
+(:attr:`Poset.intervals`) and the interval poset's order rows over it
+(:attr:`Poset.interval_rows`).  The interval construction, the difference
+tables and the fork checks all read these two.
 """
 
 from __future__ import annotations
@@ -100,10 +105,28 @@ class Poset:
             raise InvalidStructure(f"unknown element {label!r}") from None
 
     @cached_property
-    def interval_order(self) -> tuple[dict[tuple[int, int], int], tuple[int, ...]]:
-        """:func:`interval_order` of this poset, built once per object and
-        shared by every caller, which must not change the index."""
-        return interval_order(self)
+    def intervals(self) -> dict[tuple[int, int], int]:
+        """Each pair (a, b) with a <= b and its position in row-major
+        order, listed in that order.  Built once per object and shared by
+        every caller, which must not change it."""
+        pairs = ((a, b) for a, ups in enumerate(self.up) for b in ups)
+        return {p: k for k, p in enumerate(pairs)}
+
+    @cached_property
+    def interval_rows(self) -> tuple[int, ...]:
+        """Order rows of the interval poset over :attr:`intervals`, built
+        once per object: [a,b] <= [c,d] iff c <= a <= b <= d."""
+        index = self.intervals
+        up = self.up
+        down = [tuple(iter_bits(column)) for column in self.down]
+        rows = []
+        for a, b in index:
+            row = 0
+            for c in down[a]:
+                for d in up[b]:
+                    row |= 1 << index[c, d]
+            rows.append(row)
+        return tuple(rows)
 
     @cached_property
     def _label_index(self) -> dict[str, int]:
@@ -158,35 +181,6 @@ class BoundedPoset(Poset):
             tuple(map(tuple, lower)),
             tuple(map(tuple, upper)),
         )
-
-
-def interval_elements(P: Poset) -> list[tuple[int, int]]:
-    """All pairs (a, b) with a <= b, lexicographically ordered."""
-    return [(a, b) for a, ups in enumerate(P.up) for b in ups]
-
-
-def interval_index(P: Poset) -> dict[tuple[int, int], int]:
-    """Each interval (a, b) of P with its position in interval_elements(P)."""
-    return {p: k for k, p in enumerate(interval_elements(P))}
-
-
-def interval_order(P: Poset) -> tuple[dict[tuple[int, int], int], tuple[int, ...]]:
-    """interval_index(P) and the order rows of interval_poset(P), unvalidated.
-
-    Built afresh on each call; ``P.interval_order`` builds it once per P.
-    """
-    index = interval_index(P)
-    up = P.up
-    down = [tuple(iter_bits(column)) for column in P.down]
-    rows = []
-    for a, b in index:
-        # [a,b] <= [c,d] iff c <= a <= b <= d
-        row = 0
-        for c in down[a]:
-            for d in up[b]:
-                row |= 1 << index[c, d]
-        rows.append(row)
-    return index, tuple(rows)
 
 
 def induced_subposet(B: BoundedPoset, carrier) -> BoundedPoset:

@@ -30,8 +30,6 @@ from .posets import (
     SplitFork,
     check_morphism,
     induced_subposet,
-    interval_elements,
-    interval_order,
     is_coequalizer,
     is_split_fork,
 )
@@ -94,21 +92,16 @@ def transfer_structure(
     B is named as such.
     """
     _validate_fork(f, g, fork)
-    B = f.target
-    Q = fork.Q
-    n = Q.n
-    pulled = []
-    for tableB in (B.slash, B.bslash):
-        table = [[None] * n for _ in range(n)]
-        for x, ups in enumerate(Q.up):
-            for y in ups:
-                table[y][x] = fork.q(tableB[fork.s(y)][fork.s(x)])
-        pulled.append(tuple(tuple(row) for row in table))
-    Qprime = PseudoDPoset(Q, *pulled)
-    qprime = PDPMorphism(B, Qprime, fork.q)
+    B, q, s = f.target, fork.q, fork.s
+    pulled = (
+        (q(B.slash[s(y)][s(x)]), q(B.bslash[s(y)][s(x)]))
+        for x, y in fork.Q.intervals
+    )
+    Qprime = PseudoDPoset.from_pairs(fork.Q, pulled)
+    qprime = PDPMorphism(B, Qprime, q)
     # q is a bounded-poset morphism, so every violation is a difference
     # that does not descend
-    first = next(pdp_morphism_violations(B, Qprime, fork.q.map), None)
+    first = next(pdp_morphism_violations(B, Qprime, q.map), None)
     if first is not None:
         (_, v), (_, u) = first.where
         name = "/" if first.rule == "slash" else "\\"
@@ -240,25 +233,25 @@ def i_preserves_fork(fork: SplitFork) -> bool:
     q(x) <= q(y) iff [x] <= [y] iff x <=* y.
 
     The lemma is decided on I(B)'s order rows and index tables: I(f), I(g)
-    and I(q) are read off the interval indices of A, B and Q (a lookup
-    that fails raises InvalidStructure: the map is not isotone), and
-    :func:`is_coequalizer` compares each row of <=* on I(B) with the
-    pull-back of I(Q)'s row along I(q).  No interval poset is built.  B's
-    index and rows are ``fork.B.interval_order``, built once per object,
-    since a run's forks share few catalog structures as B; Q's are built
-    per fork.
+    and I(q) are read off the cached :attr:`~pealab.posets.Poset.intervals`
+    of A, B and Q (a lookup that fails raises InvalidStructure: the map is
+    not isotone), and :func:`is_coequalizer` compares each row of <=* on
+    I(B) with the pull-back of I(Q)'s row along I(q), both read off the
+    cached :attr:`~pealab.posets.Poset.interval_rows`.  No interval poset is
+    built.  Each poset caches its own index and rows: B's once per catalog
+    structure, which a run's forks share, and Q's once per fork; Q's index
+    is the one the Q' of :func:`transfer_structure` was built over.
     """
     if not is_split_fork(fork):
         raise InvalidStructure("not a split fork")
-    index_b, rows_b = fork.B.interval_order
-    index_q, rows_q = interval_order(fork.Q)
-    pairs_a = interval_elements(fork.A)
+    pairs_a, index_b = fork.A.intervals, fork.B.intervals
     glued = zip(
         interval_table(fork.f.map, pairs_a, index_b),
         interval_table(fork.g.map, pairs_a, index_b),
     )
+    quotient = interval_table(fork.q.map, index_b, fork.Q.intervals)
     return is_coequalizer(
-        rows_b, glued, interval_table(fork.q.map, index_b, index_q), rows_q
+        fork.B.interval_rows, glued, quotient, fork.Q.interval_rows
     )
 
 

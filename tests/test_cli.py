@@ -372,9 +372,9 @@ def test_enumerate_builds_the_catalog_object_only_for_a_file(
 
 
 def test_verify_coeq_builds_the_interval_rows_once_per_b(capsys, monkeypatch):
-    # B is a catalog structure shared by many forks; Q is built per fork and
-    # gets its rows afresh
-    built = count_builds(monkeypatch, Poset, "interval_order")
+    # B is a catalog structure shared by many forks; each fork's Q is a new
+    # poset and builds its own rows, once
+    built = count_builds(monkeypatch, Poset, "interval_rows")
     forks = []
     check = cli.i_preserves_fork
 
@@ -387,8 +387,26 @@ def test_verify_coeq_builds_the_interval_rows_once_per_b(capsys, monkeypatch):
                   "--max-target-n", "5")
     assert code == 0 and len(forks) == 120
     distinct = {id(fork.B) for fork in forks}
-    assert len(built) == len(distinct) < len(forks)
-    assert set(map(id, built)) == distinct
+    assert len(distinct) < len(forks)
+    quotients = {id(fork.Q) for fork in forks}
+    assert len(quotients) == len(forks) and not quotients & distinct
+    assert sorted(map(id, built)) == sorted(distinct | quotients)
+
+
+@pytest.mark.parametrize("argv", [
+    ["transfer", "--fork", COLLAPSE_FORK],
+    ["verify-coeq", "--fork", COLLAPSE_FORK, "--max-target-n", "3"],
+    ["check", "--fork", COLLAPSE_FORK],
+], ids=["transfer", "verify-coeq", "check"])
+def test_fork_ends_are_read_and_checked_once(capsys, monkeypatch, argv):
+    # all eight ends of the fork's arrows name d4_hsum_pdp.json
+    reads, checks = [], []
+    load, check = io.load_json, cli.check_pdp
+    monkeypatch.setattr(io, "load_json", lambda p: reads.append(str(p)) or load(p))
+    monkeypatch.setattr(cli, "check_pdp", lambda X: checks.append(X) or check(X))
+    assert run(capsys, *argv)[0] == 0
+    assert reads == [COLLAPSE_FORK, str(SAMPLES / "d4_hsum_pdp.json")]
+    assert len(checks) == 1
 
 
 class TestTransferVerbs:
@@ -606,8 +624,9 @@ class TestInputsAreCheckedWhereTheyEnter:
            "(c/a)\\(c/b) differs from b/a")
     PE1 = (" fails check_pea: PE1 violated at a=a, b=a, c=1: "
            "(a+b)+c exists but a+(b+c) does not")
-    ORDER = (": induced order: order violated at a=a, c=b: "
-             "relation not antisymmetric")
+    # a <= b <= a: the addition is checked before its order is taken
+    CYCLE = (" fails check_pea: PE1 violated at a=a, b=a, c=b: "
+             "a+(b+c) exists but (a+b)+c does not match it")
 
     @pytest.fixture
     def files(self, tmp_path):
@@ -632,8 +651,9 @@ class TestInputsAreCheckedWhereTheyEnter:
             {"elements": ["0", "a", "b", "1"],
              "covers": [["0", "a"], ["a", "b"], ["b", "a"], ["b", "1"]]})
         fork = (SAMPLES / "collapse_fork.json").read_text()
-        paths["fork"] = str(tmp_path / "fork.json")
-        Path(paths["fork"]).write_text(fork.replace("d4_hsum_pdp.json", "pdp.json"))
+        for name, end in (("fork", "pdp.json"), ("pea_fork", "pea.json")):
+            paths[name] = str(tmp_path / f"{name}.json")
+            Path(paths[name]).write_text(fork.replace("d4_hsum_pdp.json", end))
         return paths
 
     BROKEN = [
@@ -646,10 +666,10 @@ class TestInputsAreCheckedWhereTheyEnter:
         (["verify-coeq", "--fork", "{fork}", "--max-target-n", "3"], "pdp", PD2),
         (["check", "--pdp-morphism", "{m_pdp}"], "pdp", PD2),
         (["check", "--pea-morphism", "{m_pea}"], "pea", PE1),
-        (["hom", "{cyclic}", "{c3}"], "cyclic", ORDER),
-        (["iso", "{c3}", "{cyclic}"], "cyclic", ORDER),
-        (["coequalize", "{m_cyclic}", "{m_cyclic}"], "cyclic", ORDER),
-        (["check", "--bposet", "{cyclic}"], "cyclic", ORDER),
+        (["hom", "{cyclic}", "{c3}"], "cyclic", CYCLE),
+        (["iso", "{c3}", "{cyclic}"], "cyclic", CYCLE),
+        (["coequalize", "{m_cyclic}", "{m_cyclic}"], "cyclic", CYCLE),
+        (["check", "--bposet", "{cyclic}"], "cyclic", CYCLE),
         (["hom", "{cover_cycle}", "{c3}"], "cover_cycle",
          ": cycle detected through a and b"),
     ]
@@ -661,6 +681,30 @@ class TestInputsAreCheckedWhereTheyEnter:
     def test_axiom_breaking_input_exits_one_naming_it(
         self, capsys, tmp_path, files, argv, bad, violation
     ):
+        self.exits_one_naming(capsys, tmp_path, files, argv, bad, violation)
+
+    # verbs that compute with the order alone still check the addition
+    ORDER_ONLY = [
+        ["hom", "{pea}", "{c3}"],
+        ["iso", "{c3}", "{pea}"],
+        ["coequalize", "{m_pea}", "{m_pea}"],
+        ["check", "--bposet", "{pea}"],
+        ["check", "--morphism", "{m_pea}"],
+        ["check", "--fork", "{pea_fork}"],
+        ["convert", "{pea}", "--to", "interval"],
+        ["convert", "{pea}", "--to", "triple"],
+    ]
+
+    @pytest.mark.parametrize(
+        "argv", ORDER_ONLY, ids=["-".join(a.strip("{}-") for a in argv)
+                                 for argv in ORDER_ONLY],
+    )
+    def test_order_only_verb_rejects_a_broken_addition(
+        self, capsys, tmp_path, files, argv
+    ):
+        self.exits_one_naming(capsys, tmp_path, files, argv, "pea", self.PE1)
+
+    def exits_one_naming(self, capsys, tmp_path, files, argv, bad, violation):
         json_path = tmp_path / "report.json"
         argv = [a.format(**files) for a in argv]
         code, out = run(capsys, *argv, "--json", str(json_path))

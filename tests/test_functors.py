@@ -13,7 +13,6 @@ from pealab import (
     enumerate_morphisms,
     enumerate_posets,
     identity,
-    interval_elements,
     interval_map,
     interval_poset,
     triple_elements,
@@ -64,7 +63,7 @@ class TestIntervalPoset:
     def test_order_is_interval_inclusion(self):
         P = diamond()
         I = interval_poset(P)
-        pairs = interval_elements(P)
+        pairs = list(P.intervals)
         for i, (a, b) in enumerate(pairs):
             for j, (c, d) in enumerate(pairs):
                 assert I.le(i, j) == (P.le(c, a) and P.le(b, d))
@@ -87,8 +86,8 @@ class TestIntervalMap:
     def test_collapse_sends_half_open_to_full(self):
         f = PosetMorphism(c3(), c2(), (0, 1, 1))  # a -> 1
         im = interval_map(f)
-        src = interval_elements(c3())
-        dst = interval_elements(c2())
+        src = list(c3().intervals)
+        dst = list(c2().intervals)
         k = src.index((0, 1))  # [0,a]
         assert dst[im.map[k]] == (0, 1)  # [0,1]
 
@@ -142,7 +141,7 @@ class TestTriplePoset:
 class TestZeroEmbedding:
     def test_values_on_two_chain(self):
         z = zero_embedding(c2())
-        pairs = interval_elements(c2())
+        pairs = list(c2().intervals)
         assert [pairs[v] for v in z.map] == [(0, 0), (0, 1)]
 
     def test_isotone_on_small_posets(self):
@@ -166,8 +165,8 @@ class TestAlphaBeta:
         a = alpha(c2())
         trips = triple_elements(c2())
         ip = interval_poset(c2())
-        pair_index = interval_elements(c2())
-        nested = interval_elements(ip)
+        pair_index = list(c2().intervals)
+        nested = list(ip.intervals)
 
         def image(x, y, z):
             return nested[a.map[trips.index((x, y, z))]]
@@ -181,8 +180,8 @@ class TestAlphaBeta:
         P = c3()
         a = alpha(P)
         trips = triple_elements(P)
-        pair_index = interval_elements(P)
-        nested = interval_elements(interval_poset(P))
+        pair_index = list(P.intervals)
+        nested = list(interval_poset(P).intervals)
         for x in range(P.n):
             k = trips.index((x, x, x))
             deg = pair_index.index((x, x))
@@ -191,7 +190,7 @@ class TestAlphaBeta:
     def test_beta_values(self):
         b = beta(c2())
         trips = triple_elements(c2())
-        pairs = interval_elements(c2())
+        pairs = list(c2().intervals)
         assert pairs[b.map[trips.index((0, 0, 1))]] == (0, 0)
         assert pairs[b.map[trips.index((0, 1, 1))]] == (0, 1)
 

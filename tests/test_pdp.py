@@ -34,7 +34,6 @@ from pealab import (
     enumerate_pdp_morphisms,
     equalizer_pdp,
     identity,
-    interval_elements,
     interval_map,
     is_dposet,
     pea_to_pdp,
@@ -160,7 +159,7 @@ class TestMirror:
 class TestDifferenceMorphisms:
     def test_zero_intervals_evaluate_to_the_element(self, pdps5):
         for X in pdps5:
-            pairs = interval_elements(X.base)
+            pairs = list(X.base.intervals)
             sm = slash_morphism(X)
             bm = bslash_morphism(X)
             for k, (a, b) in enumerate(pairs):
@@ -170,7 +169,7 @@ class TestDifferenceMorphisms:
 
     def test_degenerate_intervals_evaluate_to_zero(self, pdps5):
         for X in pdps5:
-            pairs = interval_elements(X.base)
+            pairs = list(X.base.intervals)
             sm = slash_morphism(X)
             bm = bslash_morphism(X)
             for k, (a, b) in enumerate(pairs):
@@ -180,7 +179,7 @@ class TestDifferenceMorphisms:
 
     def test_three_chain_value(self):
         X = c3_pdp()
-        pairs = interval_elements(X.base)
+        pairs = list(X.base.intervals)
         k = pairs.index((1, 2))  # [a,1]
         assert slash_morphism(X).map[k] == 1
 
@@ -232,6 +231,17 @@ class TestCachedPairs:
                 for b in range(X.n)
                 if X.base.le(a, b)
             )
+
+    def test_from_pairs_inverts_pairs(self, pdps6):
+        for X in pdps6:
+            differences = ((s, t) for *_, s, t in X.pairs)
+            assert PseudoDPoset.from_pairs(X.base, differences) == X
+
+    def test_from_pairs_takes_one_entry_per_pair(self):
+        X = c3_pdp()
+        for differences in (X.pairs[1:], X.pairs + X.pairs[:1]):
+            with pytest.raises(ValueError):
+                PseudoDPoset.from_pairs(X.base, (p[2:] for p in differences))
 
 
 class TestPdpMorphism:

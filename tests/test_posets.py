@@ -178,6 +178,19 @@ class TestGeneratedOrdersPassCheckOrder:
                 assert check_order(P).ok and P == entry.base
 
 
+class TestIntervalIndex:
+    def test_matches_the_definition_on_bounded_classes(self):
+        for P in enumerate_bounded_posets(6):
+            pairs = [(a, b) for a in range(P.n) for b in range(P.n) if P.le(a, b)]
+            assert list(P.intervals.items()) == [(p, k) for k, p in enumerate(pairs)]
+            # [a,b] <= [c,d] iff c <= a <= b <= d
+            assert P.interval_rows == tuple(
+                sum(1 << k for k, (c, d) in enumerate(pairs)
+                    if P.le(c, a) and P.le(b, d))
+                for a, b in pairs
+            )
+
+
 class TestCheckMorphism:
     def test_identity_is_valid(self):
         assert check_morphism(identity(c3())).ok

@@ -50,7 +50,6 @@ from .pea import (
     PseudoEffectAlgebra,
     check_pea,
     check_pea_morphism,
-    induced_order,
     is_commutative,
     pdp_to_pea,
     pea_to_pdp,

@@ -36,7 +36,6 @@ from .pea import (
     PseudoEffectAlgebra,
     check_pea,
     check_pea_morphism,
-    induced_relation,
     is_commutative,
     pdp_to_pea,
     pea_to_pdp,
@@ -52,7 +51,7 @@ from .posets import (
     is_split_fork,
     product_bposets,
 )
-from .reports import Report, Violation
+from .reports import Report
 from .transfer import (
     HomSets,
     generate_split_forks,
@@ -111,36 +110,20 @@ def _report_into(out: _Output, report: Report, named: bool = False) -> bool:
     return report.ok
 
 
-def _load_declared(path):
-    """The structure in path, and the violations of its declared covers by
-    the order that its addition induces (none for other kinds)."""
-    structure, declared = io.parse_declared(io.load_json(path), str(path))
-    if isinstance(structure, PseudoEffectAlgebra) and (
-        induced_relation(structure).leq != declared.leq
-    ):
-        return structure, (
-            Violation(
-                "order",
-                (),
-                "declared covers disagree with the order induced by the addition",
-            ),
-        )
-    return structure, ()
-
-
 class _Intake:
     """The structures one verb computes with, each checked where it enters.
 
     check_pea or check_pdp runs on every input that carries tables, once
     per distinct structure however many ends name it, and InvalidStructure
-    names the input and the first violation.  Then a BoundedPoset kind
-    takes the order (io.base_of); the other two kinds take either kind of
-    tables, converted when needed, and an input without tables raises
-    FormatError.
+    names the input and the first violation.  A checked structure is then
+    taken as the kind the verb asks for, at most once per kind: its base
+    for a BoundedPoset, itself, or its tables converted to the other kind.
+    An input without tables raises FormatError unless the kind is
+    BoundedPoset.
     """
 
     def __init__(self):
-        self.passed = set()
+        self.values = {}  # checked structure -> {kind: its value as kind}
 
     def checked(self, structure, kind, name: str):
         if isinstance(structure, BoundedPoset):
@@ -148,17 +131,17 @@ class _Intake:
                 return structure
             raise FormatError(f"{name} carries no addition or difference tables")
         pea = isinstance(structure, PseudoEffectAlgebra)
-        if structure not in self.passed:
+        values = self.values.get(structure)
+        if values is None:
             report = (check_pea if pea else check_pdp)(structure)
             if not report.ok:
                 raise InvalidStructure(
                     f"{name} fails {report.subject}: {report.violations[0]}")
-            self.passed.add(structure)
-        if kind is BoundedPoset:  # a checked addition induces an order
-            return io.base_of(structure)
-        if isinstance(structure, kind):
-            return structure
-        return pea_to_pdp(structure) if pea else pdp_to_pea(structure)
+            values = self.values[structure] = {
+                type(structure): structure, BoundedPoset: structure.base}
+        if kind not in values:
+            values[kind] = pea_to_pdp(structure) if pea else pdp_to_pea(structure)
+        return values[kind]
 
     def load(self, path, kind):
         return self.checked(io.load_structure(path), kind, path)
@@ -184,12 +167,10 @@ def _cmd_check(args) -> int:
     out = _Output("check", args.json)
     ok = True
     if args.pea:
-        A, extra = _load_declared(args.pea)
+        A = io.load_structure(args.pea)
         if not isinstance(A, PseudoEffectAlgebra):
             raise FormatError(f"{args.pea} does not carry an addition table")
-        report = check_pea(A)
-        report = Report(report.subject, report.violations + extra)
-        ok = _report_into(out, report)
+        ok = _report_into(out, check_pea(A))
         if ok:
             out.say(f"pseudo effect algebra on {A.n} elements; "
                     f"commutative: {is_commutative(A)}")
@@ -241,18 +222,15 @@ def _cmd_check(args) -> int:
 
 def _cmd_convert(args) -> int:
     out = _Output("convert", args.json)
-    structure, extra = _load_declared(args.input)
     if args.to in ("interval", "triple"):
-        base = _Intake().checked(structure, BoundedPoset, args.input)
+        base = _Intake().load(args.input, BoundedPoset)
         made = (interval_poset if args.to == "interval" else triple_poset)(base)
         obj = io.poset_obj(made)
         out.say(f"{args.to} poset on {made.n} elements (dump-only: "
                 "derived posets need not be bounded)")
     else:
-        if extra:
-            raise InvalidStructure(f"{args.input}: {extra[0].detail}")
         kind = PseudoEffectAlgebra if args.to == "pea" else PseudoDPoset
-        obj = io.structure_to_obj(_Intake().checked(structure, kind, args.input))
+        obj = io.structure_to_obj(_Intake().load(args.input, kind))
     if not out.result(args.output, obj):
         out.say(io.dumps(obj).rstrip("\n"))
     return out.finish(True)

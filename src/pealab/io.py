@@ -29,7 +29,7 @@ from pathlib import Path
 
 from .errors import FormatError, InvalidStructure
 from .pdp import PseudoDPoset
-from .pea import PseudoEffectAlgebra, induced_order
+from .pea import PseudoEffectAlgebra
 from .plmaps import BandViolation, PLMap
 from .posets import BoundedPoset, PosetMorphism, validate_bounded_poset
 
@@ -78,14 +78,8 @@ def _parse_table(obj, labels, name: str):
 
 
 def parse_structure(obj, what: str = "structure"):
-    """Parse a structure object into the most specific value it encodes."""
-    return parse_declared(obj, what)[0]
-
-
-def parse_declared(obj, what: str = "structure"):
-    """(parse_structure's value, the bounded poset that the object's
-    elements and covers declare).  For an addition table the two orders
-    can differ; callers compare them against the induced order."""
+    """Parse a structure object into the most specific value it encodes,
+    over the bounded poset that its elements and covers declare."""
     _read_object(obj, what, ("elements", "covers"), ("plus", "slash", "bslash"))
     elements = _string_list(obj["elements"], f"{what} elements")
     _require(len(set(elements)) == len(elements),
@@ -110,29 +104,14 @@ def parse_declared(obj, what: str = "structure"):
              f"{what} carries both an addition and difference tables")
     if has_plus:
         plus = _parse_table(obj["plus"], base.labels, "plus")
-        return PseudoEffectAlgebra(base.labels, plus, base.bottom, base.top), base
+        return PseudoEffectAlgebra(base, plus)
     if has_diff:
         _require("slash" in obj and "bslash" in obj,
                  f"{what} needs both 'slash' and 'bslash'")
         slash = _parse_table(obj["slash"], base.labels, "slash")
         bslash = _parse_table(obj["bslash"], base.labels, "bslash")
-        return PseudoDPoset(base, slash, bslash), base
-    return base, base
-
-
-def base_of(structure) -> BoundedPoset:
-    """Underlying bounded poset of any structure kind.
-
-    For a pseudo effect algebra this is the induced order, which may
-    raise when the structure is invalid.
-    """
-    if isinstance(structure, BoundedPoset):
-        return structure
-    if isinstance(structure, PseudoDPoset):
-        return structure.base
-    if isinstance(structure, PseudoEffectAlgebra):
-        return induced_order(structure)
-    raise FormatError(f"not a structure: {type(structure).__name__}")
+        return PseudoDPoset(base, slash, bslash)
+    return base
 
 
 def table_obj(table, labels) -> dict:
@@ -148,7 +127,7 @@ def table_obj(table, labels) -> dict:
 
 def structure_to_obj(structure) -> dict:
     if isinstance(structure, PseudoEffectAlgebra):
-        obj = poset_obj(base_of(structure))
+        obj = poset_obj(structure.base)
         obj["plus"] = table_obj(structure.plus, structure.labels)
         return obj
     if isinstance(structure, PseudoDPoset):
@@ -216,8 +195,10 @@ class MorphismFile:
     names: tuple[str, str]
 
     def poset_map(self) -> PosetMorphism:
-        src = base_of(self.source)
-        dst = base_of(self.target)
+        src, dst = (
+            end if isinstance(end, BoundedPoset) else end.base
+            for end in (self.source, self.target)
+        )
         values = []
         for lab in src.labels:
             if lab not in self.map_labels:

@@ -1,16 +1,17 @@
 """Pseudo effect algebras: axioms, induced order, difference conversion.
 
-A pseudo effect algebra is a carrier with a partial addition and constants
-0, 1 subject to
+A pseudo effect algebra is a bounded poset (its ``base``, the poset that
+the forgetful functor U keeps) with a partial addition, whose bounds are
+the constants 0 and 1, subject to
 
   PE1: a+(b+c) exists iff (a+b)+c exists, and then both agree,
   PE2: every a has exactly one d with a+d = 1 and exactly one e with e+a = 1,
   PE3: if a+b exists there are d, e with d+a = b+e = a+b,
   PE4: if a+1 or 1+a exists then a = 0,
 
-together with the requirement that a <= c iff a+b = c for some b defines a
-bounded partial order.  The checker reports the axiom layer and the order
-layer separately.
+together with the requirement that a <= c iff a+b = c for some b defines
+exactly the order of the base.  The checker reports the axiom layer and the
+order layer separately.
 
 The opposite algebra, a +' b = b + a, has the transposed table and the
 difference tables exchanged (Dvurecenskij & Vetterlein, Pseudoeffect
@@ -33,25 +34,27 @@ PlusTable = tuple[tuple[int | None, ...], ...]
 
 @dataclass(frozen=True)
 class PseudoEffectAlgebra:
-    labels: tuple[str, ...]
+    base: BoundedPoset
     plus: PlusTable
-    zero: int
-    one: int
 
     def __post_init__(self):
-        n = len(self.labels)
-        if len(set(self.labels)) != n:
-            raise InvalidStructure("duplicate element labels")
-        _check_table(self.plus, n, "addition")
-        if not (0 <= self.zero < n and 0 <= self.one < n):
-            raise InvalidStructure("zero/one index out of range")
+        _check_table(self.plus, self.base.n, "addition")
 
     @property
     def n(self) -> int:
-        return len(self.labels)
+        return self.base.n
 
-    def add(self, a: int, b: int):
-        return self.plus[a][b]
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return self.base.labels
+
+    @property
+    def zero(self) -> int:
+        return self.base.bottom
+
+    @property
+    def one(self) -> int:
+        return self.base.top
 
 
 def induced_relation(A: PseudoEffectAlgebra) -> BoundedPoset:
@@ -68,7 +71,8 @@ def induced_relation(A: PseudoEffectAlgebra) -> BoundedPoset:
 
 def check_pea(A: PseudoEffectAlgebra) -> Report:
     """Report every PE1..PE4 violation, then :func:`check_order`'s lines
-    for :func:`induced_relation`."""
+    for :func:`induced_relation`; when that relation is an order, report
+    whether it differs from A's base."""
     n = A.n
     lab = A.labels
     plus = A.plus
@@ -128,31 +132,27 @@ def check_pea(A: PseudoEffectAlgebra) -> Report:
                 Violation("PE4", (("a", lab[a]),), "a+1 or 1+a exists with a != 0")
             )
 
-    violations.extend(check_order(induced_relation(A)).violations)
+    induced = induced_relation(A)
+    order = check_order(induced).violations
+    violations.extend(order)
+    if not order and induced.leq != A.base.leq:
+        violations.append(Violation(
+            "order", (),
+            "declared covers disagree with the order induced by the addition",
+        ))
     return Report("check_pea", tuple(violations))
 
 
-def induced_order(A: PseudoEffectAlgebra) -> BoundedPoset:
-    """The induced order as a checked bounded poset.
-
-    Raises InvalidStructure ("induced order: ...", with the first line of
-    :func:`check_order`) when the relation is not a bounded partial order;
-    the defect is reported, never repaired.
-    """
-    P = induced_relation(A)
-    report = check_order(P)
-    if not report.ok:
-        raise InvalidStructure(f"induced order: {report.violations[0]}")
-    return P
-
-
 def pea_to_pdp(A: PseudoEffectAlgebra) -> PseudoDPoset:
-    """Difference tables for A: a + (c/a) = (c\\a) + a = c.
+    """Difference tables for A on its base: a + (c/a) = (c\\a) + a = c.
 
-    Raises InvalidStructure when some difference is missing or ambiguous,
-    which signals that A is not a pseudo effect algebra.
+    Raises InvalidStructure when the addition induces another order than
+    the base, or when some difference is missing or ambiguous; either
+    signals that A is not a pseudo effect algebra.
     """
-    base = induced_order(A)
+    base = A.base
+    if induced_relation(A).leq != base.leq:
+        raise InvalidStructure("the induced order differs from the declared one")
     # c\a is c/a in the opposite algebra, whose table is the transpose
     sides = ((A.plus, "{a}+x={c}"), (tuple(zip(*A.plus)), "y+{a}={c}"))
 
@@ -203,7 +203,7 @@ def pdp_to_pea(X: PseudoDPoset) -> PseudoEffectAlgebra:
         raise InvalidStructure(
             "the two difference tables disagree on the induced addition"
         )
-    return PseudoEffectAlgebra(lab, sums[0], base.bottom, base.top)
+    return PseudoEffectAlgebra(base, sums[0])
 
 
 def is_commutative(A: PseudoEffectAlgebra) -> bool:

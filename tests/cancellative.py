@@ -119,9 +119,7 @@ def cancellative_structures(base) -> list[PseudoEffectAlgebra]:
             return
         if col_used != leq:
             return
-        candidate = PseudoEffectAlgebra(
-            base.labels, tuple(tuple(row) for row in table), zero, one
-        )
+        candidate = PseudoEffectAlgebra(base, tuple(tuple(row) for row in table))
         if check_pea(candidate).ok:
             results.append(candidate)
 

@@ -102,9 +102,7 @@ def pea_from(base: BoundedPoset, sums) -> PseudoEffectAlgebra:
         table[x][base.bottom] = x
     for a, b, c in sums:
         table[idx[a]][idx[b]] = idx[c]
-    return PseudoEffectAlgebra(
-        base.labels, tuple(tuple(row) for row in table), base.bottom, base.top
-    )
+    return PseudoEffectAlgebra(base, tuple(tuple(row) for row in table))
 
 
 def edit_table(table, cells):

@@ -29,7 +29,6 @@ from pealab import (
     generate_split_forks,
     i_preserves_fork,
     identity,
-    induced_order,
     interval_map,
     is_commutative,
     pdp_to_pea,
@@ -62,7 +61,7 @@ def test_criterion_1_axiom_roundtrip_suite(catalog6):
             assert check_pdp(X).ok
             assert pdp_to_pea(X) == A
             assert pea_to_pdp(pdp_to_pea(X)) == X
-            assert induced_order(A) == entry.base
+            assert A.base == entry.base  # check_pea(A) compared it with the addition
             assert X.base == entry.base
             structures += 1
     assert structures == 48

@@ -95,9 +95,17 @@ class TestCheck:
         obj["covers"] = [["0", "a"], ["a", "1"], ["0", "b"], ["b", "1"]]
         path = write_json(tmp_path, "wrong.json", obj)
         code, out = run(capsys, "check", "--pea", path)
-        assert code == 1
+        # b has no sums, so the induced relation is no order: its order
+        # lines already say that it is not the declared one
+        assert code == 1 and "declared covers disagree" not in out
         code, out = run(capsys, "convert", path, "--to", "pdp")
-        assert code == 1 and "declared covers disagree" in out
+        assert code == 1 and f"{path} fails check_pea: PE2 violated" in out
+        hsum = json.loads((SAMPLES / "d4_hsum.json").read_text())
+        hsum["covers"] = [["0", "a"], ["a", "b"], ["b", "1"]]
+        path = write_json(tmp_path, "chain.json", hsum)
+        assert run(capsys, "check", "--pea", path) == (1, (
+            "order violated: declared covers disagree with the order "
+            "induced by the addition\nRESULT: FAIL check\n"))
 
     def test_pdp_check(self, capsys, tmp_path):
         path = tmp_path / "x.json"
@@ -393,20 +401,41 @@ def test_verify_coeq_builds_the_interval_rows_once_per_b(capsys, monkeypatch):
     assert sorted(map(id, built)) == sorted(distinct | quotients)
 
 
-@pytest.mark.parametrize("argv", [
-    ["transfer", "--fork", COLLAPSE_FORK],
-    ["verify-coeq", "--fork", COLLAPSE_FORK, "--max-target-n", "3"],
-    ["check", "--fork", COLLAPSE_FORK],
-], ids=["transfer", "verify-coeq", "check"])
-def test_fork_ends_are_read_and_checked_once(capsys, monkeypatch, argv):
-    # all eight ends of the fork's arrows name d4_hsum_pdp.json
-    reads, checks = [], []
-    load, check = io.load_json, cli.check_pdp
+FORK_VERBS = {
+    "transfer": ["transfer", "--fork", "{fork}"],
+    "verify-coeq": ["verify-coeq", "--fork", "{fork}", "--max-target-n", "3"],
+    "check": ["check", "--fork", "{fork}"],
+}
+
+
+@pytest.mark.parametrize(
+    "verb, pea",
+    [(verb, False) for verb in FORK_VERBS] + [(verb, True) for verb in FORK_VERBS],
+    ids=[*FORK_VERBS, *(f"{verb}-pea" for verb in FORK_VERBS)],
+)
+def test_fork_ends_are_read_and_checked_once(
+    capsys, monkeypatch, tmp_path, verb, pea
+):
+    # all eight ends of the fork's arrows name one structure file: it is
+    # read and checked once, and an addition table is converted once
+    end = str(SAMPLES / ("d4_hsum.json" if pea else "d4_hsum_pdp.json"))
+    fork = str(tmp_path / "fork.json")
+    text = Path(COLLAPSE_FORK).read_text()
+    Path(fork).write_text(text.replace('"d4_hsum_pdp.json"', json.dumps(end)))
+    reads, load = [], io.load_json
     monkeypatch.setattr(io, "load_json", lambda p: reads.append(str(p)) or load(p))
-    monkeypatch.setattr(cli, "check_pdp", lambda X: checks.append(X) or check(X))
-    assert run(capsys, *argv)[0] == 0
-    assert reads == [COLLAPSE_FORK, str(SAMPLES / "d4_hsum_pdp.json")]
-    assert len(checks) == 1
+    calls = {name: [] for name in ("check_pea", "check_pdp", "pea_to_pdp",
+                                   "pdp_to_pea")}
+    for name, seen in calls.items():
+        monkeypatch.setattr(cli, name, lambda X, f=getattr(cli, name), seen=seen:
+                            seen.append(X) or f(X))
+    assert run(capsys, *(a.format(fork=fork) for a in FORK_VERBS[verb]))[0] == 0
+    assert reads == [fork, end]
+    # check --fork takes only the orders, the other two verbs the differences
+    assert {name: len(seen) for name, seen in calls.items()} == {
+        "check_pea": int(pea), "check_pdp": int(not pea),
+        "pea_to_pdp": int(pea and verb != "check"), "pdp_to_pea": 0,
+    }
 
 
 class TestTransferVerbs:
@@ -627,6 +656,9 @@ class TestInputsAreCheckedWhereTheyEnter:
     # a <= b <= a: the addition is checked before its order is taken
     CYCLE = (" fails check_pea: PE1 violated at a=a, b=a, c=b: "
              "a+(b+c) exists but (a+b)+c does not match it")
+    # an addition that passes PE1-PE4 but induces another order
+    DECLARED = (" fails check_pea: order violated: declared covers disagree "
+                "with the order induced by the addition")
 
     @pytest.fixture
     def files(self, tmp_path):
@@ -637,10 +669,12 @@ class TestInputsAreCheckedWhereTheyEnter:
         cyclic = json.loads((SAMPLES / "d4_hsum.json").read_text())
         cyclic["plus"].update({"a,b": "b", "b,a": "a"})  # a <= b <= a
         plain = {"elements": pdp["elements"], "covers": pdp["covers"]}
+        covers = json.loads((SAMPLES / "d4_hsum.json").read_text())
+        covers["covers"] = [["0", "a"], ["a", "b"], ["b", "1"]]
         ident = {"0": "0", "a": "a", "b": "b", "1": "1"}
         paths = {"c3": _sample("c3.json")}
         for name, obj in (("pdp", pdp), ("pea", pea), ("cyclic", cyclic),
-                          ("plain", plain)):
+                          ("plain", plain), ("covers", covers)):
             paths[name] = write_json(tmp_path, f"{name}.json", obj)
             paths[f"m_{name}"] = write_json(
                 tmp_path, f"m_{name}.json",
@@ -703,6 +737,30 @@ class TestInputsAreCheckedWhereTheyEnter:
         self, capsys, tmp_path, files, argv
     ):
         self.exits_one_naming(capsys, tmp_path, files, argv, "pea", self.PE1)
+
+    # every verb takes the order the file declares, so it must be the one
+    # that the addition induces
+    DECLARED_ORDER = [
+        ["hom", "{covers}", "{c3}"],
+        ["iso", "{covers}", "{covers}"],
+        ["product", "{covers}", "{c3}"],
+        ["coequalize", "{m_covers}", "{m_covers}"],
+        ["check", "--morphism", "{m_covers}"],
+        ["check", "--pea-morphism", "{m_covers}"],
+        ["check", "--bposet", "{covers}"],
+        ["convert", "{covers}", "--to", "pdp"],
+        ["convert", "{covers}", "--to", "interval"],
+    ]
+
+    @pytest.mark.parametrize(
+        "argv", DECLARED_ORDER, ids=["-".join(a.strip("{}-") for a in argv)
+                                     for argv in DECLARED_ORDER],
+    )
+    def test_declared_order_must_be_the_induced_one(
+        self, capsys, tmp_path, files, argv
+    ):
+        self.exits_one_naming(capsys, tmp_path, files, argv, "covers",
+                              self.DECLARED)
 
     def exits_one_naming(self, capsys, tmp_path, files, argv, bad, violation):
         json_path = tmp_path / "report.json"

@@ -23,16 +23,19 @@ from pealab import (
     check_pea,
     check_pea_morphism,
     enumerate_morphisms,
-    induced_order,
     is_commutative,
     pdp_to_pea,
     pea_to_pdp,
     validate_bounded_poset,
 )
+from pealab.pea import induced_relation
+
+DECLARED = ("order violated: "
+            "declared covers disagree with the order induced by the addition")
 
 
 def with_cells(A, cells):
-    return PseudoEffectAlgebra(A.labels, edit_table(A.plus, cells), A.zero, A.one)
+    return PseudoEffectAlgebra(A.base, edit_table(A.plus, cells))
 
 
 def set_cell(A, a, b, c):
@@ -150,27 +153,56 @@ class TestShape:
     ])
     def test_table_shape_messages(self, plus, message):
         with pytest.raises(InvalidStructure, match=f"^{message}$"):
-            PseudoEffectAlgebra(("0", "1"), plus, 0, 1)
+            PseudoEffectAlgebra(c2(), plus)
 
 
 class TestInducedOrder:
     def test_two_chain(self):
-        assert induced_order(c2_pea()) == c2()
+        assert induced_relation(c2_pea()) == c2()
 
     def test_three_chain(self):
-        assert induced_order(c3_pea()) == c3()
+        assert induced_relation(c3_pea()) == c3()
 
     def test_diamond_orthostructure(self):
-        assert induced_order(d4_ortho()) == diamond()
+        assert induced_relation(d4_ortho()) == diamond()
 
     def test_invalid_relation_is_reported_not_repaired(self):
         broken = drop_cell(c3_pea(), 0, 1)
+        assert ("order violated at a=0: bottom is not below every element"
+                in check_pea(broken).lines())
+        assert DECLARED not in check_pea(broken).lines()
         with pytest.raises(
             InvalidStructure,
-            match="^induced order: order violated at a=0: "
-            "bottom is not below every element$",
+            match="^the induced order differs from the declared one$",
         ):
-            induced_order(broken)
+            pea_to_pdp(broken)
+
+
+class TestDeclaredOrder:
+    """An algebra carries its bounded poset; check_pea decides that the
+    addition induces exactly that order."""
+
+    def test_every_table_over_every_other_class_of_its_size(self, catalog6):
+        cases = 0
+        for entry in catalog6:
+            for other in catalog6:
+                if other.base.n != entry.base.n or other.base == entry.base:
+                    continue
+                for A in entry.structures:
+                    declared = PseudoEffectAlgebra(other.base, A.plus)
+                    assert check_pea(declared).lines() == [DECLARED]
+                    with pytest.raises(InvalidStructure, match="^the induced"
+                                       " order differs from the declared one$"):
+                        pea_to_pdp(declared)
+                    cases += 1
+        assert cases == 545
+
+    def test_conversions_keep_the_base(self, pdps6):
+        assert len(pdps6) == 48
+        for X in pdps6:
+            A = pdp_to_pea(X)
+            assert A.base is X.base and pea_to_pdp(A).base is X.base
+            assert pea_to_pdp(A) == X
 
 
 class TestConversionValues:
@@ -315,7 +347,8 @@ class TestRoundtrip:
                 X = pea_to_pdp(A)
                 assert pdp_to_pea(X) == A
                 assert pea_to_pdp(pdp_to_pea(X)) == X
-                assert induced_order(pdp_to_pea(X)) == X.base
+                back = pdp_to_pea(X)
+                assert back.base is X.base and check_pea(back).ok
 
     def test_left_and_right_order_agree(self, catalog5):
         for entry in catalog5:

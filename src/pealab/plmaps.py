@@ -198,10 +198,9 @@ def pl_sum(f: PLMap, g: PLMap):
 
 @dataclass(frozen=True)
 class NoncommutativityReport:
-    """Concrete pair with f+g defined while g+f is undefined."""
+    """What the witness pair (f, g) shows: f+g is defined while g+f is
+    undefined."""
 
-    first: PLMap
-    second: PLMap
     forward_sum: PLMap
     reverse_composition: PLMap
     violation: BandViolation
@@ -229,5 +228,5 @@ def pl_noncommutativity_witness():
     violation = find_band_violation(reverse)
     if violation is None:
         raise InvalidStructure("witness construction broke: g+f defined")
-    report = NoncommutativityReport(f, g, forward, reverse, violation)
+    report = NoncommutativityReport(forward, reverse, violation)
     return f, g, report

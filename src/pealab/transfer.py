@@ -13,7 +13,6 @@ run through the full axiom checker.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .errors import InvalidStructure, TransferError
 from .functors import interval_table
@@ -34,13 +33,6 @@ from .posets import (
     is_split_fork,
 )
 from .reports import Report, Violation
-
-
-@dataclass(frozen=True)
-class TransferResult:
-    Qprime: PseudoDPoset
-    qprime: PDPMorphism
-    diagnostics: Report
 
 
 def _validate_fork(f: PDPMorphism, g: PDPMorphism, fork: SplitFork) -> None:
@@ -77,8 +69,12 @@ def _validate_fork(f: PDPMorphism, g: PDPMorphism, fork: SplitFork) -> None:
 
 def transfer_structure(
     f: PDPMorphism, g: PDPMorphism, fork: SplitFork
-) -> TransferResult:
-    """Equip the fork's coequalizer object with both differences.
+) -> PDPMorphism:
+    """The quotient q': B -> Q' of pseudo D-posets that the U-split pair
+    (f, g) creates: Q' is the fork's coequalizer object equipped with both
+    differences, and the poset map of q' is ``fork.q``.  A return means
+    that both differences descend along q and that Q' passes
+    :func:`check_pdp`.
 
     Raises InvalidStructure for a malformed fork, including one whose A
     or B has an undefined difference, and TransferError when the
@@ -98,7 +94,6 @@ def transfer_structure(
         for x, y in fork.Q.intervals
     )
     Qprime = PseudoDPoset.from_pairs(fork.Q, pulled)
-    qprime = PDPMorphism(B, Qprime, q)
     # q is a bounded-poset morphism, so every violation is a difference
     # that does not descend
     first = next(pdp_morphism_violations(B, Qprime, q.map), None)
@@ -115,16 +110,7 @@ def transfer_structure(
             "internal consistency: transferred structure fails the axioms: "
             + axiom_report.lines()[0]
         )
-    diagnostics = Report(
-        "transfer",
-        (),
-        notes=(
-            f"verified commutation of / and \\ over {len(B.pairs)} source intervals",
-            "transferred structure passes the axioms",
-            "quotient map preserves both differences",
-        ),
-    )
-    return TransferResult(Qprime, qprime, diagnostics)
+    return PDPMorphism(B, Qprime, q)
 
 
 class HomSets(dict):
@@ -150,29 +136,26 @@ class HomSets(dict):
 def verify_coequalizer_psdpos(
     f: PDPMorphism,
     g: PDPMorphism,
-    result: TransferResult,
+    qprime: PDPMorphism,
     targets,
-    homs: HomSets | None = None,
+    homs: HomSets,
 ) -> Report:
     """Check the universal property against a catalog of targets.
 
     For every target C and every difference-preserving h: B -> C that
     coequalizes the pair, exactly one difference-preserving e with
-    e o q = h must exist.  The quotient q must be onto Q' (a split fork's
-    is, as q o s = 1), else InvalidStructure is raised.  So e is fixed by
-    h: e(q(b)) = h(b), read off one preimage of each element of Q'.  At
-    most one e exists, and it is a mediator iff e o q = h and its raw table
-    passes :func:`preserves_differences`: one pass over the cached pairs of
-    Q' that stops at the first violation.  No morphism is built per
-    candidate and no hom set out of Q' is enumerated.  ``homs`` shares the
-    hom sets out of B between calls; a fresh table is used when it is
-    omitted.
+    e o q = h must exist, where q: B -> Q' is ``qprime``.  The quotient
+    must be onto Q' (a split fork's is, as q o s = 1), else
+    InvalidStructure is raised.  So e is fixed by h: e(q(b)) = h(b), read
+    off one preimage of each element of Q'.  At most one e exists, and it
+    is a mediator iff e o q = h and its raw table passes
+    :func:`preserves_differences`: one pass over the cached pairs of Q'
+    that stops at the first violation.  No morphism is built per candidate
+    and no hom set out of Q' is enumerated.  ``homs`` shares the hom sets
+    out of B between calls.
     """
-    if homs is None:
-        homs = HomSets()
     B = f.target
-    Qprime = result.Qprime
-    qmap = result.qprime.map
+    Qprime, qmap = qprime.target, qprime.map
     missed = set(range(Qprime.n)).difference(qmap)
     if missed:
         raise InvalidStructure(
@@ -258,20 +241,17 @@ def i_preserves_fork(fork: SplitFork) -> bool:
 def split_fork_from_idempotent(
     X: PseudoDPoset,
     idem: PDPMorphism,
-    auto: PDPMorphism | None = None,
+    phi: PDPMorphism,
     shuffle: list[int] | None = None,
 ):
-    """Split fork (auto, idem o auto) with Q the image of the idempotent.
+    """Split fork (phi, idem o phi), phi an automorphism of X, with Q the
+    image of the idempotent.
 
     ``shuffle`` optionally permutes the carrier of Q to vary the quotient
     presentation.  Returns (f, g, fork) ready for transfer_structure.
     """
     B = X.base
     e = idem.poset_map
-    if auto is None:
-        phi = PDPMorphism(X, X, PosetMorphism(B, B, tuple(range(B.n))))
-    else:
-        phi = auto
     image = sorted(set(e.map))
     carrier = image if shuffle is None else [image[i] for i in shuffle]
     Q = induced_subposet(B, carrier)
@@ -284,17 +264,14 @@ def split_fork_from_idempotent(
     return phi, g, fork
 
 
-def split_fork_pool(structures, homs: HomSets | None = None):
+def split_fork_pool(structures, homs: HomSets):
     """Every (X, idempotent, automorphism) triple of difference-preserving
     endomorphisms of each structure X, in enumeration order.
 
-    ``homs`` shares the endomorphism sets with later calls; a fresh table
-    is used when it is omitted.  Automorphisms are the bijective
-    endomorphisms (see :func:`generate_split_forks` for why their inverses
-    need no check).
+    ``homs`` shares the endomorphism sets with later calls.  Automorphisms
+    are the bijective endomorphisms (see :func:`generate_split_forks` for
+    why their inverses need no check).
     """
-    if homs is None:
-        homs = HomSets()
     pool = []
     for X in structures:
         endos = homs[X, X]
@@ -308,18 +285,13 @@ def split_fork_pool(structures, homs: HomSets | None = None):
     return pool
 
 
-def generate_split_forks(
-    structures, count: int, seed: int, homs: HomSets | None = None
-):
+def generate_split_forks(structures, count: int, seed: int, homs: HomSets):
     """Seeded sample of split forks over difference-preserving maps.
 
     Every structure contributes one fork per (idempotent endomorphism,
     automorphism) pair of :func:`split_fork_pool`; sampling draws from that
     pool with replacement and randomly permutes the presentation of Q half
-    of the time.
-
-    ``homs`` shares the endomorphism sets with later calls; a fresh table
-    is used when it is omitted.
+    of the time.  ``homs`` shares the endomorphism sets with later calls.
 
     Automorphisms are the bijective endomorphisms; their inverses need no
     check.  Lemma: on a pseudo D-poset, where every a <= b has both

@@ -24,6 +24,7 @@ from functools import cached_property
 
 from pealab import (
     BoundedPoset,
+    HomSets,
     PosetMorphism,
     PseudoDPoset,
     PseudoEffectAlgebra,
@@ -341,7 +342,7 @@ def pooled_split_forks(structures):
     three presentations of Q: the first three orders of its carrier in
     itertools.permutations order, the unpermuted one first."""
     forks = []
-    for X, e, phi in split_fork_pool(structures):
+    for X, e, phi in split_fork_pool(structures, HomSets()):
         size = len(set(e.map))
         for shuffle in itertools.islice(itertools.permutations(range(size)), 3):
             forks.append(split_fork_from_idempotent(X, e, phi, list(shuffle))[2])
@@ -404,7 +405,7 @@ def pdp_morphism_report_by_definition(h) -> Report:
     return Report("check_pdp_morphism", tuple(violations))
 
 
-def coequalizer_report_by_hom_sets(f, g, result, targets, homs) -> Report:
+def coequalizer_report_by_hom_sets(f, g, qprime, targets, homs) -> Report:
     """verify_coequalizer_psdpos by scanning Hom(Q', C): the mediators of a
     coequalizing h are the e in it with e o q = h.  ``homs`` is a plain
     dict that keeps the enumerated hom sets between calls."""
@@ -414,7 +415,7 @@ def coequalizer_report_by_hom_sets(f, g, result, targets, homs) -> Report:
             homs[X, Y] = enumerate_pdp_morphisms(X, Y)
         return homs[X, Y]
 
-    B, Qprime, q = f.target, result.Qprime, result.qprime.map
+    B, Qprime, q = f.target, qprime.target, qprime.map
     violations = []
     n_targets = pairs = scanned = found = 0
     for idx, C in enumerate(targets):

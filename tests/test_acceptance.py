@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from helpers import c2, c3, diamond
 from pealab import (
+    HomSets,
     PDPMorphism,
     alpha,
     beta,
@@ -116,20 +117,20 @@ def test_criterion_3_diagram_suite(pdps5, pdps4):
 
 def test_criterion_4_transfer_suite(pdps5, pdps4):
     started = time.time()
-    forks = generate_split_forks(pdps5, FORK_COUNT, FORK_SEED)
+    forks = generate_split_forks(pdps5, FORK_COUNT, FORK_SEED, HomSets())
     assert len(forks) >= 100
     for f, g, fork in forks:
-        result = transfer_structure(f, g, fork)
-        assert check_pdp(result.Qprime).ok
-        assert check_pdp_morphism(result.qprime).ok
+        qprime = transfer_structure(f, g, fork)
+        assert check_pdp(qprime.target).ok
+        assert check_pdp_morphism(qprime).ok
         assert i_preserves_fork(fork)
-        assert verify_coequalizer_psdpos(f, g, result, pdps4).ok
+        assert verify_coequalizer_psdpos(f, g, qprime, pdps4, HomSets()).ok
     _passed(4, f"transfer suite over {len(forks)} split forks", started)
 
 
 def test_criterion_5_independent_coequalizer_crosscheck(pdps5):
     started = time.time()
-    forks = generate_split_forks(pdps5, FORK_COUNT, FORK_SEED)
+    forks = generate_split_forks(pdps5, FORK_COUNT, FORK_SEED, HomSets())
     for f, g, fork in forks:
         Q, q = coequalizer_bposets(fork.f, fork.g)
         iso = comparison_isomorphism(q, fork.q)

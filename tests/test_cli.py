@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import c2, c3, c3_pea, c4, count_builds, d4_hsum, diamond
+from helpers import c2, c3, c3_pea, c4, c4_pea, count_builds, d4_hsum, diamond
 from pealab import Poset, catalog, cli, io, pea_to_pdp
 from pealab.cli import main
 from pealab.io import dumps, save_structure, structure_to_obj
@@ -123,8 +123,9 @@ class TestCheck:
 
 
 @pytest.mark.parametrize(
-    "argv", [("check", "--pea", "{}"), ("convert", "{}", "--to", "pdp")],
-    ids=["check", "convert"],
+    "argv", [("check", "--pea", "{}"), ("convert", "{}", "--to", "pdp"),
+             ("iso", "{}", "{}"), ("hom", "{}", "{}"), ("product", "{}", "{}")],
+    ids=["check", "convert", "iso", "hom", "product"],
 )
 def test_input_is_read_once(capsys, monkeypatch, c3_file, argv):
     calls = []
@@ -138,6 +139,46 @@ def test_input_is_read_once(capsys, monkeypatch, c3_file, argv):
     code, _ = run(capsys, *(a.format(c3_file) for a in argv))
     assert code == 0
     assert calls == [c3_file]
+
+
+@pytest.mark.parametrize("verb", ["equalize", "coequalize"])
+def test_structure_a_morphism_names_is_read_once(
+    capsys, monkeypatch, tmp_path, c3_file, verb
+):
+    m = write_json(tmp_path, "m.json", {"source": c3_file, "target": c3_file,
+                                        "map": {"0": "0", "a": "a", "1": "1"}})
+    reads, load = [], io.load_json
+    monkeypatch.setattr(io, "load_json", lambda p: reads.append(str(p)) or load(p))
+    assert run(capsys, verb, m, m)[0] == 0
+    assert reads.count(c3_file) == 1
+
+
+@pytest.mark.parametrize("verb", ["--morphism", "--pea-morphism"])
+def test_map_naming_an_element_outside_the_source_exits_two(
+    capsys, tmp_path, verb
+):
+    c3_path = str(SAMPLES / "c3.json")
+    path = write_json(tmp_path, "m.json", {
+        "source": c3_path, "target": c3_path,
+        "map": {"0": "0", "a": "a", "1": "1", "zzz": "0"}})
+    message = f"{path} map names 'zzz', which is not a source element"
+    assert run(capsys, "check", verb, path) == (
+        2, f"error: {message}\nRESULT: FAIL check\n")
+
+
+@pytest.mark.parametrize("table", [
+    {"0": "0", "x": "y", "y": "x", "1": "1"},
+    {"0": "0", "x": "x", "y": "x", "1": "1"},
+], ids=["swap", "squash"])
+def test_equalize_rejects_maps_that_are_not_morphisms(capsys, tmp_path, table):
+    # the 4-chain with x+x = y: neither map preserves the differences, so
+    # the equalizer of a map with itself is no answer
+    save_structure(c4_pea(), tmp_path / "chain.json")
+    m = write_json(tmp_path, "m.json",
+                   {"source": "chain.json", "target": "chain.json", "map": table})
+    assert run(capsys, "equalize", m, m) == (
+        1, "error: equalizer requires difference-preserving maps\n"
+           "RESULT: FAIL equalize\n")
 
 
 class TestConvert:
@@ -472,6 +513,17 @@ class TestTransferVerbs:
         assert code == 0
         produced = json.loads((tmp_path / "q.json").read_text())
         assert produced["slash"]["1,a"] == "a"
+
+    def test_transfer_record_holds_its_report(self, capsys, tmp_path):
+        json_path = tmp_path / "transfer.json"
+        argv = ("transfer", "--fork", COLLAPSE_FORK, "--json", str(json_path))
+        assert run(capsys, *argv)[0] == 0
+        assert json.loads(json_path.read_text())["reports"] == [{
+            "subject": "transfer", "ok": True, "violations": [],
+            "notes": ["verified commutation of / and \\ over 9 source intervals",
+                      "transferred structure passes the axioms",
+                      "quotient map preserves both differences"],
+        }]
 
     def test_verify_coeq_on_the_bundle(self, capsys, tmp_path):
         path = self._fork_bundle(tmp_path)

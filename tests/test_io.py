@@ -103,18 +103,23 @@ class TestMorphismFiles:
             "map": {"0": "0", "a": "a", "1": "1"},
         }
         path = write(tmp_path, "m.json", obj)
-        m = load_morphism(path).poset_map()
+        m = load_morphism(path, {}).poset_map()
         assert m.map == (0, 1, 2)
 
-    def test_missing_map_entry_is_rejected(self, tmp_path):
-        obj = {
-            "source": structure_to_obj(c3()),
-            "target": structure_to_obj(c3()),
-            "map": {"0": "0", "1": "1"},
-        }
-        mf = parse_morphism(obj)
-        with pytest.raises(FormatError, match="misses"):
-            mf.poset_map()
+    @pytest.mark.parametrize("edit, problem", [
+        ({"a": None}, "map misses element 'a'"),
+        ({"zzz": "0"}, "map names 'zzz', which is not a source element"),
+        ({"a": "nope"}, "map sends 'a' to 'nope', which is not a target element"),
+    ], ids=["missing", "extra", "unknown-image"])
+    def test_map_names_exactly_the_source_elements(self, tmp_path, edit, problem):
+        # the reader resolves the map, so each error names the file
+        table = {"0": "0", "a": "a", "1": "1", **edit}
+        obj = {"source": structure_to_obj(c3()), "target": structure_to_obj(c3()),
+               "map": {k: v for k, v in table.items() if v is not None}}
+        path = write(tmp_path, "m.json", obj)
+        with pytest.raises(FormatError) as caught:
+            load_morphism(path, {})
+        assert str(caught.value) == f"{path} {problem}"
 
     def test_fork_bundle(self, tmp_path):
         P = structure_to_obj(c3())

@@ -486,3 +486,26 @@ class TestEqualizer:
                     assert check_pdp(E).ok
                     carrier = [x for x in range(X.n) if f(x) == g(x)]
                     assert list(E.labels) == [X.labels[v] for v in carrier]
+
+    @pytest.mark.parametrize("table, isotone", [
+        ((0, 2, 1, 3), False),  # swaps x and y
+        ((0, 1, 1, 3), True),  # sends y to x: f(y/x) = x, f(y)/f(x) = 0
+    ], ids=["swap", "squash"])
+    def test_maps_that_are_not_morphisms_are_rejected(self, table, isotone):
+        # on the 4-chain with x+x = y, both maps agree with themselves
+        # everywhere, so only the morphism check keeps X from passing
+        X = pea_to_pdp(c4_pea())
+        h = PDPMorphism(X, X, PosetMorphism(X.base, X.base, table))
+        assert check_morphism(h.poset_map).ok == isotone
+        assert not check_pdp_morphism(h).ok
+        with pytest.raises(InvalidStructure) as caught:
+            equalizer_pdp(h, h)
+        assert str(caught.value) == "equalizer requires difference-preserving maps"
+
+    def test_undefined_difference_of_the_source_is_named(self):
+        X = c3_pdp()
+        X = PseudoDPoset(X.base, edit_table(X.slash, {(2, 1): None}), X.bslash)
+        i = PDPMorphism(X, X, identity(X.base))
+        with pytest.raises(InvalidStructure) as caught:
+            equalizer_pdp(i, i)
+        assert str(caught.value) == "the source leaves a difference of [a,1] undefined"

@@ -18,6 +18,7 @@ from helpers import (
 )
 from pealab import (
     BoundedPoset,
+    HomSets,
     InvalidStructure,
     Poset,
     PosetMorphism,
@@ -168,7 +169,7 @@ class TestGeneratedOrdersPassCheckOrder:
                 assert check_order(Q).ok
 
     def test_fork_quotients(self, pdps5):
-        forks = generate_split_forks(pdps5, 120, 2024)
+        forks = generate_split_forks(pdps5, 120, 2024, HomSets())
         assert all(check_order(fork.Q).ok for _, _, fork in forks)
 
     def test_induced_orders_of_the_catalog(self, catalog6):

@@ -22,7 +22,6 @@ from pealab import (
     PseudoDPoset,
     SplitFork,
     TransferError,
-    TransferResult,
     check_pdp,
     check_pdp_morphism,
     coequalizer_bposets,
@@ -50,11 +49,15 @@ def collapse_idempotent(X):
     return PDPMorphism(X, X, PosetMorphism(X.base, X.base, (0, 1, 1, 3)))
 
 
+def identity_pdp(X):
+    return PDPMorphism(X, X, identity(X.base))
+
+
 def identity_fork(X):
     i = identity(X.base)
     return (
-        PDPMorphism(X, X, i),
-        PDPMorphism(X, X, i),
+        identity_pdp(X),
+        identity_pdp(X),
         SplitFork(X.base, X.base, X.base, i, i, i, i, i),
     )
 
@@ -63,16 +66,17 @@ class TestTransferStructure:
     def test_identity_fork_returns_the_source(self):
         X = hsum_pdp()
         f, g, fork = identity_fork(X)
-        result = transfer_structure(f, g, fork)
-        assert result.Qprime == X
-        assert result.qprime.poset_map == identity(X.base)
+        qprime = transfer_structure(f, g, fork)
+        assert qprime.source == X and qprime.target == X
+        assert qprime.poset_map == identity(X.base)
 
     def test_collapse_of_glued_chains(self):
         # the horizontal sum of two 3-chains collapses onto one of them
         X = hsum_pdp()
-        f, g, fork = split_fork_from_idempotent(X, collapse_idempotent(X))
-        result = transfer_structure(f, g, fork)
-        Q = result.Qprime
+        f, g, fork = split_fork_from_idempotent(
+            X, collapse_idempotent(X), identity_pdp(X))
+        qprime = transfer_structure(f, g, fork)
+        Q = qprime.target
         assert Q.labels == ("0", "a", "1")
         idx = {lab: k for k, lab in enumerate(Q.labels)}
         # transferred values: [a,1] -> q(1/a in the source) = q(a) = a
@@ -80,7 +84,7 @@ class TestTransferStructure:
         assert Q.slash[idx["a"]][idx["0"]] == idx["a"]
         assert Q.bslash == Q.slash
         assert check_pdp(Q).ok
-        assert check_pdp_morphism(result.qprime).ok
+        assert check_pdp_morphism(qprime).ok
 
     def test_transferred_structure_matches_the_unique_candidate(self):
         # collapsing one atom of the three-atom structure lands on the
@@ -91,8 +95,8 @@ class TestTransferStructure:
             X, X, PosetMorphism(X.base, X.base, (0, 1, 2, 1, 4))
         )
         assert check_pdp_morphism(collapse).ok
-        f, g, fork = split_fork_from_idempotent(X, collapse)
-        result = transfer_structure(f, g, fork)
+        f, g, fork = split_fork_from_idempotent(X, collapse, identity_pdp(X))
+        qprime = transfer_structure(f, g, fork)
 
         from pealab import enumerate_pea_structures
 
@@ -114,11 +118,12 @@ class TestTransferStructure:
             return True
 
         matching = [cand for cand in candidates if commutes(cand)]
-        assert matching == [result.Qprime]
+        assert matching == [qprime.target]
 
     def test_invalid_fork_is_rejected_before_transfer(self):
         X = hsum_pdp()
-        f, g, fork = split_fork_from_idempotent(X, collapse_idempotent(X))
+        f, g, fork = split_fork_from_idempotent(
+            X, collapse_idempotent(X), identity_pdp(X))
         broken = SplitFork(
             fork.A, fork.B, fork.Q, fork.f, fork.g, fork.q,
             PosetMorphism(fork.Q, fork.B, (0, 0, 0)),  # not a section
@@ -136,7 +141,7 @@ class TestTransferStructure:
         ]
         assert len(sources) == 16
         for X in sources:
-            assert transfer_structure(*identity_fork(X)).Qprime == X
+            assert transfer_structure(*identity_fork(X)).target == X
 
     def test_incomplete_source_table_is_rejected(self):
         X = hsum_pdp()
@@ -151,7 +156,8 @@ class TestTransferStructure:
         preserve the differences vacuously.  Only such an A lets an edit of
         B pass as a fork: once A is complete, every difference descends."""
         X = hsum_pdp()
-        _, _, fork = split_fork_from_idempotent(X, collapse_idempotent(X))
+        _, _, fork = split_fork_from_idempotent(
+            X, collapse_idempotent(X), identity_pdp(X))
         B = PseudoDPoset(
             X.base,
             edit_table(X.slash, slash_cells),
@@ -210,7 +216,8 @@ class TestTransferStructure:
 
     def test_mismatched_pair_is_rejected(self):
         X = hsum_pdp()
-        f, g, fork = split_fork_from_idempotent(X, collapse_idempotent(X))
+        f, g, fork = split_fork_from_idempotent(
+            X, collapse_idempotent(X), identity_pdp(X))
         with pytest.raises(InvalidStructure, match="underlie"):
             transfer_structure(g, g, fork)
 
@@ -219,39 +226,39 @@ class TestVerifyCoequalizer:
     def test_identity_fork_passes(self, pdps4):
         X = hsum_pdp()
         f, g, fork = identity_fork(X)
-        result = transfer_structure(f, g, fork)
-        assert verify_coequalizer_psdpos(f, g, result, pdps4).ok
+        qprime = transfer_structure(f, g, fork)
+        assert verify_coequalizer_psdpos(f, g, qprime, pdps4, HomSets()).ok
 
     def test_collapse_fork_passes(self, pdps4):
         X = hsum_pdp()
-        f, g, fork = split_fork_from_idempotent(X, collapse_idempotent(X))
-        result = transfer_structure(f, g, fork)
-        report = verify_coequalizer_psdpos(f, g, result, pdps4)
+        f, g, fork = split_fork_from_idempotent(
+            X, collapse_idempotent(X), identity_pdp(X))
+        qprime = transfer_structure(f, g, fork)
+        report = verify_coequalizer_psdpos(f, g, qprime, pdps4, HomSets())
         assert report.ok
 
     def test_adversarial_quotient_fails(self, pdps4):
         # replacing the transferred object with the two-chain collapse
         # breaks existence or uniqueness for some coequalizing map
         X = hsum_pdp()
-        f, g, fork = split_fork_from_idempotent(X, collapse_idempotent(X))
-        real = transfer_structure(f, g, fork)
+        f, g, fork = split_fork_from_idempotent(
+            X, collapse_idempotent(X), identity_pdp(X))
         two = [C for C in pdps4 if C.n == 2][0]
         onto = PosetMorphism(X.base, two.base, (0, 1, 1, 1))
-        fake = TransferResult(
-            two, PDPMorphism(X, two, onto), real.diagnostics
-        )
-        report = verify_coequalizer_psdpos(f, g, fake, pdps4)
+        fake = PDPMorphism(X, two, onto)
+        report = verify_coequalizer_psdpos(f, g, fake, pdps4, HomSets())
         assert not report.ok
         assert report == coequalizer_report_by_hom_sets(f, g, fake, pdps4, {})
 
     @pytest.mark.parametrize("seed", [2024, 7])
     def test_descent_counts_the_mediators_of_a_hom_set_scan(self, pdps5, seed):
         homs, scanned = HomSets(), {}
-        for f, g, fork in generate_split_forks(pdps5, 120, seed):
-            result = transfer_structure(f, g, fork)
+        for f, g, fork in generate_split_forks(pdps5, 120, seed, homs):
+            qprime = transfer_structure(f, g, fork)
+            assert qprime.poset_map == fork.q
             assert verify_coequalizer_psdpos(
-                f, g, result, pdps5, homs
-            ) == coequalizer_report_by_hom_sets(f, g, result, pdps5, scanned)
+                f, g, qprime, pdps5, homs
+            ) == coequalizer_report_by_hom_sets(f, g, qprime, pdps5, scanned)
 
     @pytest.mark.parametrize("seed", [2024, 7])
     def test_raw_table_verdict_matches_the_morphism_report(self, pdps5, seed):
@@ -259,8 +266,8 @@ class TestVerifyCoequalizer:
         # coequalizing or not, so that both verdicts occur
         homs, verdicts = HomSets(), {True: 0, False: 0}
         for f, g, fork in generate_split_forks(pdps5, 120, seed, homs):
-            result = transfer_structure(f, g, fork)
-            Q, qmap = result.Qprime, result.qprime.map
+            qprime = transfer_structure(f, g, fork)
+            Q, qmap = qprime.target, qprime.map
             preimage = [qmap.index(v) for v in range(Q.n)]
             for C in pdps5:
                 for h in homs[f.target, C]:
@@ -276,17 +283,15 @@ class TestVerifyCoequalizer:
         # Q' with one difference changed: h still factors through q as a
         # map, but that map breaks the changed difference
         X = hsum_pdp()
-        f, g, fork = split_fork_from_idempotent(X, collapse_idempotent(X))
-        real = transfer_structure(f, g, fork)
-        Q = real.Qprime
+        f, g, fork = split_fork_from_idempotent(
+            X, collapse_idempotent(X), identity_pdp(X))
+        Q = transfer_structure(f, g, fork).target
         top, bottom = Q.base.top, Q.base.bottom
         broken = PseudoDPoset(
             Q.base, edit_table(Q.slash, {(top, bottom): bottom}), Q.bslash
         )
-        fake = TransferResult(
-            broken, PDPMorphism(X, broken, fork.q), real.diagnostics
-        )
-        report = verify_coequalizer_psdpos(f, g, fake, pdps4)
+        fake = PDPMorphism(X, broken, fork.q)
+        report = verify_coequalizer_psdpos(f, g, fake, pdps4, HomSets())
         assert not report.ok
         assert {v.detail for v in report.violations} == {
             "0 difference-preserving factorizations"
@@ -299,36 +304,37 @@ class TestVerifyCoequalizer:
         # the preimages 0 and 1 preserves the differences
         X = hsum_pdp()
         f, g, fork = identity_fork(X)
-        real = transfer_structure(f, g, fork)
         two = [C for C in pdps4 if C.n == 2][0]
         glue = PosetMorphism(X.base, two.base, (0, 0, 0, 1))
-        fake = TransferResult(two, PDPMorphism(X, two, glue), real.diagnostics)
-        report = verify_coequalizer_psdpos(f, g, fake, pdps4)
+        fake = PDPMorphism(X, two, glue)
+        report = verify_coequalizer_psdpos(f, g, fake, pdps4, HomSets())
         assert ("h", "(0, 1, 1, 2)") in [v.where[1] for v in report.violations]
         assert report == coequalizer_report_by_hom_sets(f, g, fake, pdps4, {})
 
     def test_quotient_that_is_not_onto_is_rejected(self, pdps4):
         X = hsum_pdp()
         f, g, fork = identity_fork(X)
-        real = transfer_structure(f, g, fork)
-        fake = TransferResult(X, collapse_idempotent(X), real.diagnostics)
+        fake = collapse_idempotent(X)
         with pytest.raises(InvalidStructure, match="q: B -> Q' is not onto"):
-            verify_coequalizer_psdpos(f, g, fake, pdps4)
+            verify_coequalizer_psdpos(f, g, fake, pdps4, HomSets())
 
     def test_targets_may_be_an_iterator(self, pdps4):
         X = hsum_pdp()
-        f, g, fork = split_fork_from_idempotent(X, collapse_idempotent(X))
-        result = transfer_structure(f, g, fork)
-        from_list = verify_coequalizer_psdpos(f, g, result, pdps4)
-        from_iter = verify_coequalizer_psdpos(f, g, result, iter(pdps4))
+        f, g, fork = split_fork_from_idempotent(
+            X, collapse_idempotent(X), identity_pdp(X))
+        qprime = transfer_structure(f, g, fork)
+        from_list = verify_coequalizer_psdpos(f, g, qprime, pdps4, HomSets())
+        from_iter = verify_coequalizer_psdpos(
+            f, g, qprime, iter(pdps4), HomSets())
         assert from_iter == from_list
         assert from_iter.notes[0].endswith(f"over {len(pdps4)} targets")
 
     def test_notes_count_the_scanned_maps_and_the_mediators(self, pdps4):
         X = hsum_pdp()
-        f, g, fork = split_fork_from_idempotent(X, collapse_idempotent(X))
-        result = transfer_structure(f, g, fork)
-        report = verify_coequalizer_psdpos(f, g, result, pdps4)
+        f, g, fork = split_fork_from_idempotent(
+            X, collapse_idempotent(X), identity_pdp(X))
+        qprime = transfer_structure(f, g, fork)
+        report = verify_coequalizer_psdpos(f, g, qprime, pdps4, HomSets())
         homs = [h for C in pdps4 for h in enumerate_pdp_morphisms(X, C)]
         coequalizing = [h for h in homs if f.then(h) == g.then(h)]
         # a passing report has exactly one mediator per coequalizing map
@@ -342,11 +348,11 @@ class TestVerifyCoequalizer:
 
     def test_shared_hom_sets_give_the_same_reports(self, pdps5):
         homs = HomSets()
-        forks = generate_split_forks(pdps5, 120, 2024)
+        forks = generate_split_forks(pdps5, 120, 2024, HomSets())
         for f, g, fork in forks:
-            result = transfer_structure(f, g, fork)
-            alone = verify_coequalizer_psdpos(f, g, result, pdps5)
-            shared = verify_coequalizer_psdpos(f, g, result, pdps5, homs)
+            qprime = transfer_structure(f, g, fork)
+            alone = verify_coequalizer_psdpos(f, g, qprime, pdps5, HomSets())
+            shared = verify_coequalizer_psdpos(f, g, qprime, pdps5, homs)
             assert shared == alone
         # one hom set out of B per fork and target; none out of Q'
         assert homs.lookups == len(forks) * len(pdps5)
@@ -375,12 +381,14 @@ class TestIntervalPreservation:
 
     def test_collapse_fork(self):
         X = hsum_pdp()
-        _, _, fork = split_fork_from_idempotent(X, collapse_idempotent(X))
+        _, _, fork = split_fork_from_idempotent(
+            X, collapse_idempotent(X), identity_pdp(X))
         assert i_preserves_fork(fork)
 
     def test_non_fork_is_rejected(self):
         X = hsum_pdp()
-        _, _, fork = split_fork_from_idempotent(X, collapse_idempotent(X))
+        _, _, fork = split_fork_from_idempotent(
+            X, collapse_idempotent(X), identity_pdp(X))
         broken = SplitFork(
             fork.A, fork.B, fork.Q, fork.f, fork.g, fork.q,
             PosetMorphism(fork.Q, fork.B, (0, 0, 0)),
@@ -410,8 +418,8 @@ class TestIntervalPreservation:
 
 class TestGenerator:
     def test_same_seed_reproduces_the_sample(self, pdps4):
-        first = generate_split_forks(pdps4, 20, seed=7)
-        second = generate_split_forks(pdps4, 20, seed=7)
+        first = generate_split_forks(pdps4, 20, 7, HomSets())
+        second = generate_split_forks(pdps4, 20, 7, HomSets())
         assert [(f.map, g.map, fork.q.map) for f, g, fork in first] == [
             (f.map, g.map, fork.q.map) for f, g, fork in second
         ]
@@ -437,7 +445,7 @@ class TestGenerator:
         ],
     )
     def test_documented_seeds_draw_the_pinned_forks(self, pdps5, seed, digest):
-        forks = generate_split_forks(pdps5, 120, seed)
+        forks = generate_split_forks(pdps5, 120, seed, HomSets())
         key = repr([
             (pdps5.index(f.source), f.map, g.map, fork.q.map, fork.s.map)
             for f, g, fork in forks
@@ -445,13 +453,13 @@ class TestGenerator:
         assert hashlib.sha256(key.encode()).hexdigest() == digest
 
     def test_generated_forks_are_split(self, pdps4):
-        for f, g, fork in generate_split_forks(pdps4, 25, seed=3):
+        for f, g, fork in generate_split_forks(pdps4, 25, 3, HomSets()):
             assert is_split_fork(fork)
             assert check_pdp_morphism(f).ok
             assert check_pdp_morphism(g).ok
 
     def test_quotients_match_the_recomputed_coequalizer(self, pdps4):
-        for f, g, fork in generate_split_forks(pdps4, 15, seed=11):
+        for f, g, fork in generate_split_forks(pdps4, 15, 11, HomSets()):
             Q, q = coequalizer_bposets(fork.f, fork.g)
             comparison = [None] * Q.n
             for x in range(fork.B.n):

@@ -43,11 +43,33 @@ from .posets import (
     isomorphisms,
     iter_bits,
     placement_order,
-    transpose_rows,
 )
 
 DEFAULT_MAX_N = 7
 _MIDDLE_LABELS = "abcdefgh"
+
+
+def _bit_table(m: int) -> tuple[tuple[int, ...], ...]:
+    """The ascending set-bit positions of every mask on m elements, by
+    mask: the masks with bit i set are those below 2^i plus 2^i."""
+    table = [()]
+    for i in range(m):
+        table += [bits + (i,) for bits in table]
+    return tuple(table)
+
+
+# _BITS[mask] lists the bits of any mask on at most len(_MIDDLE_LABELS)
+# elements, the largest poset that class generation grows.
+_BITS = _bit_table(len(_MIDDLE_LABELS))
+
+
+def _down_rows(rows) -> list[int]:
+    """The down-set rows of the poset with up-set rows ``rows``."""
+    down = [0] * len(rows)
+    for i, row in enumerate(rows):
+        for j in _BITS[row]:
+            down[j] |= 1 << i
+    return down
 
 
 def size_limit() -> int:
@@ -98,7 +120,7 @@ def _canonical_rows(rows, m: int) -> tuple[int, ...]:
     unlabelled, so each unlabelled element keeps the bits of the labels
     above it in ``above``, set as labels are given and cleared on backtrack.
     """
-    down = transpose_rows(rows)
+    down = _down_rows(rows)
     above = [0] * m
     key = [0] * m
     best: tuple[int, ...] = ()
@@ -111,7 +133,7 @@ def _canonical_rows(rows, m: int) -> tuple[int, ...]:
             return
         bit = 1 << k
         least, picks = 1 << m, []
-        for x in iter_bits(free):
+        for x in _BITS[free]:
             if rows[x] & free != 1 << x:
                 continue  # not maximal among the unlabelled (fact 1)
             row = above[x] | bit
@@ -130,10 +152,10 @@ def _canonical_rows(rows, m: int) -> tuple[int, ...]:
             if below in strict_downs:
                 continue  # fact 3
             strict_downs.add(below)
-            for y in iter_bits(below):
+            for y in _BITS[below]:
                 above[y] |= bit
             extend(k + 1, free ^ 1 << x, tied)
-            for y in iter_bits(below):
+            for y in _BITS[below]:
                 above[y] ^= bit
             tied = True  # best now completes key[:k+1]
 
@@ -189,7 +211,7 @@ def enumerate_posets(m: int, generation: list | None = None) -> list[Poset]:
         canon = set()
         down_sets = skipped = 0
         for rows in level:
-            down = transpose_rows(rows)
+            down = _down_rows(rows)
             ideals = [0]
             for i in range(k - 1, -1, -1):
                 below = down[i] ^ 1 << i

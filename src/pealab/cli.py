@@ -156,6 +156,21 @@ class _Intake:
         """(source, target, map) of the morphism file at path."""
         return self.arrow(io.load_morphism(path, self.files), kind)
 
+    def checked_morphism(self, path, kind):
+        """The morphism file at path as a PosetMorphism, or a PDPMorphism
+        if kind is PseudoDPoset; InvalidStructure names the file and the
+        first violation unless its map is a morphism of that kind."""
+        source, target, m = self.morphism(path, kind)
+        if kind is PseudoDPoset:
+            m = PDPMorphism(source, target, m)
+            report = check_pdp_morphism(m)
+        else:
+            report = check_morphism(m)
+        if not report.ok:
+            raise InvalidStructure(
+                f"{path} fails {report.subject}: {report.violations[0]}")
+        return m
+
     def arrow(self, mf: io.MorphismFile, kind):
         """(source, target, map) of a morphism file, both ends taken as kind."""
         source = self.checked(mf.source, kind, mf.names[0])
@@ -263,7 +278,7 @@ def _cmd_product(args) -> int:
 def _cmd_equalize(args) -> int:
     out = _Output("equalize", args.json)
     intake = _Intake()
-    f, g = (PDPMorphism(*intake.morphism(p, PseudoDPoset)) for p in (args.f, args.g))
+    f, g = (intake.checked_morphism(p, PseudoDPoset) for p in (args.f, args.g))
     E, inclusion = equalizer_pdp(f, g)
     out.say(f"equalizer carrier: {{{', '.join(E.labels)}}}")
     out.result(args.output, io.structure_to_obj(E))
@@ -274,7 +289,7 @@ def _cmd_equalize(args) -> int:
 def _cmd_coequalize(args) -> int:
     out = _Output("coequalize", args.json)
     intake = _Intake()
-    f, g = (intake.morphism(p, BoundedPoset)[2] for p in (args.f, args.g))
+    f, g = (intake.checked_morphism(p, BoundedPoset) for p in (args.f, args.g))
     Q, q = coequalizer_bposets(f, g)
     out.say(f"coequalizer object on {Q.n} elements")
     out.say("quotient map: " + _arrows(q.label_map()))
@@ -425,7 +440,18 @@ def _cmd_witness_noncomm(args) -> int:
     return out.finish(True)
 
 
+# The parser build_parser made, filled once and never rebound.  Not
+# functools.cache: perfbench's self-test takes any module attribute with a
+# __wrapped__ for a tracing wrapper left behind.
+_PARSER: list[argparse.ArgumentParser] = []
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and returned by every later
+    one: parse_args makes a fresh namespace on every call, so no option
+    carries over between calls."""
+    if _PARSER:
+        return _PARSER[0]
     parser = argparse.ArgumentParser(
         prog="pealab",
         description="Finite-model workbench for pseudo effect algebras "
@@ -507,12 +533,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="emit the noncommutativity witness pair")
     common(p, _cmd_witness_noncomm)
 
+    _PARSER.append(parser)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (FormatError, LimitExceeded) as exc:

@@ -203,14 +203,13 @@ class MorphismFile:
 
 
 def parse_morphism(
-    obj, base_dir=None, what: str = "morphism", loaded=None
+    obj, base_dir=None, what: str = "morphism", *, loaded: dict
 ) -> MorphismFile:
     """The morphism in obj, whose map must name exactly the source's
     elements and send each to an element of the target.  ``loaded`` maps
     each path already parsed to its structure, so that a file several ends
-    name is read once; a fresh map is used when it is omitted."""
+    name is read once."""
     _read_object(obj, what, ("source", "target", "map"))
-    loaded = {} if loaded is None else loaded
 
     def resolve(side):
         value, name = obj[side], f"{what} {side}"
@@ -243,7 +242,8 @@ def parse_morphism(
 
 
 def load_morphism(path, loaded) -> MorphismFile:
-    return parse_morphism(load_json(path), Path(path).parent, str(path), loaded)
+    return parse_morphism(
+        load_json(path), Path(path).parent, str(path), loaded=loaded)
 
 
 @dataclass
@@ -260,7 +260,7 @@ def parse_fork(obj, base_dir=None, what: str = "fork") -> ForkFile:
     _read_object(obj, what, names, needs="morphisms f, g, q, s, t")
     loaded = {}  # each file the five arrows name is parsed once
     parts = {
-        name: parse_morphism(obj[name], base_dir, f"{what}.{name}", loaded)
+        name: parse_morphism(obj[name], base_dir, f"{what}.{name}", loaded=loaded)
         for name in names
     }
     return ForkFile(**parts)

@@ -36,6 +36,18 @@ from pealab.catalog import catalog_to_obj
 from pealab.posets import iter_bits
 
 
+def relabelled(leq, rng):
+    """The order rows ``leq`` under a random relabelling drawn from rng."""
+    m = len(leq)
+    perm = list(range(m))
+    rng.shuffle(perm)
+    rows = [0] * m
+    for i in range(m):
+        for j in iter_bits(leq[i]):
+            rows[perm[i]] |= 1 << perm[j]
+    return rows
+
+
 def brute_force_poset_classes(m):
     """Iso classes of all m-element posets by scanning every relation."""
     found = []
@@ -127,15 +139,23 @@ class TestPosetEnumeration:
     def test_canonical_form_matches_brute_force(self, m):
         rng = random.Random(m)
         for P in (P for P in enumerate_posets(m) if P.n == m):
-            perm = list(range(m))
-            rng.shuffle(perm)
-            rows = [0] * m
-            for i in range(m):
-                for j in iter_bits(P.leq[i]):
-                    rows[perm[i]] |= 1 << perm[j]
+            rows = relabelled(P.leq, rng)
             assert catalog._canonical_rows(rows, m) == brute_force_canonical_rows(
                 rows, m
             )
+
+    def test_canonical_form_is_fixed_past_the_brute_force_oracle(self):
+        # at 7 points every class is its own canonical form, and a random
+        # relabelling of it maps back to it
+        rng = random.Random(7)
+        for P in (P for P in enumerate_posets(7) if P.n == 7):
+            assert catalog._canonical_rows(P.leq, 7) == P.leq
+            assert catalog._canonical_rows(relabelled(P.leq, rng), 7) == P.leq
+
+    def test_bit_table_lists_the_bits_of_every_mask(self):
+        assert len(catalog._BITS) == 1 << len(catalog._MIDDLE_LABELS)
+        for mask, bits in enumerate(catalog._BITS):
+            assert bits == tuple(iter_bits(mask))
 
     def test_representatives_are_pairwise_non_isomorphic(self):
         posets = [P for P in enumerate_posets(4) if P.n == 4]

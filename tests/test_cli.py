@@ -166,19 +166,38 @@ def test_map_naming_an_element_outside_the_source_exits_two(
         2, f"error: {message}\nRESULT: FAIL check\n")
 
 
-@pytest.mark.parametrize("table", [
-    {"0": "0", "x": "y", "y": "x", "1": "1"},
-    {"0": "0", "x": "x", "y": "x", "1": "1"},
+SWAP = {"0": "0", "x": "y", "y": "x", "1": "1"}
+
+
+@pytest.mark.parametrize("table, violation", [
+    (SWAP, "isotone violated at x=x, y=y: images y and x are not related"),
+    ({"0": "0", "x": "x", "y": "x", "1": "1"},
+     "slash violated at b=y, a=x: f(b/a) differs from f(b)/f(a)"),
 ], ids=["swap", "squash"])
-def test_equalize_rejects_maps_that_are_not_morphisms(capsys, tmp_path, table):
+def test_equalize_rejects_maps_that_are_not_morphisms(
+    capsys, tmp_path, table, violation
+):
     # the 4-chain with x+x = y: neither map preserves the differences, so
-    # the equalizer of a map with itself is no answer
+    # the equalizer of a map with itself is no answer; the error names
+    # the file and its first violation
     save_structure(c4_pea(), tmp_path / "chain.json")
     m = write_json(tmp_path, "m.json",
                    {"source": "chain.json", "target": "chain.json", "map": table})
     assert run(capsys, "equalize", m, m) == (
-        1, "error: equalizer requires difference-preserving maps\n"
+        1, f"error: {m} fails check_pdp_morphism: {violation}\n"
            "RESULT: FAIL equalize\n")
+
+
+def test_coequalize_names_a_map_that_is_not_a_morphism(capsys, tmp_path):
+    # exchanging x and y of the 4-chain 0 < x < y < 1 is not isotone
+    save_structure(c4_pea(), tmp_path / "chain.json")
+    chain = {"source": "chain.json", "target": "chain.json"}
+    ident = write_json(tmp_path, "id.json",
+                       dict(chain, map={x: x for x in ("0", "x", "y", "1")}))
+    swap = write_json(tmp_path, "swap.json", dict(chain, map=SWAP))
+    assert run(capsys, "coequalize", ident, swap) == (
+        1, f"error: {swap} fails morphism: isotone violated at x=x, y=y: "
+           "images y and x are not related\nRESULT: FAIL coequalize\n")
 
 
 class TestConvert:
@@ -874,3 +893,43 @@ def test_check_fork_reports_each_arrow_that_is_no_morphism(capsys, tmp_path):
     code, out = run(capsys, "transfer", "--fork", path)
     assert code == 1
     assert out.startswith("error: fork invalid: f is not a bounded-poset morphism\n")
+
+
+class TestOneParserPerProcess:
+    def test_build_parser_returns_one_parser(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_each_call_reads_as_if_it_ran_first(self, capsys, monkeypatch, tmp_path):
+        calls = [
+            ["enumerate", "--n", "4", "--json", str(tmp_path / "A.json")],
+            ["enumerate", "--n", "four"],  # argparse exits 2
+            ["enumerate", "--n", "0", "--json", str(tmp_path / "zero.json")],
+            ["verify-coeq", "--fork", COLLAPSE_FORK],
+            ["verify-coeq", "--generate", "3"],
+            ["enumerate", "--n", "4", "--json", str(tmp_path / "B.json")],
+        ]
+
+        def call(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            record = Path(argv[-1]).read_text() if "--json" in argv else None
+            return code, captured.out, captured.err, record
+
+        first = []
+        for argv in calls:  # each on a parser of its own
+            monkeypatch.setattr(cli, "_PARSER", [])
+            first.append(call(argv))
+        reused = [call(argv) for argv in calls]  # all on the last one
+        assert reused == first
+        assert [r[0] for r in reused] == [0, 2, 2, 0, 0, 0]
+        assert reused[0][3] == reused[5][3]
+        # no option of an earlier parse carries over to a later one
+        parser = cli.build_parser()
+        monkeypatch.setattr(cli, "_PARSER", [])
+        fresh = cli.build_parser()
+        assert fresh is not parser
+        for argv in calls[:1] + calls[2:]:
+            assert vars(parser.parse_args(argv)) == vars(fresh.parse_args(argv))

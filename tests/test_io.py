@@ -164,8 +164,10 @@ READER_ERRORS = [
     ids=[f"{parse.__name__}-{k}" for k, (parse, _, _) in enumerate(READER_ERRORS)],
 )
 def test_each_reader_words_its_shape_errors(parse, obj, message):
+    # parse_morphism also takes the map of the files already parsed
+    extra = {"loaded": {}} if parse is parse_morphism else {}
     with pytest.raises(FormatError) as caught:
-        parse(obj)
+        parse(obj, **extra)
     assert str(caught.value) == message
 
 
@@ -259,7 +261,7 @@ def test_parsers_raise_only_workbench_errors(empty_dir, kind, data):
     parse = {
         "structure": parse_structure,
         # file references resolve inside an empty directory
-        "morphism": lambda obj: parse_morphism(obj, empty_dir).poset_map(),
+        "morphism": lambda obj: parse_morphism(obj, empty_dir, loaded={}).poset_map(),
         "plmap": parse_plmap,
     }[kind]
     objects = {"structure": structure_objects(), "morphism": morphism_objects,

@@ -18,8 +18,14 @@ difference form: by PD1 and PD2, c/- is a dual automorphism of the
 down-set of c whose inverse is c\\-, so a structure is one dual
 automorphism per element that satisfies the two PD2 equations;
 enumerate_pea_structures proves the lemma.  A base with a down-set that
-is not self-dual carries no structure.  Every hit is re-checked as a
-pseudo D-poset and as a pseudo effect algebra before it is kept.
+is not self-dual carries no structure, and the down-set of the top is the
+whole order.  A dual automorphism s of the whole order maps the down-set of
+x onto the up-set of s(x), so the multiset of pairs (|down x|, |up x|) is
+unchanged by swapping each pair; a base where it changes is rejected before
+any isomorphism search (the lemma is proved in _degrees_self_dual).  The
+dual automorphisms of the others are listed from the top down, and the
+search stops at the first down-set that has none.  Every hit is re-checked
+as a pseudo D-poset and as a pseudo effect algebra before it is kept.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from .pea import (
     pea_to_pdp,
 )
 from .posets import (
+    BITS,
     BoundedPoset,
     Poset,
     isomorphisms,
@@ -49,25 +56,11 @@ DEFAULT_MAX_N = 7
 _MIDDLE_LABELS = "abcdefgh"
 
 
-def _bit_table(m: int) -> tuple[tuple[int, ...], ...]:
-    """The ascending set-bit positions of every mask on m elements, by
-    mask: the masks with bit i set are those below 2^i plus 2^i."""
-    table = [()]
-    for i in range(m):
-        table += [bits + (i,) for bits in table]
-    return tuple(table)
-
-
-# _BITS[mask] lists the bits of any mask on at most len(_MIDDLE_LABELS)
-# elements, the largest poset that class generation grows.
-_BITS = _bit_table(len(_MIDDLE_LABELS))
-
-
 def _down_rows(rows) -> list[int]:
     """The down-set rows of the poset with up-set rows ``rows``."""
     down = [0] * len(rows)
     for i, row in enumerate(rows):
-        for j in _BITS[row]:
+        for j in BITS[row]:
             down[j] |= 1 << i
     return down
 
@@ -133,7 +126,7 @@ def _canonical_rows(rows, m: int) -> tuple[int, ...]:
             return
         bit = 1 << k
         least, picks = 1 << m, []
-        for x in _BITS[free]:
+        for x in BITS[free]:
             if rows[x] & free != 1 << x:
                 continue  # not maximal among the unlabelled (fact 1)
             row = above[x] | bit
@@ -152,10 +145,10 @@ def _canonical_rows(rows, m: int) -> tuple[int, ...]:
             if below in strict_downs:
                 continue  # fact 3
             strict_downs.add(below)
-            for y in _BITS[below]:
+            for y in BITS[below]:
                 above[y] |= bit
             extend(k + 1, free ^ 1 << x, tied)
-            for y in _BITS[below]:
+            for y in BITS[below]:
                 above[y] ^= bit
             tied = True  # best now completes key[:k+1]
 
@@ -260,7 +253,33 @@ def enumerate_bounded_posets(
     return out
 
 
-def enumerate_pea_structures(base: BoundedPoset) -> list[PseudoEffectAlgebra]:
+def search_counts() -> dict[str, int]:
+    """Fresh counters for the ``search`` argument of
+    :func:`enumerate_pea_structures`: bases rejected by the degree
+    prefilter, bases stopped at a down-set with no dual automorphism, bases
+    searched, tables re-checked, and re-checks failed (none, by its lemma;
+    a nonzero count flags a bug)."""
+    return dict(prefiltered=0, no_dual_automorphism=0, searched=0,
+                rechecked=0, recheck_failed=0)
+
+
+def _degrees_self_dual(base: BoundedPoset) -> bool:
+    """Whether the multiset of pairs (|down x|, |up x|) over the elements
+    of base is unchanged by swapping the two sizes in each pair.
+
+    Lemma: if the whole order has a dual automorphism, it is.  A dual
+    automorphism s (x <= y iff s(y) <= s(x)) maps the down-set of x onto
+    the up-set of s(x) and the up-set of x onto the down-set of s(x), so
+    the pair of x is the swapped pair of s(x); s is a bijection, so the
+    swapped pairs are the pairs again, counted with multiplicity.
+    """
+    sizes = [(d.bit_count(), u.bit_count()) for d, u in zip(base.down, base.leq)]
+    return sorted(sizes) == sorted((u, d) for d, u in sizes)
+
+
+def enumerate_pea_structures(
+    base: BoundedPoset, search: dict | None = None
+) -> list[PseudoEffectAlgebra]:
     """All addition tables on the carrier whose induced order is exactly
     the given one and which pass every axiom, sorted row-major with None
     last.
@@ -274,49 +293,75 @@ def enumerate_pea_structures(base: BoundedPoset) -> list[PseudoEffectAlgebra]:
     Conversely, one dual automorphism per element makes every difference
     a <= c defined and gives PD1 and PD2's inequalities, so a structure is
     one choice per element that meets the two PD2 equations
-    (c/a)\\(c/b) = b/a and (c\\a)/(c\\b) = b\\a for a <= b <= c.  Elements
-    are chosen in placement order; for a > 0, c/a and c\\a lie strictly
-    below c, so every equation with c on top is decided as soon as the
-    choice for c is made.  Each survivor is re-checked by check_pdp,
-    converted by pdp_to_pea and re-checked by check_pea before it is kept.
+    (c/a)\\(c/b) = b/a and (c\\a)/(c\\b) = b\\a for a <= b <= c.  Those with
+    a = 0, a = b or b = c hold for any such choices, since a dual
+    automorphism of the down-set of x sends x to 0 and 0 to x, so only
+    0 < a < b < c is tested.  Elements are chosen in placement order; for
+    a > 0, c/a and c\\a lie strictly below c, so every equation with c on
+    top is decided as soon as the choice for c is made.  Each survivor is
+    re-checked by check_pdp, converted by pdp_to_pea and re-checked by
+    check_pea before it is kept.
+
+    A base that fails :func:`_degrees_self_dual` has no dual automorphism
+    of its whole order, the down-set of its top, and is rejected before any
+    isomorphism search; the others list their dual automorphisms from the
+    top down and stop at the first down-set that has none.  The outcome is
+    added to ``search``, a :func:`search_counts` record, if one is given.
     """
+    if search is None:
+        search = search_counts()
+    if not _degrees_self_dual(base):
+        search["prefiltered"] += 1
+        return []
     n = base.n
     order = placement_order(base)
-    dual = Poset(base.labels, base.down)  # the opposite order
+    down = base.down
+    dual = Poset(base.labels, down)  # the opposite order
     choices = {}
-    for c in order:
+    for c in reversed(order):  # the top first
         # the dual automorphisms of the down-set of c are its isomorphisms
         # onto the same down-set in the opposite order
-        choices[c] = [
-            (s, tuple(s.index(v) if v in s else None for v in range(n)))
-            for s in isomorphisms(base, dual, base.down[c])
-        ]
+        choices[c] = []
+        for s in isomorphisms(base, dual, down[c]):
+            inverse: list[int | None] = [None] * n
+            for a in iter_bits(down[c]):
+                inverse[s[a]] = a
+            choices[c].append((s, tuple(inverse)))
+        if not choices[c]:
+            search["no_dual_automorphism"] += 1
+            return []
+    search["searched"] += 1
+    # for each c, the pairs 0 < a < b < c whose PD2 equations can fail
+    inner = [down[c] & ~(1 << c | 1 << base.bottom) for c in range(n)]
+    pairs = [
+        tuple((a, b) for a in iter_bits(inner[c])
+              for b in iter_bits(inner[c] & base.leq[a] & ~(1 << a)))
+        for c in range(n)
+    ]
     slash: list[tuple | None] = [None] * n
     bslash: list[tuple | None] = [None] * n
     results: list[PseudoEffectAlgebra] = []
 
-    def consistent(c: int) -> bool:
-        s, t = slash[c], bslash[c]
-        for a in iter_bits(base.down[c]):
-            for b in iter_bits(base.down[c] & base.leq[a]):
-                if bslash[s[a]][s[b]] != slash[b][a]:
-                    return False
-                if slash[t[a]][t[b]] != bslash[b][a]:
-                    return False
-        return True
-
     def place(k: int) -> None:
         if k == n:
+            search["rechecked"] += 1
             X = PseudoDPoset(base, tuple(slash), tuple(bslash))
             if check_pdp(X).ok:
                 A = pdp_to_pea(X)
                 if check_pea(A).ok:
                     results.append(A)
+                    return
+            search["recheck_failed"] += 1
             return
         c = order[k]
-        for sigma, inverse in choices[c]:
-            slash[c], bslash[c] = sigma, inverse
-            if consistent(c):
+        for s, t in choices[c]:
+            slash[c], bslash[c] = s, t
+            for a, b in pairs[c]:
+                if bslash[s[a]][s[b]] != slash[b][a]:
+                    break
+                if slash[t[a]][t[b]] != bslash[b][a]:
+                    break
+            else:
                 place(k + 1)
 
     place(0)
@@ -333,12 +378,13 @@ class CatalogEntry:
 
 
 def build_catalog(
-    max_n: int, generation: list | None = None
+    max_n: int, generation: list | None = None, search: dict | None = None
 ) -> list[CatalogEntry]:
     """Catalog entries for every bounded-poset class of size 1..max_n;
-    ``generation`` as for enumerate_bounded_posets."""
+    ``generation`` as for enumerate_bounded_posets, and ``search`` as for
+    enumerate_pea_structures, summed over the classes."""
     return [
-        CatalogEntry(base, tuple(enumerate_pea_structures(base)))
+        CatalogEntry(base, tuple(enumerate_pea_structures(base, search)))
         for base in enumerate_bounded_posets(max_n, generation)
     ]
 

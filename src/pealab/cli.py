@@ -21,6 +21,7 @@ from .catalog import (
     catalog_to_obj,
     enumerate_bounded_posets,
     noncommutative_record,
+    search_counts,
 )
 from .errors import FormatError, InvalidStructure, LimitExceeded, TransferError
 from .functors import interval_poset, triple_poset
@@ -119,12 +120,14 @@ class _Intake:
     taken as the kind the verb asks for, at most once per kind: its base
     for a BoundedPoset, itself, or its tables converted to the other kind.
     An input without tables raises FormatError unless the kind is
-    BoundedPoset.  Each structure file is read once, however many ends name it.
+    BoundedPoset.  Each structure or morphism file is read once, however
+    many ends or arguments name it.
     """
 
     def __init__(self):
         self.values = {}  # checked structure -> {kind: its value as kind}
         self.files = {}  # path -> the structure parsed from it
+        self.morphisms = {}  # path -> the morphism file parsed from it
 
     def checked(self, structure, kind, name: str):
         if isinstance(structure, BoundedPoset):
@@ -154,7 +157,9 @@ class _Intake:
 
     def morphism(self, path, kind):
         """(source, target, map) of the morphism file at path."""
-        return self.arrow(io.load_morphism(path, self.files), kind)
+        if path not in self.morphisms:
+            self.morphisms[path] = io.load_morphism(path, self.files)
+        return self.arrow(self.morphisms[path], kind)
 
     def checked_morphism(self, path, kind):
         """The morphism file at path as a PosetMorphism, or a PDPMorphism
@@ -366,7 +371,9 @@ def _cmd_enumerate(args) -> int:
         raise FormatError(f"--n needs at least one element, got {args.n}")
     generation: list[dict] = []
     if args.structures:
-        entries = build_catalog(args.n, generation)
+        search = search_counts()
+        entries = build_catalog(args.n, generation, search)
+        out.payload["search"] = search
     else:
         entries = [
             CatalogEntry(b, None)

@@ -116,15 +116,17 @@ def check_pdp(X: PseudoDPoset) -> Report:
     base = X.base
     n = base.n
     lab = base.labels
+    leq, down = base.leq, base.down
     violations = []
     sides = (("/", X.slash), ("\\", X.bslash))
     mirrored = (sides, sides[::-1])
 
     for name, table in sides:
-        for b in range(n):
-            for a in range(n):
-                defined = table[b][a] is not None
-                if defined != base.le(a, b):
+        for b, row in enumerate(table):
+            below = down[b]  # bit a is set iff a <= b
+            for a, v in enumerate(row):
+                defined = v is not None
+                if defined != below >> a & 1:
                     violations.append(
                         Violation(
                             "definedness",
@@ -150,7 +152,7 @@ def check_pdp(X: PseudoDPoset) -> Report:
                     cb, ca = T[c][b], T[c][a]
                     if cb is None or ca is None:
                         continue
-                    if not base.le(cb, ca):
+                    if not leq[cb] >> ca & 1:
                         detail = f"c{p}b <= c{p}a fails"
                     elif U[ca][cb] != T[b][a]:
                         detail = f"(c{p}a){q}(c{p}b) differs from b{p}a"

@@ -25,12 +25,33 @@ from .errors import InvalidStructure
 from .reports import Report, Violation
 
 
-def iter_bits(mask: int):
-    """Yield the set bit positions of ``mask`` in ascending order."""
+def _bit_table(m: int) -> tuple[tuple[int, ...], ...]:
+    """The ascending set-bit positions of every mask on m points, by
+    mask: the masks with bit i set are those below 2^i plus 2^i."""
+    table = [()]
+    for i in range(m):
+        table += [bits + (i,) for bits in table]
+    return tuple(table)
+
+
+# BITS[mask] lists the set bits of every mask on at most ten points, the
+# largest carrier the catalog can label; iter_bits reads it.
+BITS = _bit_table(10)
+_TABLED = len(BITS)
+
+
+def iter_bits(mask: int) -> tuple[int, ...]:
+    """The set bit positions of the nonnegative ``mask``, ascending: read
+    from :data:`BITS`, or for a mask on more points (a product, say)
+    collected one lowest bit at a time."""
+    if mask < _TABLED:
+        return BITS[mask]
+    bits = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        bits.append(low.bit_length() - 1)
         mask ^= low
+    return tuple(bits)
 
 
 def transpose_rows(rows: tuple[int, ...] | list[int]) -> tuple[int, ...]:

@@ -33,7 +33,7 @@ from pealab import (
 )
 from pealab import catalog, io
 from pealab.catalog import catalog_to_obj
-from pealab.posets import iter_bits
+from pealab.posets import BITS, isomorphisms, iter_bits
 
 
 def relabelled(leq, rng):
@@ -153,9 +153,21 @@ class TestPosetEnumeration:
             assert catalog._canonical_rows(relabelled(P.leq, rng), 7) == P.leq
 
     def test_bit_table_lists_the_bits_of_every_mask(self):
-        assert len(catalog._BITS) == 1 << len(catalog._MIDDLE_LABELS)
-        for mask, bits in enumerate(catalog._BITS):
-            assert bits == tuple(iter_bits(mask))
+        def plain(mask):
+            return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+        # every mask on the largest carrier the catalog can label
+        assert len(BITS) == 1 << len(catalog._MIDDLE_LABELS) + 2
+        for mask, bits in enumerate(BITS):
+            assert bits == plain(mask)
+            assert iter_bits(mask) is bits
+        # past the table, as for products, the bits are collected in a loop
+        rng = random.Random(10)
+        beyond = [len(BITS), (1 << 11) - 1, 1 << 40 | 5]
+        beyond += [rng.getrandbits(rng.randint(11, 70)) | len(BITS)
+                   for _ in range(300)]
+        for mask in beyond:
+            assert iter_bits(mask) == plain(mask)
 
     def test_representatives_are_pairwise_non_isomorphic(self):
         posets = [P for P in enumerate_posets(4) if P.n == 4]
@@ -251,6 +263,29 @@ class TestStructureEnumeration:
         expected = {A.plus for A in dumb_structures(base)}
         got = {A.plus for A in enumerate_pea_structures(base)}
         assert got == expected
+
+    def test_degree_prefilter_rejects_only_bases_without_a_dual_automorphism(
+        self, monkeypatch
+    ):
+        monkeypatch.setenv("PEALAB_MAX_N", "8")
+        rejected = [base for base in enumerate_bounded_posets(8)
+                    if not catalog._degrees_self_dual(base)]
+        for base in rejected:
+            dual = Poset(base.labels, base.down)
+            assert next(isomorphisms(base, dual), None) is None
+        # up to six elements, 10 of the 26 classes
+        assert sum(base.n <= 6 for base in rejected) == 10
+
+    def test_search_counts_each_class_once(self):
+        search = catalog.search_counts()
+        entries = build_catalog(7, search=search)
+        # each class is rejected, stopped or searched; each table found is
+        # re-checked once, and no re-check fails
+        stopped = search["prefiltered"] + search["no_dual_automorphism"]
+        assert stopped + search["searched"] == len(entries)
+        assert stopped <= sum(not e.structures for e in entries)
+        assert search["rechecked"] == sum(len(e.structures) for e in entries)
+        assert search["recheck_failed"] == 0
 
     def test_every_structure_survives_recheck(self, catalog5):
         for entry in catalog5:

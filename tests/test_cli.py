@@ -150,7 +150,8 @@ def test_structure_a_morphism_names_is_read_once(
     reads, load = [], io.load_json
     monkeypatch.setattr(io, "load_json", lambda p: reads.append(str(p)) or load(p))
     assert run(capsys, verb, m, m)[0] == 0
-    assert reads.count(c3_file) == 1
+    # the morphism file, named twice, is read once as well
+    assert reads == [m, c3_file]
 
 
 @pytest.mark.parametrize("verb", ["--morphism", "--pea-morphism"])
@@ -361,6 +362,19 @@ class TestEnumerate:
             (7, 135, 44, 91, 63),
         ]
         assert all(len(r) == len(fields) for r in payload["generation"])
+
+    def test_json_records_what_the_structure_search_skipped(
+        self, capsys, tmp_path
+    ):
+        json_path = tmp_path / "report.json"
+        argv = ["enumerate", "--n", "6", "--json", str(json_path)]
+        assert run(capsys, *argv)[0] == 0
+        assert "search" not in json.loads(json_path.read_text())
+        assert run(capsys, *argv, "--structures")[0] == 0
+        assert json.loads(json_path.read_text())["search"] == {
+            "prefiltered": 10, "no_dual_automorphism": 1, "searched": 15,
+            "rechecked": 48, "recheck_failed": 0,
+        }
 
     def test_nonpositive_n_exits_two(self, capsys):
         code, out = run(capsys, "enumerate", "--n", "0")

@@ -45,6 +45,7 @@ from pealab import (
 )
 from pealab.catalog import catalog_pdps
 from pealab.pdp import pdp_morphism_violations, preserves_differences
+from pealab.reports import Report, Violation
 
 
 def c3_pdp():
@@ -84,6 +85,66 @@ class TestCheckPdp:
         idx = {lab: i for i, lab in enumerate(X.labels)}
         broken = with_slash(X, idx["1"], idx["a"], idx["a"])
         assert any(v.rule == "PD2" for v in check_pdp(broken).violations)
+
+
+def pdp_report_per_cell(X):
+    """check_pdp restated with one base.le call per order test: every
+    definedness cell by table, row and column, PD1 by element, then PD2 by
+    a <= b <= c on (/, \\) and on its mirror."""
+    base, n, lab = X.base, X.n, X.labels
+    sides = (("/", X.slash), ("\\", X.bslash))
+    violations = []
+    for name, table in sides:
+        for b in range(n):
+            for a in range(n):
+                defined = table[b][a] is not None
+                if defined != base.le(a, b):
+                    violations.append(Violation(
+                        "definedness", (("b", lab[b]), ("a", lab[a])),
+                        f"b{name}a defined although a <= b fails" if defined
+                        else f"b{name}a undefined although a <= b"))
+    for a in range(n):
+        for name, table in sides:
+            zero = table[a][base.bottom]
+            if zero is not None and zero != a:
+                violations.append(
+                    Violation("PD1", (("a", lab[a]),), f"a{name}0 differs from a"))
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if not (base.le(a, b) and base.le(b, c)):
+            continue
+        for (p, T), (q, U) in (sides, sides[::-1]):
+            cb, ca = T[c][b], T[c][a]
+            if cb is None or ca is None:
+                continue
+            if not base.le(cb, ca):
+                detail = f"c{p}b <= c{p}a fails"
+            elif U[ca][cb] != T[b][a]:
+                detail = f"(c{p}a){q}(c{p}b) differs from b{p}a"
+            else:
+                continue
+            where = (("a", lab[a]), ("b", lab[b]), ("c", lab[c]))
+            violations.append(Violation("PD2", where, detail))
+    return Report("check_pdp", tuple(violations))
+
+
+def test_check_pdp_matches_the_per_cell_reference_on_mutated_tables(pdps6):
+    # every catalog table up to six elements, unchanged and with one cell
+    # of / or \\ set to a seeded value or None
+    assert len(pdps6) == 48
+    rng = random.Random(2024)
+    reported = 0
+    for X in pdps6:
+        assert check_pdp(X) == pdp_report_per_cell(X) == Report("check_pdp")
+        for _ in range(25):
+            tables = [X.slash, X.bslash]
+            k = rng.randrange(2)
+            cell = rng.randrange(X.n), rng.randrange(X.n)
+            tables[k] = edit_table(tables[k], {cell: rng.choice([*range(X.n), None])})
+            broken = PseudoDPoset(X.base, *tables)
+            report = check_pdp(broken)
+            assert report == pdp_report_per_cell(broken)
+            reported += not report.ok
+    assert reported > 25 * len(pdps6) // 2
 
 
 class TestMirror:

@@ -13,7 +13,6 @@ from .catalog import (
     enumerate_bounded_posets,
     enumerate_pea_structures,
     enumerate_posets,
-    size_limit,
 )
 from .errors import (
     FormatError,

@@ -30,11 +30,10 @@ as a pseudo D-poset and as a pseudo effect algebra before it is kept.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from . import io
-from .errors import FormatError, InvalidStructure, LimitExceeded
+from .errors import InvalidStructure, LimitExceeded
 from .pdp import PseudoDPoset, check_pdp
 from .pea import (
     PseudoEffectAlgebra,
@@ -52,7 +51,6 @@ from .posets import (
     placement_order,
 )
 
-DEFAULT_MAX_N = 7
 _MIDDLE_LABELS = "abcdefgh"
 
 
@@ -63,30 +61,6 @@ def _down_rows(rows) -> list[int]:
         for j in BITS[row]:
             down[j] |= 1 << i
     return down
-
-
-def size_limit() -> int:
-    """Enumeration cap, configurable through PEALAB_MAX_N."""
-    raw = os.environ.get("PEALAB_MAX_N")
-    if raw is None:
-        return DEFAULT_MAX_N
-    try:
-        return int(raw)
-    except ValueError:
-        raise FormatError("PEALAB_MAX_N must be an integer") from None
-
-
-def check_size(n: int) -> None:
-    """Raise LimitExceeded for a carrier larger than PEALAB_MAX_N allows or
-    than the middle-element labels can name, before any enumeration."""
-    cap = size_limit()
-    if n > cap:
-        raise LimitExceeded(f"n={n} exceeds the configured limit {cap}")
-    largest = len(_MIDDLE_LABELS) + 2
-    if n > largest:
-        raise LimitExceeded(
-            f"n={n} exceeds {largest}, the largest carrier the catalog can label"
-        )
 
 
 def _canonical_rows(rows, m: int) -> tuple[int, ...]:
@@ -238,8 +212,14 @@ def enumerate_bounded_posets(
     """One representative per isomorphism class of bounded posets on
     1..max_n elements, in the order of enumerate_posets: the one-element
     poset, then each class on n-2 points between a new bottom and top.
-    ``generation`` gets enumerate_posets's records, by number of points."""
-    check_size(max_n)
+    ``generation`` gets enumerate_posets's records, by number of points.
+    A max_n past what the labels in _MIDDLE_LABELS can name raises
+    LimitExceeded before any work."""
+    largest = len(_MIDDLE_LABELS) + 2
+    if max_n > largest:
+        raise LimitExceeded(
+            f"n={max_n} exceeds {largest}, the largest carrier the catalog can label"
+        )
     if max_n < 1:
         raise InvalidStructure("a bounded poset needs at least one element")
     out = [BoundedPoset(("0",), (1,), 0, 0)]

@@ -63,7 +63,7 @@ from .transfer import (
 
 
 class _Output:
-    def __init__(self, verb: str, json_path=None):
+    def __init__(self, verb: str, json_path):
         self.verb = verb
         self.json_path = json_path
         self.lines: list[str] = []
@@ -326,7 +326,7 @@ def _cmd_verify_coeq(args) -> int:
         if value < 1:
             raise FormatError(f"{flag} needs at least one element, got {value}")
     source_n = 0 if args.fork else args.max_source_n  # a fork file brings its own
-    # catalog_pdps checks PEALAB_MAX_N against the one size it builds
+    # catalog_pdps checks the labels against the one size it builds
     pdps = catalog_pdps(max(args.max_target_n, source_n))
     targets = [X for X in pdps if X.n <= args.max_target_n]
     homs = HomSets()

@@ -14,7 +14,7 @@ class FormatError(PealabError, ValueError):
 
 
 class LimitExceeded(PealabError, RuntimeError):
-    """A requested size is beyond the configured enumeration cap."""
+    """A requested size is beyond what the catalog can label."""
 
 
 class TransferError(PealabError, RuntimeError):

@@ -77,7 +77,7 @@ def _parse_table(obj, labels, name: str):
     return tuple(tuple(row) for row in table)
 
 
-def parse_structure(obj, what: str = "structure"):
+def parse_structure(obj, what: str):
     """Parse a structure object into the most specific value it encodes,
     over the bounded poset that its elements and covers declare."""
     _read_object(obj, what, ("elements", "covers"), ("plus", "slash", "bslash"))
@@ -202,9 +202,7 @@ class MorphismFile:
         return PosetMorphism(src, dst, self.map)
 
 
-def parse_morphism(
-    obj, base_dir=None, what: str = "morphism", *, loaded: dict
-) -> MorphismFile:
+def parse_morphism(obj, base_dir, what: str, *, loaded: dict) -> MorphismFile:
     """The morphism in obj, whose map must name exactly the source's
     elements and send each to an element of the target.  ``loaded`` maps
     each path already parsed to its structure, so that a file several ends
@@ -215,9 +213,7 @@ def parse_morphism(
         value, name = obj[side], f"{what} {side}"
         if not isinstance(value, str):
             return parse_structure(value, name), name
-        path = Path(value)
-        if base_dir is not None and not path.is_absolute():
-            path = Path(base_dir) / path
+        path = Path(base_dir) / value  # an absolute value stands as it is
         name = str(path)
         if name not in loaded:
             loaded[name] = parse_structure(load_json(path), name)
@@ -255,7 +251,7 @@ class ForkFile:
     t: MorphismFile
 
 
-def parse_fork(obj, base_dir=None, what: str = "fork") -> ForkFile:
+def parse_fork(obj, base_dir, what: str) -> ForkFile:
     names = ("f", "g", "q", "s", "t")
     _read_object(obj, what, names, needs="morphisms f, g, q, s, t")
     loaded = {}  # each file the five arrows name is parsed once
@@ -270,7 +266,7 @@ def load_fork(path) -> ForkFile:
     return parse_fork(load_json(path), Path(path).parent, str(path))
 
 
-def parse_plmap(obj, what: str = "plmap") -> PLMap:
+def parse_plmap(obj, what: str) -> PLMap:
     _read_object(obj, what, ("breakpoints", "slopes"))
     _require(isinstance(obj["breakpoints"], list) and isinstance(obj["slopes"], list),
              f"{what} breakpoints and slopes must be lists")

@@ -7,7 +7,7 @@ addition tables cell by cell instead, under three pruning rules proved in
 so the two routes check each other.  ``test_catalog.py`` compares them
 class by class up to n=7; larger sizes run outside the test suite, e.g.
 
-    PEALAB_MAX_N=8 PYTHONPATH=src:tests python -m cancellative 8
+    PYTHONPATH=src:tests python -m cancellative 8
 
 which prints one line per size and exits 1 if any class disagrees.
 """

@@ -29,7 +29,6 @@ from pealab import (
     find_isomorphism,
     is_commutative,
     pea_to_pdp,
-    size_limit,
 )
 from pealab import catalog, io
 from pealab.catalog import catalog_to_obj
@@ -196,10 +195,9 @@ class TestPosetEnumeration:
 
 
 class TestBoundedPosetEnumeration:
-    def test_class_counts(self, monkeypatch):
+    def test_class_counts(self):
         # OEIS A000112 shifted by two: posets on n-2 points; one pass lists
         # every size, in order of size
-        monkeypatch.setenv("PEALAB_MAX_N", "10")
         sizes = [P.n for P in enumerate_bounded_posets(10)]
         assert sizes == sorted(sizes)
         assert [sizes.count(n) for n in range(1, 11)] == [
@@ -216,13 +214,7 @@ class TestBoundedPosetEnumeration:
         assert find_isomorphism(two, c2())
         assert find_isomorphism(three, c3())
 
-    def test_limit_is_enforced(self):
-        with pytest.raises(LimitExceeded):
-            enumerate_bounded_posets(size_limit() + 1)
-
     def test_label_alphabet_caps_the_size_before_any_work(self, monkeypatch):
-        monkeypatch.setenv("PEALAB_MAX_N", "11")
-
         def unreachable(m):
             raise AssertionError("classes enumerated past the size check")
 
@@ -230,11 +222,9 @@ class TestBoundedPosetEnumeration:
         with pytest.raises(LimitExceeded, match="n=11 exceeds 10"):
             enumerate_bounded_posets(11)
 
-    def test_limit_override_via_environment(self, monkeypatch):
+    def test_environment_sets_no_size_cap(self, monkeypatch):
+        # the labels are the only size bound; no environment variable sets one
         monkeypatch.setenv("PEALAB_MAX_N", "3")
-        with pytest.raises(LimitExceeded):
-            enumerate_bounded_posets(4)
-        monkeypatch.delenv("PEALAB_MAX_N")
         assert sum(P.n == 4 for P in enumerate_bounded_posets(4)) == 2
 
 
@@ -265,9 +255,8 @@ class TestStructureEnumeration:
         assert got == expected
 
     def test_degree_prefilter_rejects_only_bases_without_a_dual_automorphism(
-        self, monkeypatch
+        self
     ):
-        monkeypatch.setenv("PEALAB_MAX_N", "8")
         rejected = [base for base in enumerate_bounded_posets(8)
                     if not catalog._degrees_self_dual(base)]
         for base in rejected:
@@ -316,13 +305,19 @@ class TestStructureEnumeration:
         assert sum(counts) == 138
         assert sum(not is_commutative(A) for t in tables for A in t) == 96
 
-    def test_eight_element_catalog(self, monkeypatch):
-        monkeypatch.setenv("PEALAB_MAX_N", "8")
+    def test_eight_element_catalog(self):
         bases = [b for b in enumerate_bounded_posets(8) if b.n == 8]
         tables = [enumerate_pea_structures(b) for b in bases]
         assert len(tables) == 318
         assert sum(len(t) for t in tables) == 836
         assert sum(not is_commutative(A) for t in tables for A in t) == 680
+
+    def test_nine_element_catalog(self):
+        bases = [b for b in enumerate_bounded_posets(9) if b.n == 9]
+        tables = [enumerate_pea_structures(b) for b in bases]
+        assert len(tables) == 2045
+        assert sum(len(t) for t in tables) == 5323
+        assert sum(not is_commutative(A) for t in tables for A in t) == 4952
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_cancellative_route(self, n):
@@ -374,7 +369,7 @@ class TestSmallestNoncommutative:
                      if {"plus": record["plus"]} in e["structures"])
         witness = io.parse_structure(
             {"elements": entry["elements"], "covers": entry["covers"],
-             "plus": record["plus"]}
+             "plus": record["plus"]}, "witness"
         )
         assert check_pea(witness).ok
         assert not is_commutative(witness)

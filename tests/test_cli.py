@@ -306,18 +306,28 @@ class TestEnumerate:
         assert data["max_n"] == 4
         assert data["noncommutative"]["found"] is False
 
-    def test_size_cap_exits_two(self, capsys, monkeypatch):
-        monkeypatch.setenv("PEALAB_MAX_N", "3")
-        code, out = run(capsys, "enumerate", "--n", "5")
+    def test_size_cap_exits_two(self, capsys):
+        code, out = run(capsys, "enumerate", "--n", "11")
         assert code == 2
         assert "RESULT: FAIL enumerate" in out
+
+    def test_eight_elements_need_no_setting(self, capsys, tmp_path):
+        json_path = tmp_path / "report.json"
+        code, out = run(capsys, "enumerate", "--n", "8", "--structures",
+                        "--json", str(json_path))
+        assert code == 0
+        assert out.rstrip().endswith("RESULT: PASS enumerate")
+        last = json.loads(json_path.read_text())["summary"][-1]
+        assert last["n"] == 8
+        assert last["classes"] == 318 and sum(last["structures"]) == 836
 
     def test_oversized_n_is_named_and_recorded(self, capsys, tmp_path):
         json_path = tmp_path / "report.json"
         code, out = run(capsys, "enumerate", "--n", "99", "--structures",
                         "--json", str(json_path))
         assert code == 2
-        assert "error: n=99 exceeds the configured limit" in out
+        assert out.startswith("error: n=99 exceeds 10, the largest carrier "
+                              "the catalog can label\n")
         assert out.rstrip().endswith("RESULT: FAIL enumerate")
         payload = json.loads(json_path.read_text())
         assert payload == {
@@ -328,10 +338,7 @@ class TestEnumerate:
                       "message": out.splitlines()[0][len("error: "):]},
         }
 
-    def test_size_past_the_label_alphabet_exits_two(
-        self, capsys, monkeypatch, tmp_path
-    ):
-        monkeypatch.setenv("PEALAB_MAX_N", "11")
+    def test_size_past_the_label_alphabet_exits_two(self, capsys, tmp_path):
         json_path = tmp_path / "report.json"
         code, out = run(capsys, "enumerate", "--n", "11", "--json", str(json_path))
         assert code == 2
@@ -638,19 +645,30 @@ class TestTransferVerbs:
         assert "RESULT: PASS" not in out
         assert out.rstrip().endswith("RESULT: FAIL verify-coeq")
 
-    def test_verify_coeq_fork_caps_only_the_target_size(self, capsys,
-                                                       monkeypatch):
-        # a fork file brings its own sources, so --max-source-n (default 5)
-        # builds nothing and is not held against PEALAB_MAX_N
-        monkeypatch.setenv("PEALAB_MAX_N", "4")
+    def test_verify_coeq_fork_caps_only_the_target_size(self, capsys):
+        # a fork file brings its own sources, so --max-source-n builds
+        # nothing and is not held against the labels
         code, out = run(capsys, "verify-coeq", "--fork", COLLAPSE_FORK,
-                        "--max-target-n", "4")
+                        "--max-target-n", "4", "--max-source-n", "11")
         assert code == 0
         assert out.rstrip().endswith("RESULT: PASS verify-coeq")
         code, out = run(capsys, "verify-coeq", "--fork", COLLAPSE_FORK,
-                        "--max-target-n", "5")
+                        "--max-target-n", "11")
         assert code == 2
-        assert out.startswith("error: n=5 exceeds the configured limit 4\n")
+        assert out.startswith("error: n=11 exceeds 10, the largest carrier "
+                              "the catalog can label\n")
+
+    def test_verify_coeq_past_the_labels_builds_nothing(self, capsys,
+                                                        monkeypatch):
+        def unreachable(m, generation=None):
+            raise AssertionError("classes enumerated past the size check")
+
+        monkeypatch.setattr(catalog, "enumerate_posets", unreachable)
+        code, out = run(capsys, "verify-coeq", "--generate", "1",
+                        "--max-target-n", "11")
+        assert code == 2
+        assert out == ("error: n=11 exceeds 10, the largest carrier the "
+                       "catalog can label\nRESULT: FAIL verify-coeq\n")
 
 
 class TestWitness:

@@ -60,37 +60,40 @@ class TestStructureFiles:
         bases = [entry.base for entry in catalog5]
         for A in peas + [pea_to_pdp(A) for A in peas] + bases:
             once = dumps(structure_to_obj(A))
-            again = dumps(structure_to_obj(parse_structure(json.loads(once))))
+            again = parse_structure(json.loads(once), "structure")
+            again = dumps(structure_to_obj(again))
             assert once == again
 
     def test_unknown_keys_are_rejected(self):
         with pytest.raises(FormatError, match="unknown keys"):
-            parse_structure({"elements": ["0"], "covers": [], "extra": 1})
+            parse_structure({"elements": ["0"], "covers": [], "extra": 1},
+                            "structure")
 
     def test_mixed_tables_are_rejected(self):
         with pytest.raises(FormatError, match="both"):
             parse_structure(
                 {"elements": ["0"], "covers": [], "plus": {}, "slash": {},
-                 "bslash": {}}
+                 "bslash": {}}, "structure"
             )
 
     def test_lonely_difference_table_is_rejected(self):
         with pytest.raises(FormatError, match="both 'slash' and 'bslash'"):
-            parse_structure({"elements": ["0"], "covers": [], "slash": {}})
+            parse_structure({"elements": ["0"], "covers": [], "slash": {}},
+                            "structure")
 
     def test_comma_labels_with_tables_are_rejected(self):
         with pytest.raises(FormatError, match="comma"):
             parse_structure(
                 {"elements": ["0", "x,y", "1"],
                  "covers": [["0", "x,y"], ["x,y", "1"]],
-                 "plus": {}}
+                 "plus": {}}, "structure"
             )
 
     def test_unknown_table_elements_are_rejected(self):
         with pytest.raises(FormatError, match="unknown"):
             parse_structure(
                 {"elements": ["0", "1"], "covers": [["0", "1"]],
-                 "plus": {"0,z": "1"}}
+                 "plus": {"0,z": "1"}}, "structure"
             )
 
 
@@ -139,35 +142,43 @@ class TestMorphismFiles:
             load_fork(path)
 
 
+# each reader, with the name of the kind it reads for its messages
+READERS = {
+    "parse_structure": lambda obj: parse_structure(obj, "structure"),
+    "parse_morphism": lambda obj: parse_morphism(obj, ".", "morphism", loaded={}),
+    "parse_fork": lambda obj: parse_fork(obj, ".", "fork"),
+    "parse_plmap": lambda obj: parse_plmap(obj, "plmap"),
+}
+
 READER_ERRORS = [
-    (parse_structure, [], "structure must be a JSON object"),
-    (parse_structure, {"elements": [], "covers": [], "x": 1},
+    ("parse_structure", [], "structure must be a JSON object"),
+    ("parse_structure", {"elements": [], "covers": [], "x": 1},
      "structure has unknown keys: ['x']"),
-    (parse_structure, {"elements": []}, "structure needs 'elements' and 'covers'"),
-    (parse_morphism, 3, "morphism must be a JSON object"),
-    (parse_morphism, {"map": {}, "y": 0, "x": 0},
+    ("parse_structure", {"elements": []},
+     "structure needs 'elements' and 'covers'"),
+    ("parse_morphism", 3, "morphism must be a JSON object"),
+    ("parse_morphism", {"map": {}, "y": 0, "x": 0},
      "morphism has unknown keys: ['x', 'y']"),
-    (parse_morphism, {"map": {}}, "morphism needs 'source', 'target' and 'map'"),
-    (parse_fork, None, "fork must be a JSON object"),
-    (parse_fork, {"f": 0, "h": 0}, "fork has unknown keys: ['h']"),
-    (parse_fork, {"f": 0}, "fork needs morphisms f, g, q, s, t"),
-    (parse_plmap, "x", "plmap must be a JSON object"),
-    (parse_plmap, {"slopes": [], "z": 1}, "plmap has unknown keys: ['z']"),
-    (parse_plmap, {"slopes": []}, "plmap needs 'breakpoints' and 'slopes'"),
-    (parse_plmap, {"breakpoints": ["x"], "slopes": ["1", "1"]},
+    ("parse_morphism", {"map": {}},
+     "morphism needs 'source', 'target' and 'map'"),
+    ("parse_fork", None, "fork must be a JSON object"),
+    ("parse_fork", {"f": 0, "h": 0}, "fork has unknown keys: ['h']"),
+    ("parse_fork", {"f": 0}, "fork needs morphisms f, g, q, s, t"),
+    ("parse_plmap", "x", "plmap must be a JSON object"),
+    ("parse_plmap", {"slopes": [], "z": 1}, "plmap has unknown keys: ['z']"),
+    ("parse_plmap", {"slopes": []}, "plmap needs 'breakpoints' and 'slopes'"),
+    ("parse_plmap", {"breakpoints": ["x"], "slopes": ["1", "1"]},
      "plmap: not a rational number: 'x'"),
 ]
 
 
 @pytest.mark.parametrize(
-    "parse, obj, message", READER_ERRORS,
-    ids=[f"{parse.__name__}-{k}" for k, (parse, _, _) in enumerate(READER_ERRORS)],
+    "reader, obj, message", READER_ERRORS,
+    ids=[f"{reader}-{k}" for k, (reader, _, _) in enumerate(READER_ERRORS)],
 )
-def test_each_reader_words_its_shape_errors(parse, obj, message):
-    # parse_morphism also takes the map of the files already parsed
-    extra = {"loaded": {}} if parse is parse_morphism else {}
+def test_each_reader_words_its_shape_errors(reader, obj, message):
     with pytest.raises(FormatError) as caught:
-        parse(obj, **extra)
+        READERS[reader](obj)
     assert str(caught.value) == message
 
 
@@ -259,10 +270,11 @@ def empty_dir(tmp_path_factory):
 @given(data=st.data())
 def test_parsers_raise_only_workbench_errors(empty_dir, kind, data):
     parse = {
-        "structure": parse_structure,
+        "structure": READERS["parse_structure"],
         # file references resolve inside an empty directory
-        "morphism": lambda obj: parse_morphism(obj, empty_dir, loaded={}).poset_map(),
-        "plmap": parse_plmap,
+        "morphism": lambda obj: parse_morphism(
+            obj, empty_dir, "morphism", loaded={}).poset_map(),
+        "plmap": READERS["parse_plmap"],
     }[kind]
     objects = {"structure": structure_objects(), "morphism": morphism_objects,
                "plmap": plmap_objects}[kind]

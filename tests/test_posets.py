@@ -143,8 +143,7 @@ class TestGeneratedOrdersPassCheckOrder:
     """Constructors check shape only, so every order the program generates
     or derives is checked here instead."""
 
-    def test_bounded_classes_and_their_opposites(self, monkeypatch):
-        monkeypatch.setenv("PEALAB_MAX_N", "8")
+    def test_bounded_classes_and_their_opposites(self):
         classes = enumerate_bounded_posets(8)
         assert len(classes) == 407
         for P in classes:

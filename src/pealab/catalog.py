@@ -127,6 +127,7 @@ def _canonical_rows(rows, m: int) -> tuple[int, ...]:
             tied = True  # best now completes key[:k+1]
 
     extend(0, (1 << m) - 1, False)
+    del extend  # break the self-reference, so refcounting frees the search
     return best
 
 
@@ -345,6 +346,7 @@ def enumerate_pea_structures(
                 place(k + 1)
 
     place(0)
+    del place  # break the self-reference, so refcounting frees the search
     results.sort(
         key=lambda A: [[n if v is None else v for v in row] for row in A.plus]
     )

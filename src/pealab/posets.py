@@ -607,6 +607,7 @@ def enumerate_morphisms(
     # P.top is P.bottom when P.n == 1
     if start[P.top] == R.top and settle(start, [P.bottom, P.top]):
         extend(0, start)
+    del extend  # break the self-reference, so refcounting frees the search
     found.sort()
     return [PosetMorphism(P, R, m) for m in found]
 
@@ -615,17 +616,34 @@ def isomorphisms(P: Poset, R: Poset, within: int | None = None):
     """Yield every order isomorphism P -> R as a map table, in increasing
     table order.
 
-    ``within`` is a mask of elements present in both posets; the search
+    ``within`` is a mask M of elements present in both posets; the search
     then lists the isomorphisms between the subposets it induces in P and
     in R, as tables that hold None outside the mask.  Elements are placed
     by index, and a candidate image of x must agree with every image
     placed before it: y <= x iff s(y) <= s(x), and x <= y iff s(x) <= s(y).
+
+    A candidate must also match x in size.  Lemma: an order isomorphism s
+    maps the down-set of x within M onto the down-set of s(x) within M,
+    and the up-set of x within M onto that of s(x), so x and s(x) have
+    down-sets of the same size within M and up-sets of the same size
+    within M; this is the per-element form of the lemma of
+    :func:`pealab.catalog._degrees_self_dual`.  The targets are grouped by
+    that size pair once per call.  The filter only removes candidates, so
+    the table order is unchanged.
     """
     if P.n != R.n:
         return
     mask = (1 << P.n) - 1 if within is None else within
     elements = list(iter_bits(mask))
-    up_p, up_r, down_r = P.leq, R.leq, R.down
+    up_p, down_p, up_r, down_r = P.leq, P.down, R.leq, R.down
+    targets: dict[tuple[int, int], int] = {}
+    for y in elements:
+        pair = (down_r[y] & mask).bit_count(), (up_r[y] & mask).bit_count()
+        targets[pair] = targets.get(pair, 0) | 1 << y
+    sized = [
+        targets.get(((down_p[x] & mask).bit_count(), (up_p[x] & mask).bit_count()), 0)
+        for x in elements
+    ]
     table: list[int | None] = [None] * P.n
 
     def extend(k: int, free: int):
@@ -633,7 +651,7 @@ def isomorphisms(P: Poset, R: Poset, within: int | None = None):
             yield tuple(table)
             return
         x = elements[k]
-        candidates = free
+        candidates = free & sized[k]
         for y in elements[:k]:
             s = table[y]
             candidates &= up_r[s] if up_p[y] >> x & 1 else ~up_r[s]
@@ -642,7 +660,12 @@ def isomorphisms(P: Poset, R: Poset, within: int | None = None):
             table[x] = v
             yield from extend(k + 1, free & ~(1 << v))
 
-    yield from extend(0, mask)
+    try:
+        yield from extend(0, mask)
+    finally:
+        # break the self-reference, also when the caller stops early, so
+        # refcounting frees the search
+        del extend
 
 
 def find_isomorphism(P: Poset, R: Poset):

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from collections import Counter
@@ -20,10 +21,12 @@ from pealab import (
     Poset,
     PseudoEffectAlgebra,
     build_catalog,
+    catalog_pdps,
     check_order,
     check_pdp,
     check_pea,
     enumerate_bounded_posets,
+    enumerate_pdp_morphisms,
     enumerate_pea_structures,
     enumerate_posets,
     find_isomorphism,
@@ -379,3 +382,33 @@ class TestSmallestNoncommutative:
         assert witness.plus[a][b] == one and witness.plus[b][a] is None
         assert witness.plus[b][c] == one and witness.plus[c][b] is None
         assert witness.plus[c][a] == one and witness.plus[a][c] is None
+
+
+def test_searches_leave_no_cyclic_garbage():
+    """Each recursive search unbinds itself after its top-level call, so
+    reference counting frees its state and the cycle collector finds
+    nothing, also after a search stopped at its first hit."""
+    gc.collect()
+    gc.disable()
+    try:
+        build_catalog(6)
+        assert gc.collect() == 0
+        enumerate_posets(6)
+        assert gc.collect() == 0
+        pdps = catalog_pdps(4)
+        gc.collect()
+        for X in pdps:
+            for Y in pdps:
+                enumerate_pdp_morphisms(X, Y)
+        assert gc.collect() == 0
+        D = diamond()
+        dual = Poset(D.labels, D.down)
+        gc.collect()
+        # two dual automorphisms, both listed; then the first of two
+        # automorphisms, with the search stopped there
+        assert len(list(isomorphisms(D, dual, D.down[D.top]))) == 2
+        assert gc.collect() == 0
+        assert find_isomorphism(D, D).map == (0, 1, 2, 3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -18,13 +18,17 @@ PL map file: {"breakpoints": ["1","3/2"], "slopes": ["2","1","1"]}.
 
 Emission is canonical (sorted keys, two-space indent, trailing newline),
 so parse -> emit is idempotent after one normalization.  Every JSON file
-the workbench writes goes through write_json.
+the workbench writes goes through write_json, and every JSON text through
+dumps, which writes the emission itself: byte for byte it is
+``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline, but a key
+that is not a ``str`` raises TypeError.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .errors import FormatError, InvalidStructure
@@ -155,8 +159,44 @@ def poset_obj(base) -> dict:
     }
 
 
+def _emit(obj, indent: str) -> str:
+    """obj as ``json.dumps(obj, indent=2, sort_keys=True)`` writes it, each
+    nested line starting with indent plus two spaces."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        # sorted or encode_basestring_ascii raises TypeError on a key that
+        # is not a str
+        body = (",\n" + inner).join(
+            [encode_basestring_ascii(key) + ": " + _emit(obj[key], inner)
+             for key in sorted(obj)])
+        return "{\n" + inner + body + "\n" + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        body = (",\n" + inner).join([_emit(value, inner) for value in obj])
+        return "[\n" + inner + body + "\n" + indent + "]"
+    return json.dumps(obj)  # floats; json's own TypeError for the rest
+
+
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """obj in the canonical emission: byte for byte
+    ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, written here
+    because with an indent the stdlib takes its pure-Python encoder, which
+    is twice as slow and leaves cyclic garbage on every call.  A dict key
+    that is not a ``str`` raises TypeError, where json would convert it."""
+    return _emit(obj, "") + "\n"
 
 
 def write_json(path, obj) -> None:

@@ -387,11 +387,14 @@ class TestSmallestNoncommutative:
 def test_searches_leave_no_cyclic_garbage():
     """Each recursive search unbinds itself after its top-level call, so
     reference counting frees its state and the cycle collector finds
-    nothing, also after a search stopped at its first hit."""
+    nothing, also after a search stopped at its first hit; emitting the
+    catalog leaves nothing either."""
     gc.collect()
     gc.disable()
     try:
-        build_catalog(6)
+        entries = build_catalog(6)
+        assert gc.collect() == 0
+        io.dumps(catalog_to_obj(entries, 6))
         assert gc.collect() == 0
         enumerate_posets(6)
         assert gc.collect() == 0

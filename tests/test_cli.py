@@ -1,3 +1,4 @@
+import gc
 import json
 from pathlib import Path
 
@@ -439,6 +440,29 @@ def test_each_verb_generates_the_classes_once(capsys, monkeypatch, argv):
     code, _ = run(capsys, *argv)
     assert code == 0
     assert sizes == [3]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("enumerate", "--n", "6", "--structures", "-o", "catalog.json"),
+     ("verify-coeq", "--generate", "120", "--seed", "2024",
+      "--max-target-n", "5"),
+     ("enumerate", "--n", "7")],
+    ids=["catalog6", "coeq5", "classes7"],
+)
+def test_benchmark_verbs_leave_no_cyclic_garbage(capsys, tmp_path, argv):
+    # the verbs as the benchmark runs them, each with a --json report; the
+    # first run builds what a process keeps, such as the parser
+    argv = [str(tmp_path / arg) if arg.endswith(".json") else arg
+            for arg in argv] + ["--json", str(tmp_path / "report.json")]
+    assert run(capsys, *argv)[0] == 0
+    gc.collect()
+    gc.disable()
+    try:
+        assert run(capsys, *argv)[0] == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("structures", [(), ("--structures",)])

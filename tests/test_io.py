@@ -282,3 +282,39 @@ def test_parsers_raise_only_workbench_errors(empty_dir, kind, data):
         parse(data.draw(objects | json_values))
     except PealabError:
         pass
+
+
+def stdlib_dumps(value):
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+def test_dumps_matches_the_stdlib_emission(value):
+    assert dumps(value) == stdlib_dumps(value)
+
+
+@pytest.mark.parametrize("value", [
+    ("a", (1, ()), [(), {}]),
+    {"a": {}, "b": [], "c": [{}, [[]], {"d": {}}]},
+    {"été": "∀x \U0001d4ab", "\ud800": "lone \udfff surrogate"},
+    ["\x00\x01\x1f\x7f", "tab\tnew\nline\r", '"quoted"', "back\\slash", "/"],
+    [-(10 ** 40), -1, 0, 10 ** 30],
+    [True, 1, False, 0, None, 1.0, 0.0, -0.0],
+    [float("nan"), float("inf"), -float("inf"), 1e300, 2.5e-10],
+    {"b": 1, "a": 2, "B": 3, "": 4, "a b": 5},
+    "just a string",
+    7,
+    True,
+    None,
+], ids=["tuples", "nested-empty", "non-ascii", "escapes", "big-ints",
+        "bools-and-ints", "floats", "key-order", "str", "int", "bool", "null"])
+def test_dumps_matches_the_stdlib_emission_on_edge_cases(value):
+    assert dumps(value) == stdlib_dumps(value)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, {"a": [{1}]}, {1: "a"}, {"a": 1, 2: "b"}],
+                         ids=["set", "nested-set", "int-key", "mixed-keys"])
+def test_dumps_raises_type_error_on_what_it_cannot_write(value):
+    with pytest.raises(TypeError):
+        dumps(value)

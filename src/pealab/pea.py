@@ -72,52 +72,83 @@ def induced_relation(A: PseudoEffectAlgebra) -> BoundedPoset:
 def check_pea(A: PseudoEffectAlgebra) -> Report:
     """Report every PE1..PE4 violation, then :func:`check_order`'s lines
     for :func:`induced_relation`; when that relation is an order, report
-    whether it differs from A's base."""
+    whether it differs from A's base.
+
+    Only defined sums are visited.  A triple (a, b, c) breaks PE1 iff
+    a+(b+c) and (a+b)+c differ, so iff one of them is defined and the
+    other is undefined or another element.  The left walk visits every
+    triple with (a+b)+c defined (b in a's row, then c in the row of a+b)
+    and flags it iff a+(b+c) differs; the right walk visits every triple
+    with a+(b+c) defined (c in b's row, then each a with a+(b+c) defined)
+    and flags it iff (a+b)+c is undefined.  So a violation with (a+b)+c
+    defined is flagged by the left walk and one with it undefined by the
+    right walk, each walk flags only violations, and no triple is flagged
+    twice; sorting restores (a, b, c) order.
+
+    PE3 and the induced relation read the same defined sums: some b+e is
+    a+b iff bit a+b of the mask of b's row, the induced row of b, is set,
+    and some d+a is a+b iff that bit of a's column mask is set.  When the
+    induced rows are the base's, the induced poset has the base's labels,
+    rows and bounds, so the order layer is the base's cached
+    :attr:`~pealab.posets.Poset.order_report`.
+    """
     n = A.n
     lab = A.labels
     plus = A.plus
-    violations = []
+    one = A.one
+    # sums[a]: each (b, a+b) with a+b defined; adders[c]: each a with a+c
+    # defined; rows[a] and cols[a]: the masks of a's row and column
+    sums = [[(b, c) for b, c in enumerate(row) if c is not None] for row in plus]
+    adders = [[] for _ in range(n)]
+    rows = [0] * n
+    cols = [0] * n
+    for a, a_sums in enumerate(sums):
+        for b, c in a_sums:
+            adders[b].append(a)
+            rows[a] |= 1 << c
+            cols[b] |= 1 << c
 
-    for a in range(n):
-        a_row = plus[a]
-        for b in range(n):
+    hits = []  # (a, b, c, whether a+(b+c) exists)
+    for a, a_row in enumerate(plus):
+        for b, ab in sums[a]:
             b_row = plus[b]
-            ab = a_row[b]
-            ab_row = None if ab is None else plus[ab]
-            for c in range(n):
+            for c, ab_c in sums[ab]:
                 bc = b_row[c]
-                a_bc = None if bc is None else a_row[bc]
-                ab_c = None if ab_row is None else ab_row[c]
-                if a_bc == ab_c:
-                    continue
-                violations.append(
-                    Violation(
-                        "PE1",
-                        (("a", lab[a]), ("b", lab[b]), ("c", lab[c])),
-                        "a+(b+c) exists but (a+b)+c does not match it"
-                        if a_bc is not None
-                        else "(a+b)+c exists but a+(b+c) does not",
-                    )
-                )
+                if bc is None or a_row[bc] != ab_c:
+                    hits.append((a, b, c, bc is not None and a_row[bc] is not None))
+    for b, b_sums in enumerate(sums):
+        for c, bc in b_sums:
+            for a in adders[bc]:
+                ab = plus[a][b]
+                if ab is None or plus[ab][c] is None:
+                    hits.append((a, b, c, True))
+    hits.sort()
+    violations = [
+        Violation(
+            "PE1",
+            (("a", lab[a]), ("b", lab[b]), ("c", lab[c])),
+            "a+(b+c) exists but (a+b)+c does not match it"
+            if a_bc_exists
+            else "(a+b)+c exists but a+(b+c) does not",
+        )
+        for a, b, c, a_bc_exists in hits
+    ]
 
     # the transpose is the opposite algebra's table: its row a holds x+a
-    opposite = tuple(zip(*plus))
+    ones = [row.count(one) for row in plus]
+    opposite_ones = [row.count(one) for row in zip(*plus)]
     for a in range(n):
-        sides = ((plus[a], "d satisfy a+d=1"), (opposite[a], "e satisfy e+a=1"))
-        for row, text in sides:
-            count = row.count(A.one)
+        sides = ((ones[a], "d satisfy a+d=1"), (opposite_ones[a], "e satisfy e+a=1"))
+        for count, text in sides:
             if count != 1:
                 violations.append(
                     Violation("PE2", (("a", lab[a]),), f"{count} elements {text}")
                 )
 
-    for a in range(n):
-        for b in range(n):
-            c = plus[a][b]
-            if c is None:
-                continue
-            for line, text in ((opposite[a], "d with d+a"), (plus[b], "e with b+e")):
-                if c not in line:
+    for a, a_sums in enumerate(sums):
+        for b, c in a_sums:
+            for mask, text in ((cols[a], "d with d+a"), (rows[b], "e with b+e")):
+                if not mask >> c & 1:
                     violations.append(
                         Violation(
                             "PE3", (("a", lab[a]), ("b", lab[b])), f"no {text} = a+b"
@@ -127,19 +158,23 @@ def check_pea(A: PseudoEffectAlgebra) -> Report:
     for a in range(n):
         if a == A.zero:
             continue
-        if plus[a][A.one] is not None or plus[A.one][a] is not None:
+        if plus[a][one] is not None or plus[one][a] is not None:
             violations.append(
                 Violation("PE4", (("a", lab[a]),), "a+1 or 1+a exists with a != 0")
             )
 
-    induced = induced_relation(A)
-    order = check_order(induced).violations
-    violations.extend(order)
-    if not order and induced.leq != A.base.leq:
-        violations.append(Violation(
-            "order", (),
-            "declared covers disagree with the order induced by the addition",
-        ))
+    base = A.base
+    if tuple(rows) == base.leq:
+        violations.extend(base.order_report.violations)
+    else:
+        # A's own shape checks cover the poset's, so this cannot raise
+        order = check_order(BoundedPoset(lab, tuple(rows), A.zero, one)).violations
+        violations.extend(order)
+        if not order:
+            violations.append(Violation(
+                "order", (),
+                "declared covers disagree with the order induced by the addition",
+            ))
     return Report("check_pea", tuple(violations))
 
 

@@ -12,7 +12,9 @@ are orders by construction and are not checked again.
 Each poset caches one index of its comparable pairs a <= b
 (:attr:`Poset.intervals`) and the interval poset's order rows over it
 (:attr:`Poset.interval_rows`).  The interval construction, the difference
-tables and the fork checks all read these two.
+tables and the fork checks all read these two.  It also caches its own
+:func:`check_order` report (:attr:`Poset.order_report`), which
+``check_pea`` reads for every table whose induced order is the poset's.
 """
 
 from __future__ import annotations
@@ -148,6 +150,12 @@ class Poset:
                     row |= 1 << index[c, d]
             rows.append(row)
         return tuple(rows)
+
+    @cached_property
+    def order_report(self) -> Report:
+        """:func:`check_order` of this poset, built once per object and
+        shared by every caller."""
+        return check_order(self)
 
     @cached_property
     def _label_index(self) -> dict[str, int]:

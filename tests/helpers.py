@@ -3,8 +3,9 @@
 The oracles deliberately avoid the package's search machinery: morphism
 sets are enumerated with itertools over all functions, isomorphisms over
 all bijections, poset classes over all naturally labelled relations and
-all relabellings, coequalizer orders over all subsets of the target, and
-structure tables over all cell assignments.  Expected
+all relabellings, coequalizer orders over all subsets of the target,
+structure tables over all cell assignments, and the axioms of a pseudo
+effect algebra over all n^3 triples (``dense_check_pea``).  Expected
 values asserted in the tests were computed with these.  Hom sets of
 pseudo D-posets also have a faster second route, which uses the
 package's map search without forcing rules (itself checked against the
@@ -42,7 +43,7 @@ from pealab import (
 )
 from pealab.catalog import _canonical_rows
 from pealab.pdp import preserves_differences
-from pealab.posets import iter_bits, transpose_rows
+from pealab.posets import check_order, iter_bits, transpose_rows
 
 
 def count_builds(monkeypatch, cls, name: str) -> list:
@@ -145,6 +146,77 @@ def wide3_selfsum() -> PseudoEffectAlgebra:
 
 def wide3_cyclic() -> PseudoEffectAlgebra:
     return pea_from(wide3(), [("a", "b", "1"), ("b", "c", "1"), ("c", "a", "1")])
+
+
+def dense_check_pea(A: PseudoEffectAlgebra) -> Report:
+    """check_pea by its definition: PE1 on all n^3 triples, PE2..PE4 on
+    every cell, then check_order on the relation a <= a+b, built as a
+    poset, and its comparison with the base."""
+    n = A.n
+    lab = A.labels
+    plus = A.plus
+    violations = []
+
+    for a in range(n):
+        for b in range(n):
+            ab = plus[a][b]
+            for c in range(n):
+                bc = plus[b][c]
+                a_bc = None if bc is None else plus[a][bc]
+                ab_c = None if ab is None else plus[ab][c]
+                if a_bc == ab_c:
+                    continue
+                violations.append(
+                    Violation(
+                        "PE1",
+                        (("a", lab[a]), ("b", lab[b]), ("c", lab[c])),
+                        "a+(b+c) exists but (a+b)+c does not match it"
+                        if a_bc is not None
+                        else "(a+b)+c exists but a+(b+c) does not",
+                    )
+                )
+
+    for a in range(n):
+        right = [plus[a][x] for x in range(n)]
+        left = [plus[x][a] for x in range(n)]
+        for row, text in ((right, "d satisfy a+d=1"), (left, "e satisfy e+a=1")):
+            count = row.count(A.one)
+            if count != 1:
+                violations.append(
+                    Violation("PE2", (("a", lab[a]),), f"{count} elements {text}")
+                )
+
+    for a in range(n):
+        for b in range(n):
+            c = plus[a][b]
+            if c is None:
+                continue
+            where = (("a", lab[a]), ("b", lab[b]))
+            if all(plus[d][a] != c for d in range(n)):
+                violations.append(Violation("PE3", where, "no d with d+a = a+b"))
+            if all(plus[b][e] != c for e in range(n)):
+                violations.append(Violation("PE3", where, "no e with b+e = a+b"))
+
+    for a in range(n):
+        if a != A.zero and (plus[a][A.one] is not None or plus[A.one][a] is not None):
+            violations.append(
+                Violation("PE4", (("a", lab[a]),), "a+1 or 1+a exists with a != 0")
+            )
+
+    rows = [0] * n
+    for a in range(n):
+        for b in range(n):
+            if plus[a][b] is not None:
+                rows[a] |= 1 << plus[a][b]
+    induced = BoundedPoset(A.labels, tuple(rows), A.zero, A.one)
+    order = check_order(induced).violations
+    violations.extend(order)
+    if not order and induced.leq != A.base.leq:
+        violations.append(Violation(
+            "order", (),
+            "declared covers disagree with the order induced by the addition",
+        ))
+    return Report("check_pea", tuple(violations))
 
 
 def brute_force_isotone_maps(P, R):

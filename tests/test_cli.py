@@ -50,6 +50,48 @@ class TestCheck:
         assert "PE4 violated at a=1" in out
         assert out.rstrip().endswith("RESULT: FAIL check")
 
+    def test_pea_violations_are_printed_in_report_order(self, capsys, tmp_path):
+        # PE1 broken both ways, with a+(b+c) undefined and with (a+b)+c
+        # undefined or another element; PE2; PE3 on both sides; and an
+        # induced relation whose top is not above a
+        path = write_json(tmp_path, "broken.json", {
+            "elements": ["0", "a", "b", "1"],
+            "covers": [["0", "a"], ["0", "b"], ["a", "1"], ["b", "1"]],
+            "plus": {"0,0": "0", "0,a": "a", "0,b": "b", "0,1": "1",
+                     "a,0": "a", "b,0": "b", "1,0": "1",
+                     "a,b": "a", "b,a": "1", "b,b": "a"},
+        })
+        json_path = tmp_path / "report.json"
+        code, out = run(capsys, "check", "--pea", path, "--json", str(json_path))
+        assert code == 1
+        assert out.splitlines() == [
+            "PE1 violated at a=a, b=b, c=b: (a+b)+c exists but a+(b+c) does not",
+            "PE1 violated at a=b, b=a, c=b: a+(b+c) exists but (a+b)+c does not"
+            " match it",
+            "PE1 violated at a=b, b=b, c=b: a+(b+c) exists but (a+b)+c does not"
+            " match it",
+            "PE2 violated at a=a: 0 elements d satisfy a+d=1",
+            "PE2 violated at a=b: 0 elements e satisfy e+a=1",
+            "PE3 violated at a=b, b=a: no d with d+a = a+b",
+            "PE3 violated at a=b, b=a: no e with b+e = a+b",
+            "order violated at a=a: top is not above this element",
+            "RESULT: FAIL check",
+        ]
+        [report] = json.loads(json_path.read_text())["reports"]
+        assert [(v["rule"], v["at"], v["detail"]) for v in report["violations"]] == [
+            ("PE1", {"a": "a", "b": "b", "c": "b"},
+             "(a+b)+c exists but a+(b+c) does not"),
+            ("PE1", {"a": "b", "b": "a", "c": "b"},
+             "a+(b+c) exists but (a+b)+c does not match it"),
+            ("PE1", {"a": "b", "b": "b", "c": "b"},
+             "a+(b+c) exists but (a+b)+c does not match it"),
+            ("PE2", {"a": "a"}, "0 elements d satisfy a+d=1"),
+            ("PE2", {"a": "b"}, "0 elements e satisfy e+a=1"),
+            ("PE3", {"a": "b", "b": "a"}, "no d with d+a = a+b"),
+            ("PE3", {"a": "b", "b": "a"}, "no e with b+e = a+b"),
+            ("order", {"a": "a"}, "top is not above this element"),
+        ]
+
     def test_cycle_fails_as_violation(self, capsys, tmp_path):
         path = write_json(
             tmp_path, "cyc.json",

@@ -1,4 +1,8 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     c2,
@@ -6,8 +10,10 @@ from helpers import (
     c3,
     c3_pea,
     c4,
+    count_builds,
     d4_hsum,
     d4_ortho,
+    dense_check_pea,
     diamond,
     edit_table,
     pea_from,
@@ -15,13 +21,18 @@ from helpers import (
     wide3_cyclic,
 )
 from pealab import (
+    BoundedPoset,
     InvalidStructure,
     PDPMorphism,
+    Poset,
     PseudoDPoset,
     PseudoEffectAlgebra,
+    build_catalog,
+    check_order,
     check_pdp_morphism,
     check_pea,
     check_pea_morphism,
+    enumerate_bounded_posets,
     enumerate_morphisms,
     is_commutative,
     pdp_to_pea,
@@ -142,6 +153,85 @@ class TestCheckPea:
         broken = drop_cell(c3_pea(), 0, 1)
         rules = {v.rule for v in check_pea(broken).violations}
         assert "order" in rules
+
+
+def mutants(A, cells):
+    """Every table that differs from A's in exactly ``cells`` cells, each
+    of them set to None or to an element other than its value in A."""
+    n = A.n
+    values = (None, *range(n))
+    squares = [(a, b) for a in range(n) for b in range(n)]
+    for where in itertools.combinations(squares, cells):
+        options = [[v for v in values if v != A.plus[a][b]] for a, b in where]
+        for chosen in itertools.product(*options):
+            yield with_cells(A, dict(zip(where, chosen)))
+
+
+@st.composite
+def partial_tables(draw):
+    """A bounded class up to five elements and any partial table on it."""
+    base = draw(st.sampled_from(enumerate_bounded_posets(5)))
+    cell = st.one_of(st.none(), st.integers(0, base.n - 1))
+    rows = draw(st.lists(st.lists(cell, min_size=base.n, max_size=base.n),
+                         min_size=base.n, max_size=base.n))
+    return PseudoEffectAlgebra(base, tuple(map(tuple, rows)))
+
+
+class TestDenseOracle:
+    """check_pea visits only defined sums and reads a cached base report;
+    its Report, rule by rule, witnesses, details and order, is the one the
+    dense n^3 statement in helpers gives."""
+
+    def test_catalog_tables_up_to_six(self, catalog6):
+        for entry in catalog6:
+            for A in entry.structures:
+                assert check_pea(A) == dense_check_pea(A)
+
+    @pytest.mark.parametrize("cells", [1, 2])
+    def test_cell_mutants_up_to_five(self, catalog5, cells):
+        count = 0
+        for entry in catalog5:
+            for A in entry.structures:
+                for M in mutants(A, cells):
+                    assert check_pea(M) == dense_check_pea(M)
+                    count += 1
+        # 14 tables: 1,228 one-cell and 66,108 two-cell mutants
+        assert count == {1: 1228, 2: 66108}[cells]
+
+    @settings(max_examples=300, deadline=None)
+    @given(partial_tables())
+    def test_partial_tables_up_to_five(self, A):
+        assert check_pea(A) == dense_check_pea(A)
+
+    def test_base_that_is_no_order(self):
+        # a <= b <= a: the table induces exactly this declared relation,
+        # so the order layer is the base's own, cached report
+        base = BoundedPoset(
+            ("0", "a", "b", "1"), (0b1111, 0b1110, 0b1110, 0b1000), 0, 3
+        )
+        A = pea_from(base, [("a", "a", "b"), ("a", "b", "1"),
+                            ("b", "b", "a"), ("b", "a", "1")])
+        assert induced_relation(A).leq == base.leq
+        report = check_pea(A)
+        assert report == dense_check_pea(A)
+        assert ("order violated at a=a, c=b: relation not antisymmetric"
+                in report.lines())
+        assert set(base.order_report.violations) <= set(report.violations)
+
+
+class TestOrderReportCache:
+    def test_one_report_per_base(self, monkeypatch):
+        built = count_builds(monkeypatch, Poset, "order_report")
+        entries = build_catalog(6)
+        bases = [e.base for e in entries if e.structures]
+        # the search re-checks every table; each base builds its report once
+        assert sorted(map(id, built)) == sorted(map(id, bases))
+        A, B = next(e.structures for e in entries if len(e.structures) >= 2)[:2]
+        assert A.base is B.base
+        assert A.base.order_report is B.base.order_report
+        assert A.base.order_report == check_order(A.base)
+        assert check_pea(A).ok and check_pea(B).ok
+        assert len(built) == len(bases)
 
 
 class TestShape:

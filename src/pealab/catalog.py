@@ -49,18 +49,10 @@ from .posets import (
     isomorphisms,
     iter_bits,
     placement_order,
+    transpose_rows,
 )
 
 _MIDDLE_LABELS = "abcdefgh"
-
-
-def _down_rows(rows) -> list[int]:
-    """The down-set rows of the poset with up-set rows ``rows``."""
-    down = [0] * len(rows)
-    for i, row in enumerate(rows):
-        for j in BITS[row]:
-            down[j] |= 1 << i
-    return down
 
 
 def _canonical_rows(rows, m: int) -> tuple[int, ...]:
@@ -87,7 +79,7 @@ def _canonical_rows(rows, m: int) -> tuple[int, ...]:
     unlabelled, so each unlabelled element keeps the bits of the labels
     above it in ``above``, set as labels are given and cleared on backtrack.
     """
-    down = _down_rows(rows)
+    down = transpose_rows(rows)
     above = [0] * m
     key = [0] * m
     best: tuple[int, ...] = ()
@@ -179,7 +171,7 @@ def enumerate_posets(m: int, generation: list | None = None) -> list[Poset]:
         canon = set()
         down_sets = skipped = 0
         for rows in level:
-            down = _down_rows(rows)
+            down = transpose_rows(rows)
             ideals = [0]
             for i in range(k - 1, -1, -1):
                 below = down[i] ^ 1 << i

@@ -44,6 +44,7 @@ from .pea import (
 from .plmaps import find_band_violation, pl_noncommutativity_witness
 from .posets import (
     BoundedPoset,
+    PosetMorphism,
     SplitFork,
     check_morphism,
     coequalizer_bposets,
@@ -156,7 +157,7 @@ class _Intake:
         return self.checked(self.parse(path), kind, path)
 
     def morphism(self, path, kind):
-        """(source, target, map) of the morphism file at path."""
+        """(source, target, map table) of the morphism file at path."""
         if path not in self.morphisms:
             self.morphisms[path] = io.load_morphism(path, self.files)
         return self.arrow(self.morphisms[path], kind)
@@ -165,11 +166,11 @@ class _Intake:
         """The morphism file at path as a PosetMorphism, or a PDPMorphism
         if kind is PseudoDPoset; InvalidStructure names the file and the
         first violation unless its map is a morphism of that kind."""
-        source, target, m = self.morphism(path, kind)
         if kind is PseudoDPoset:
-            m = PDPMorphism(source, target, m)
+            m = PDPMorphism(*self.morphism(path, kind))
             report = check_pdp_morphism(m)
         else:
+            m = PosetMorphism(*self.morphism(path, kind))
             report = check_morphism(m)
         if not report.ok:
             raise InvalidStructure(
@@ -177,14 +178,14 @@ class _Intake:
         return m
 
     def arrow(self, mf: io.MorphismFile, kind):
-        """(source, target, map) of a morphism file, both ends taken as kind."""
+        """(source, target, map table) of a morphism file, ends taken as kind."""
         source = self.checked(mf.source, kind, mf.names[0])
         target = self.checked(mf.target, kind, mf.names[1])
-        return source, target, mf.poset_map()
+        return source, target, mf.map
 
     def fork(self, ff: io.ForkFile) -> SplitFork:
         arrows = (ff.f, ff.g, ff.q, ff.s, ff.t)
-        f, g, q, s, t = (self.arrow(m, BoundedPoset)[2] for m in arrows)
+        f, g, q, s, t = (PosetMorphism(*self.arrow(m, BoundedPoset)) for m in arrows)
         return SplitFork(f.source, f.target, q.target, f, g, q, s, t)
 
     def pdp_fork(self, ff: io.ForkFile):
@@ -216,7 +217,7 @@ def _cmd_check(args) -> int:
         out.say(f"bounded poset on {base.n} elements "
                 f"(bottom {base.labels[base.bottom]}, top {base.labels[base.top]})")
     elif args.morphism:
-        m = _Intake().morphism(args.morphism, BoundedPoset)[2]
+        m = PosetMorphism(*_Intake().morphism(args.morphism, BoundedPoset))
         ok = _report_into(out, check_morphism(m))
     elif args.pdp_morphism:
         h = PDPMorphism(*_Intake().morphism(args.pdp_morphism, PseudoDPoset))

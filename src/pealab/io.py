@@ -209,13 +209,17 @@ def write_json(path, obj) -> None:
 
 def load_json(path):
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FormatError(f"{path} nests JSON too deeply to read") from exc
 
 
 def load_structure(path):

@@ -18,7 +18,7 @@ exhaustive checkers get O(1) lookups.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import InvalidStructure
@@ -193,30 +193,29 @@ def bslash_morphism(X: PseudoDPoset) -> PosetMorphism:
 
 @dataclass(frozen=True)
 class PDPMorphism:
-    """Bounded-poset morphism expected to preserve both differences."""
+    """Map table between pseudo D-posets, expected to preserve both
+    differences.  ``poset_map``, its bounded-poset map U(h) between the
+    bases, is derived once here, and its constructor checks the table's
+    shape."""
 
     source: PseudoDPoset
     target: PseudoDPoset
-    poset_map: PosetMorphism
+    map: tuple[int, ...]
+    poset_map: PosetMorphism = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.poset_map.source != self.source.base:
-            raise InvalidStructure("morphism table does not start at the source")
-        if self.poset_map.target != self.target.base:
-            raise InvalidStructure("morphism table does not end at the target")
-
-    @property
-    def map(self) -> tuple[int, ...]:
-        return self.poset_map.map
+        u = PosetMorphism(self.source.base, self.target.base, self.map)
+        object.__setattr__(self, "poset_map", u)
 
     def __call__(self, i: int) -> int:
-        return self.poset_map.map[i]
+        return self.map[i]
 
     def then(self, other: "PDPMorphism") -> "PDPMorphism":
+        """Composition in diagram order: ``f.then(g)`` is ``g o f``."""
         if self.target != other.source:
             raise InvalidStructure("composition boundary mismatch")
         return PDPMorphism(
-            self.source, other.target, self.poset_map.then(other.poset_map)
+            self.source, other.target, tuple(other.map[v] for v in self.map)
         )
 
 
@@ -278,7 +277,8 @@ def enumerate_pdp_morphisms(X: PseudoDPoset, Y: PseudoDPoset) -> list[PDPMorphis
     only Y's two tables are bound per call.
     """
     rules = ((Y.slash, Y.bslash), X.forcing_rules)
-    return [PDPMorphism(X, Y, m) for m in enumerate_morphisms(X.base, Y.base, rules)]
+    homs = enumerate_morphisms(X.base, Y.base, rules)
+    return [PDPMorphism(X, Y, m.map) for m in homs]
 
 
 def subalgebra_generated(X: PseudoDPoset, seed) -> tuple[int, ...]:
@@ -343,5 +343,5 @@ def equalizer_pdp(f: PDPMorphism, g: PDPMorphism):
             ) from None
 
     E = PseudoDPoset.from_pairs(base, (differences(*p) for p in base.intervals))
-    inclusion = PDPMorphism(E, X, PosetMorphism(base, X.base, tuple(carrier)))
+    inclusion = PDPMorphism(E, X, tuple(carrier))
     return E, inclusion

@@ -249,16 +249,16 @@ def is_commutative(A: PseudoEffectAlgebra) -> bool:
 
 
 def check_pea_morphism(f, A: PseudoEffectAlgebra, B: PseudoEffectAlgebra) -> Report:
-    """Report violations of f(0)=0, f(1)=1 and sum preservation."""
-    fmap = tuple(f.map) if hasattr(f, "map") else tuple(f)
-    if len(fmap) != A.n or any(not 0 <= v < B.n for v in fmap):
+    """Report violations of f(0)=0, f(1)=1 and sum preservation by the map
+    table f from A to B."""
+    if len(f) != A.n or any(not 0 <= v < B.n for v in f):
         raise InvalidStructure("morphism table does not match the carriers")
     violations = []
-    if fmap[A.zero] != B.zero:
+    if f[A.zero] != B.zero:
         violations.append(
             Violation("zero", (("element", A.labels[A.zero]),), "zero not preserved")
         )
-    if fmap[A.one] != B.one:
+    if f[A.one] != B.one:
         violations.append(
             Violation("one", (("element", A.labels[A.one]),), "one not preserved")
         )
@@ -267,13 +267,13 @@ def check_pea_morphism(f, A: PseudoEffectAlgebra, B: PseudoEffectAlgebra) -> Rep
             c = A.plus[a][b]
             if c is None:
                 continue
-            fc = B.plus[fmap[a]][fmap[b]]
+            fc = B.plus[f[a]][f[b]]
             where = (("a", A.labels[a]), ("b", A.labels[b]))
             if fc is None:
                 violations.append(
                     Violation("plus", where, "f(a)+f(b) is undefined")
                 )
-            elif fc != fmap[c]:
+            elif fc != f[c]:
                 violations.append(
                     Violation("plus", where, "f(a+b) differs from f(a)+f(b)")
                 )

@@ -121,12 +121,6 @@ class Poset:
         """Up-set rows as index tuples: ``up[i]`` lists each j >= i, ascending."""
         return tuple(tuple(iter_bits(row)) for row in self.leq)
 
-    def index(self, label: str) -> int:
-        try:
-            return self._label_index[label]
-        except KeyError:
-            raise InvalidStructure(f"unknown element {label!r}") from None
-
     @cached_property
     def intervals(self) -> dict[tuple[int, int], int]:
         """Each pair (a, b) with a <= b and its position in row-major
@@ -156,10 +150,6 @@ class Poset:
         """:func:`check_order` of this poset, built once per object and
         shared by every caller."""
         return check_order(self)
-
-    @cached_property
-    def _label_index(self) -> dict[str, int]:
-        return {lab: i for i, lab in enumerate(self.labels)}
 
     def cover_pairs(self) -> list[tuple[int, int]]:
         """Transitive reduction of the order, in lexicographic order."""

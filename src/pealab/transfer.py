@@ -110,7 +110,7 @@ def transfer_structure(
             "internal consistency: transferred structure fails the axioms: "
             + axiom_report.lines()[0]
         )
-    return PDPMorphism(B, Qprime, q)
+    return PDPMorphism(B, Qprime, q.map)
 
 
 class HomSets(dict):
@@ -251,15 +251,15 @@ def split_fork_from_idempotent(
     presentation.  Returns (f, g, fork) ready for transfer_structure.
     """
     B = X.base
-    e = idem.poset_map
-    image = sorted(set(e.map))
+    e = idem.map
+    image = sorted(set(e))
     carrier = image if shuffle is None else [image[i] for i in shuffle]
     Q = induced_subposet(B, carrier)
     pos = {v: k for k, v in enumerate(carrier)}
-    q = PosetMorphism(B, Q, tuple(pos[e.map[x]] for x in range(B.n)))
+    q = PosetMorphism(B, Q, tuple(pos[v] for v in e))
     s = PosetMorphism(Q, B, tuple(carrier))
     t = phi.poset_map.inverse()
-    g = PDPMorphism(X, X, phi.poset_map.then(e))
+    g = phi.then(idem)
     fork = SplitFork(B, B, Q, phi.poset_map, g.poset_map, q, s, t)
     return phi, g, fork
 
@@ -275,9 +275,7 @@ def split_fork_pool(structures, homs: HomSets):
     pool = []
     for X in structures:
         endos = homs[X, X]
-        idems = [
-            e for e in endos if e.poset_map.then(e.poset_map) == e.poset_map
-        ]
+        idems = [e for e in endos if all(e(v) == v for v in e.map)]  # e(e(x)) = e(x)
         autos = [phi for phi in endos if len(set(phi.map)) == X.n]
         for e in idems:
             for phi in autos:

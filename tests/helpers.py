@@ -422,7 +422,7 @@ def pooled_split_forks(structures):
 
 
 def as_morphism(P, R, labelled: dict[str, str]) -> PosetMorphism:
-    values = tuple(R.index(labelled[lab]) for lab in P.labels)
+    values = tuple(R.labels.index(labelled[lab]) for lab in P.labels)
     return PosetMorphism(P, R, values)
 
 

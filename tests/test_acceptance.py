@@ -42,7 +42,6 @@ from pealab import (
     verify_coequalizer_psdpos,
     zero_embedding,
 )
-from pealab.posets import PosetMorphism
 
 FORK_COUNT = 120
 FORK_SEED = 2024
@@ -177,12 +176,8 @@ def test_criterion_7_universal_properties(pdps4):
         product = product_pdp([X1, X2])
         tuples = list(itertools.product(range(X1.n), range(X2.n)))
         projections = [
-            PDPMorphism(product, X1,
-                        PosetMorphism(product.base, X1.base,
-                                      tuple(t[0] for t in tuples))),
-            PDPMorphism(product, X2,
-                        PosetMorphism(product.base, X2.base,
-                                      tuple(t[1] for t in tuples))),
+            PDPMorphism(product, X1, tuple(t[0] for t in tuples)),
+            PDPMorphism(product, X2, tuple(t[1] for t in tuples)),
         ]
         assert all(check_pdp_morphism(p).ok for p in projections)
         for C in pdps4:

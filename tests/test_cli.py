@@ -164,6 +164,25 @@ class TestCheck:
         code, out = run(capsys, "check", "--plmap", bad)
         assert code == 1 and "band violated" in out
 
+    @pytest.mark.parametrize("content, message", [
+        (b"\xff\xfe\x00bad", "is not UTF-8 text: "),
+        (b"[" * 200_000 + b"]" * 200_000, "nests JSON too deeply to read"),
+    ], ids=["not-utf8", "too-deep"])
+    def test_unreadable_input_exits_two_with_a_record(
+        self, capsys, tmp_path, content, message
+    ):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        json_path = tmp_path / "o.json"
+        code, out = run(capsys, "check", "--pea", str(path),
+                        "--json", str(json_path))
+        assert code == 2
+        assert out.startswith(f"error: {path} {message}")
+        assert out.endswith("RESULT: FAIL check\n")
+        payload = json.loads(json_path.read_text())
+        assert payload["ok"] is False and payload["exit"] == 2
+        assert payload["error"]["kind"] == "FormatError"
+
 
 @pytest.mark.parametrize(
     "argv", [("check", "--pea", "{}"), ("convert", "{}", "--to", "pdp"),

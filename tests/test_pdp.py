@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import Counter
+from dataclasses import fields
 
 import pytest
 
@@ -306,20 +307,52 @@ class TestCachedPairs:
 
 
 class TestPdpMorphism:
+    def test_the_table_is_the_value_and_the_poset_map_is_derived(self):
+        X, Y = c3_pdp(), d4_ortho_pdp()
+        h = PDPMorphism(X, Y, (0, 1, 3))
+        assert [f.name for f in fields(h) if f.compare] == ["source", "target", "map"]
+        assert h.poset_map == PosetMorphism(X.base, Y.base, h.map)
+        twin = PDPMorphism(X, Y, (0, 1, 3))
+        assert h == twin and hash(h) == hash(twin)
+        assert h != PDPMorphism(X, Y, (0, 2, 3))
+        assert repr(h) == f"PDPMorphism(source={X!r}, target={Y!r}, map=(0, 1, 3))"
+
+    @pytest.mark.parametrize("table, message", [
+        ((0, 3), "morphism table does not cover the source"),
+        ((0, 1, 2, 3), "morphism table does not cover the source"),
+        ((0, 1, 4), "morphism table references unknown targets"),
+        ((-1, 1, 3), "morphism table references unknown targets"),
+    ])
+    def test_a_misshapen_table_is_refused_as_for_a_poset_map(self, table, message):
+        X, Y = c3_pdp(), d4_ortho_pdp()
+        for build in (PDPMorphism, PosetMorphism):
+            ends = (X, Y) if build is PDPMorphism else (X.base, Y.base)
+            with pytest.raises(InvalidStructure) as caught:
+                build(*ends, table)
+            assert str(caught.value) == message
+
+    def test_then_composes_the_tables(self):
+        X, Y = c3_pdp(), d4_ortho_pdp()
+        h = PDPMorphism(X, Y, (0, 1, 3))
+        swap = PDPMorphism(Y, Y, (0, 2, 1, 3))
+        assert h.then(swap) == PDPMorphism(X, Y, (0, 2, 3))
+        assert h.then(swap).poset_map == h.poset_map.then(swap.poset_map)
+        with pytest.raises(InvalidStructure) as caught:
+            swap.then(h)
+        assert str(caught.value) == "composition boundary mismatch"
+
     def test_identity_passes(self):
         X = c3_pdp()
-        assert check_pdp_morphism(
-            PDPMorphism(X, X, identity(X.base))
-        ).ok
+        assert check_pdp_morphism(PDPMorphism(X, X, tuple(range(X.n)))).ok
 
     def test_orthostructure_swap_passes(self):
         X = d4_ortho_pdp()
-        swap = PosetMorphism(X.base, X.base, (0, 2, 1, 3))
+        swap = (0, 2, 1, 3)
         assert check_pdp_morphism(PDPMorphism(X, X, swap)).ok
 
     def test_atom_collapse_fails_at_top_pair(self):
         X = d4_ortho_pdp()
-        collapse = PosetMorphism(X.base, X.base, (0, 1, 1, 3))  # b -> a
+        collapse = (0, 1, 1, 3)  # b -> a
         report = check_pdp_morphism(PDPMorphism(X, X, collapse))
         assert any(
             v.rule in ("slash", "bslash") and dict(v.where) == {"b": "1", "a": "a"}
@@ -335,7 +368,7 @@ class TestPdpMorphism:
         rules = Counter()
         for X, Y in pairs:
             for table in itertools.product(range(Y.n), repeat=X.n):
-                h = PDPMorphism(X, Y, PosetMorphism(X.base, Y.base, table))
+                h = PDPMorphism(X, Y, table)
                 report = check_pdp_morphism(h)
                 assert report == pdp_morphism_report_by_definition(h)
                 assert check_morphism(h.poset_map) == (
@@ -363,7 +396,7 @@ class TestPdpMorphism:
         verdicts = Counter()
         for X, Y in pairs:
             for table in itertools.product(range(Y.n), repeat=X.n):
-                h = PDPMorphism(X, Y, PosetMorphism(X.base, Y.base, table))
+                h = PDPMorphism(X, Y, table)
                 report = pdp_morphism_report_by_definition(h)
                 first = report.violations[0] if report.violations else None
                 assert next(pdp_morphism_violations(X, Y, table), None) == first
@@ -386,9 +419,7 @@ def filtered_brute_force(X, Y):
     return [
         m
         for m in brute_force_bounded_maps(X.base, Y.base)
-        if check_pdp_morphism(
-            PDPMorphism(X, Y, PosetMorphism(X.base, Y.base, m))
-        ).ok
+        if check_pdp_morphism(PDPMorphism(X, Y, m)).ok
     ]
 
 
@@ -515,24 +546,22 @@ class TestProduct:
         X = product_pdp(factors)
         tuples = list(itertools.product(range(3), range(4)))
         for i, factor in enumerate(factors):
-            proj = PosetMorphism(
-                X.base, factor.base, tuple(t[i] for t in tuples)
-            )
+            proj = tuple(t[i] for t in tuples)
             assert check_pdp_morphism(PDPMorphism(X, factor, proj)).ok
 
 
 class TestEqualizer:
     def test_equal_pair_gives_the_whole_structure(self):
         X = c3_pdp()
-        i = PDPMorphism(X, X, identity(X.base))
+        i = PDPMorphism(X, X, tuple(range(X.n)))
         E, inc = equalizer_pdp(i, i)
         assert E == X
         assert inc.poset_map == identity(X.base)
 
     def test_swap_agreement_is_the_bounds(self):
         X = d4_ortho_pdp()
-        i = PDPMorphism(X, X, identity(X.base))
-        swap = PDPMorphism(X, X, PosetMorphism(X.base, X.base, (0, 2, 1, 3)))
+        i = PDPMorphism(X, X, tuple(range(X.n)))
+        swap = PDPMorphism(X, X, (0, 2, 1, 3))
         E, inc = equalizer_pdp(i, swap)
         assert E.labels == ("0", "1")
         assert check_pdp(E).ok
@@ -556,7 +585,7 @@ class TestEqualizer:
         # on the 4-chain with x+x = y, both maps agree with themselves
         # everywhere, so only the morphism check keeps X from passing
         X = pea_to_pdp(c4_pea())
-        h = PDPMorphism(X, X, PosetMorphism(X.base, X.base, table))
+        h = PDPMorphism(X, X, table)
         assert check_morphism(h.poset_map).ok == isotone
         assert not check_pdp_morphism(h).ok
         with pytest.raises(InvalidStructure) as caught:
@@ -566,7 +595,7 @@ class TestEqualizer:
     def test_undefined_difference_of_the_source_is_named(self):
         X = c3_pdp()
         X = PseudoDPoset(X.base, edit_table(X.slash, {(2, 1): None}), X.bslash)
-        i = PDPMorphism(X, X, identity(X.base))
+        i = PDPMorphism(X, X, tuple(range(X.n)))
         with pytest.raises(InvalidStructure) as caught:
             equalizer_pdp(i, i)
         assert str(caught.value) == "the source leaves a difference of [a,1] undefined"

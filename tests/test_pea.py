@@ -503,5 +503,5 @@ class TestPeaMorphism:
                 XA, XB = pea_to_pdp(A), pea_to_pdp(B)
                 for m in enumerate_morphisms(XA.base, XB.base):
                     as_pea = check_pea_morphism(m.map, A, B).ok
-                    as_pdp = check_pdp_morphism(PDPMorphism(XA, XB, m)).ok
+                    as_pdp = check_pdp_morphism(PDPMorphism(XA, XB, m.map)).ok
                     assert as_pea == as_pdp

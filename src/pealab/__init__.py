@@ -2,8 +2,8 @@
 
 Everything is exhaustively verifiable on small carriers: bounded posets
 and their morphisms, the interval and triple constructions, the two
-partial differences, partial additions, catalogs up to isomorphism, and
-structure transfer along split coequalizers.
+partial differences, partial additions, catalogs of poset classes and the
+labelled tables on each, and structure transfer along split coequalizers.
 """
 
 from .catalog import (

@@ -55,10 +55,10 @@ from .posets import (
 _MIDDLE_LABELS = "abcdefgh"
 
 
-def _canonical_rows(rows, m: int) -> tuple[int, ...]:
-    """The least relabelled row tuple of the m-element poset with up-set
-    rows ``rows``, over all relabellings: relabelling element i as p(i)
-    gives row p(i) the bits p(j) for i <= j, and tuples compare row by row.
+def _canonical_rows(rows, down) -> tuple[int, ...]:
+    """The least relabelled row tuple of the poset with up-set rows ``rows``
+    and columns ``down``, over all relabellings: relabelling i as p(i) gives
+    row p(i) the bits p(j) for i <= j, and tuples compare row by row.
 
     The search labels 0, 1, ... in turn and rests on three facts.
 
@@ -79,7 +79,7 @@ def _canonical_rows(rows, m: int) -> tuple[int, ...]:
     unlabelled, so each unlabelled element keeps the bits of the labels
     above it in ``above``, set as labels are given and cleared on backtrack.
     """
-    down = transpose_rows(rows)
+    m = len(rows)
     above = [0] * m
     key = [0] * m
     best: tuple[int, ...] = ()
@@ -123,9 +123,9 @@ def _canonical_rows(rows, m: int) -> tuple[int, ...]:
     return best
 
 
-def enumerate_posets(m: int, generation: list | None = None) -> list[Poset]:
-    """One representative per isomorphism class of posets on 0..m
-    elements, by size and then by canonical row tuple.
+def enumerate_posets(m: int, generation: list | None = None) -> list[tuple]:
+    """The canonical up-set row tuple of one representative per isomorphism
+    class of posets on 0..m elements, by size and then by row tuple.
 
     Classes on k+1 elements come from those on k by adding a new maximal
     element above a down-set, the empty one included, and duplicates meet
@@ -149,6 +149,11 @@ def enumerate_posets(m: int, generation: list | None = None) -> list[Poset]:
     _canonical_rows).  Elements are decided from the last index to the
     first, so the whole strict down-set of each is decided before it, and
     it joins exactly the down-sets that already hold that strict down-set.
+
+    Lemma: the child over I has the parent's columns and then I | 1 << k,
+    and its rows are the parent's with bit k set on I, then 1 << k.  The
+    new element k lies below no other, so no old down-set gains it, and the
+    only new pairs y <= k have y in I or y = k.
 
     When a list is given as ``generation``, one record per grown level is
     appended to it: the level's size n, the down-sets of its parents, the
@@ -187,8 +192,10 @@ def enumerate_posets(m: int, generation: list | None = None) -> list[Poset]:
                 if larger[ideal.bit_count() + 1] & ~ideal:
                     skipped += 1
                     continue
-                grown = [row | (ideal >> i & 1) << k for i, row in enumerate(rows)]
-                canon.add(_canonical_rows(grown + [1 << k], k + 1))
+                grown = [*rows, 1 << k]
+                for i in BITS[ideal]:
+                    grown[i] |= 1 << k
+                canon.add(_canonical_rows(grown, (*down, ideal | 1 << k)))
         level = sorted(canon)
         classes += level
         if generation is not None:
@@ -196,7 +203,7 @@ def enumerate_posets(m: int, generation: list | None = None) -> list[Poset]:
                 n=k + 1, down_sets=down_sets, skipped=skipped,
                 canonical_forms=down_sets - skipped, classes=len(level),
             ))
-    return [Poset(tuple(_MIDDLE_LABELS[: len(rows)]), rows) for rows in classes]
+    return classes
 
 
 def enumerate_bounded_posets(
@@ -219,10 +226,10 @@ def enumerate_bounded_posets(
     if max_n == 1:
         return out
     for middle in enumerate_posets(max_n - 2, generation):
-        n = middle.n + 2
-        top = 1 << n - 1
-        rows = ((1 << n) - 1, *(top | row << 1 for row in middle.leq), top)
-        out.append(BoundedPoset(("0", *middle.labels, "1"), rows, 0, n - 1))
+        m = len(middle)
+        top = 1 << m + 1
+        rows = ((top << 1) - 1, *(top | row << 1 for row in middle), top)
+        out.append(BoundedPoset(("0", *_MIDDLE_LABELS[:m], "1"), rows, 0, m + 1))
     return out
 
 

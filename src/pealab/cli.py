@@ -521,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-source-n", type=int, default=5)
     common(p, _cmd_verify_coeq, output=False)
 
-    p = sub.add_parser("enumerate", help="catalog small structures up to isomorphism")
+    p = sub.add_parser("enumerate", help="catalog poset classes and labelled tables")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--structures", action="store_true",
                    help="also enumerate the addition tables per class")

@@ -35,7 +35,7 @@ from .errors import FormatError, InvalidStructure
 from .pdp import PseudoDPoset
 from .pea import PseudoEffectAlgebra
 from .plmaps import BandViolation, PLMap
-from .posets import BoundedPoset, PosetMorphism, validate_bounded_poset
+from .posets import BoundedPoset, validate_bounded_poset
 
 
 def _require(cond: bool, message: str) -> None:
@@ -237,13 +237,6 @@ class MorphismFile:
     map: tuple[int, ...]  # the target index of each source element
     # what errors call each end: its file, or "<what> source|target" inline
     names: tuple[str, str]
-
-    def poset_map(self) -> PosetMorphism:
-        src, dst = (
-            end if isinstance(end, BoundedPoset) else end.base
-            for end in (self.source, self.target)
-        )
-        return PosetMorphism(src, dst, self.map)
 
 
 def parse_morphism(obj, base_dir, what: str, *, loaded: dict) -> MorphismFile:

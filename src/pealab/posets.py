@@ -535,7 +535,7 @@ def is_split_fork(fork: SplitFork) -> bool:
 def placement_order(P: Poset) -> list[int]:
     """Elements of P by down-set size, then index: each after all below it."""
     down = P.down
-    return sorted(range(P.n), key=lambda i: (bin(down[i]).count("1"), i))
+    return sorted(range(P.n), key=lambda i: (down[i].bit_count(), i))
 
 
 def enumerate_morphisms(

@@ -355,7 +355,8 @@ def unfiltered_poset_levels(m: int) -> list[tuple[list, int]]:
                     continue
                 children += 1
                 grown = [row | (ideal >> i & 1) << k for i, row in enumerate(rows)]
-                canon.add(_canonical_rows(grown + [1 << k], k + 1))
+                grown.append(1 << k)
+                canon.add(_canonical_rows(grown, transpose_rows(grown)))
         level = sorted(canon)
         out.append((level, children))
     return out

@@ -35,7 +35,7 @@ from pealab import (
 )
 from pealab import catalog, io
 from pealab.catalog import catalog_to_obj
-from pealab.posets import BITS, isomorphisms, iter_bits
+from pealab.posets import BITS, isomorphisms, iter_bits, transpose_rows
 
 
 def relabelled(leq, rng):
@@ -100,18 +100,18 @@ def dumb_structures(base):
 
 class TestPosetEnumeration:
     def test_class_counts(self):
-        counts = Counter(P.n for P in enumerate_posets(5))
+        counts = Counter(len(rows) for rows in enumerate_posets(5))
         assert [counts[m] for m in range(6)] == [1, 1, 2, 5, 16, 63]
 
     def test_matches_brute_force_classification(self):
-        counts = Counter(P.n for P in enumerate_posets(3))
+        counts = Counter(len(rows) for rows in enumerate_posets(3))
         for m in range(4):
             assert counts[m] == len(brute_force_poset_classes(m))
 
     @pytest.mark.parametrize("m", range(6))
     def test_rows_match_the_relation_scan(self, m):
         assert [
-            P.leq for P in enumerate_posets(m) if P.n == m
+            rows for rows in enumerate_posets(m) if len(rows) == m
         ] == scanned_poset_classes(m)
 
     def test_generation_matches_the_unfiltered_loop(self):
@@ -121,7 +121,7 @@ class TestPosetEnumeration:
         posets = enumerate_posets(7, generation)
         oracle = unfiltered_poset_levels(7)
         for k, (level, children) in enumerate(oracle, start=1):
-            assert [P.leq for P in posets if P.n == k] == level
+            assert [rows for rows in posets if len(rows) == k] == level
             record = generation[k - 1]
             assert record["n"] == k
             assert record["down_sets"] == children
@@ -131,28 +131,45 @@ class TestPosetEnumeration:
 
     def test_one_pass_lists_every_level_by_size(self):
         # the up-to list is the relation scan's classes, size by size
-        posets = enumerate_posets(5)
-        assert [P.leq for P in posets] == [
+        assert enumerate_posets(5) == [
             rows for k in range(6) for rows in scanned_poset_classes(k)
         ]
-        assert all(P.labels == tuple("abcde"[: P.n]) for P in posets)
+
+    def test_a_child_extends_its_parents_rows_and_columns(self):
+        # the lemma of enumerate_posets: a new maximal element k over a
+        # down-set I keeps every other column and adds I | 1 << k, and its
+        # rows set bit k on I alone
+        for rows in enumerate_posets(5):
+            k = len(rows)
+            down = transpose_rows(rows)
+            for ideal in range(1 << k):
+                if any(down[x] & ~ideal for x in iter_bits(ideal)):
+                    continue
+                child = [*rows, 1 << k]
+                for i in BITS[ideal]:
+                    child[i] |= 1 << k
+                assert child == [
+                    row | (ideal >> i & 1) << k for i, row in enumerate(rows)
+                ] + [1 << k]
+                assert (*down, ideal | 1 << k) == transpose_rows(child)
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_canonical_form_matches_brute_force(self, m):
         rng = random.Random(m)
-        for P in (P for P in enumerate_posets(m) if P.n == m):
-            rows = relabelled(P.leq, rng)
-            assert catalog._canonical_rows(rows, m) == brute_force_canonical_rows(
-                rows, m
-            )
+        for rows in (rows for rows in enumerate_posets(m) if len(rows) == m):
+            rows = relabelled(rows, rng)
+            assert catalog._canonical_rows(
+                rows, transpose_rows(rows)
+            ) == brute_force_canonical_rows(rows, m)
 
     def test_canonical_form_is_fixed_past_the_brute_force_oracle(self):
         # at 7 points every class is its own canonical form, and a random
         # relabelling of it maps back to it
         rng = random.Random(7)
-        for P in (P for P in enumerate_posets(7) if P.n == 7):
-            assert catalog._canonical_rows(P.leq, 7) == P.leq
-            assert catalog._canonical_rows(relabelled(P.leq, rng), 7) == P.leq
+        for rows in (rows for rows in enumerate_posets(7) if len(rows) == 7):
+            assert catalog._canonical_rows(rows, transpose_rows(rows)) == rows
+            other = relabelled(rows, rng)
+            assert catalog._canonical_rows(other, transpose_rows(other)) == rows
 
     def test_bit_table_lists_the_bits_of_every_mask(self):
         def plain(mask):
@@ -172,7 +189,8 @@ class TestPosetEnumeration:
             assert iter_bits(mask) == plain(mask)
 
     def test_representatives_are_pairwise_non_isomorphic(self):
-        posets = [P for P in enumerate_posets(4) if P.n == 4]
+        posets = [Poset(tuple("abcd"), rows)
+                  for rows in enumerate_posets(4) if len(rows) == 4]
         for i, P in enumerate(posets):
             for Q in posets[i + 1 :]:
                 assert find_isomorphism(P, Q) is None
@@ -180,7 +198,7 @@ class TestPosetEnumeration:
     def test_label_alphabet_caps_the_poset_size_before_any_work(
         self, monkeypatch
     ):
-        def unreachable(rows, m):
+        def unreachable(*args):
             raise AssertionError("classes grown past the size check")
 
         monkeypatch.setattr(catalog, "_canonical_rows", unreachable)
@@ -189,9 +207,9 @@ class TestPosetEnumeration:
 
     def test_negative_size_is_rejected_by_name(self, monkeypatch):
         def unreachable(*args):
-            raise AssertionError("a poset was built for a negative size")
+            raise AssertionError("classes grown for a negative size")
 
-        monkeypatch.setattr(catalog, "Poset", unreachable)
+        monkeypatch.setattr(catalog, "_canonical_rows", unreachable)
         for m in (-1, -5):
             with pytest.raises(InvalidStructure, match=f"m={m}: "):
                 enumerate_posets(m)
@@ -217,8 +235,22 @@ class TestBoundedPosetEnumeration:
         assert find_isomorphism(two, c2())
         assert find_isomorphism(three, c3())
 
+    def test_each_class_sits_between_a_new_bottom_and_top(self):
+        # the classes of enumerate_posets in its order, labelled 0, a, b, ...,
+        # 1 with the bounds at the ends
+        classes = enumerate_posets(5)
+        bounded = enumerate_bounded_posets(7)
+        assert len(bounded) == 1 + len(classes)
+        assert (bounded[0].labels, bounded[0].leq) == (("0",), (1,))
+        for B, rows in zip(bounded[1:], classes):
+            m = len(rows)
+            assert B.labels == ("0", *"abcde"[:m], "1")
+            assert (B.bottom, B.top) == (0, m + 1)
+            assert B.leq[1:-1] == tuple(1 << m + 1 | row << 1 for row in rows)
+            assert check_order(B).ok
+
     def test_label_alphabet_caps_the_size_before_any_work(self, monkeypatch):
-        def unreachable(m):
+        def unreachable(*args):
             raise AssertionError("classes enumerated past the size check")
 
         monkeypatch.setattr(catalog, "enumerate_posets", unreachable)

@@ -75,7 +75,8 @@ class TestIntervalPoset:
 
     @pytest.mark.parametrize("m", range(6))
     def test_matches_the_definition_on_posets(self, m):
-        for P in (P for P in enumerate_posets(m) if P.n == m):
+        for rows in (rows for rows in enumerate_posets(m) if len(rows) == m):
+            P = Poset(tuple("abcde"[:m]), rows)
             assert interval_poset(P) == interval_poset_by_definition(P)
 
 

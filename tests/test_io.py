@@ -5,7 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import c3, c3_pea, d4_ortho
-from pealab import FormatError, PealabError, PseudoDPoset, pea_to_pdp
+from pealab import (
+    BoundedPoset,
+    FormatError,
+    PealabError,
+    PosetMorphism,
+    PseudoDPoset,
+    pea_to_pdp,
+)
 from pealab.io import (
     dumps,
     load_fork,
@@ -106,7 +113,8 @@ class TestMorphismFiles:
             "map": {"0": "0", "a": "a", "1": "1"},
         }
         path = write(tmp_path, "m.json", obj)
-        m = load_morphism(path, {}).poset_map()
+        mf = load_morphism(path, {})
+        m = PosetMorphism(mf.source, mf.target, mf.map)
         assert m.map == (0, 1, 2)
 
     @pytest.mark.parametrize("edit, problem", [
@@ -131,7 +139,8 @@ class TestMorphismFiles:
         path = write(tmp_path, "fork.json",
                      {k: ident for k in ("f", "g", "q", "s", "t")})
         ff = load_fork(path)
-        assert ff.q.poset_map().map == (0, 1, 2)
+        q = PosetMorphism(ff.q.source, ff.q.target, ff.q.map)
+        assert q.map == (0, 1, 2)
 
     def test_fork_requires_all_five(self, tmp_path):
         P = structure_to_obj(c3())
@@ -260,6 +269,14 @@ plmap_objects = st.fixed_dictionaries(
 )
 
 
+def poset_map(mf):
+    """The bounded-poset map of a parsed morphism, whose ends are bounded
+    posets or structures on one."""
+    src, dst = (end if isinstance(end, BoundedPoset) else end.base
+                for end in (mf.source, mf.target))
+    return PosetMorphism(src, dst, mf.map)
+
+
 @pytest.fixture(scope="module")
 def empty_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("empty")
@@ -272,8 +289,8 @@ def test_parsers_raise_only_workbench_errors(empty_dir, kind, data):
     parse = {
         "structure": READERS["parse_structure"],
         # file references resolve inside an empty directory
-        "morphism": lambda obj: parse_morphism(
-            obj, empty_dir, "morphism", loaded={}).poset_map(),
+        "morphism": lambda obj: poset_map(
+            parse_morphism(obj, empty_dir, "morphism", loaded={})),
         "plmap": READERS["parse_plmap"],
     }[kind]
     objects = {"structure": structure_objects(), "morphism": morphism_objects,

@@ -26,6 +26,8 @@ any isomorphism search (the lemma is proved in _degrees_self_dual).  The
 dual automorphisms of the others are listed from the top down, and the
 search stops at the first down-set that has none.  Every hit is re-checked
 as a pseudo D-poset and as a pseudo effect algebra before it is kept.
+Entries keep the pseudo D-posets the search builds; each addition table is
+built only for that re-check, the sort and the written catalog.
 """
 
 from __future__ import annotations
@@ -34,14 +36,8 @@ from dataclasses import dataclass
 
 from . import io
 from .errors import InvalidStructure, LimitExceeded
-from .pdp import PseudoDPoset, check_pdp
-from .pea import (
-    PseudoEffectAlgebra,
-    check_pea,
-    is_commutative,
-    pdp_to_pea,
-    pea_to_pdp,
-)
+from .pdp import PseudoDPoset, check_pdp, is_dposet
+from .pea import check_pea, pdp_to_pea
 from .posets import (
     BITS,
     BoundedPoset,
@@ -259,10 +255,10 @@ def _degrees_self_dual(base: BoundedPoset) -> bool:
 
 def enumerate_pea_structures(
     base: BoundedPoset, search: dict | None = None
-) -> list[PseudoEffectAlgebra]:
-    """All addition tables on the carrier whose induced order is exactly
-    the given one and which pass every axiom, sorted row-major with None
-    last.
+) -> list[PseudoDPoset]:
+    """Every structure on the carrier whose induced order is exactly the
+    given one and which passes every axiom, as the difference tables the
+    search builds, sorted by its addition table row-major with None last.
 
     The search runs on difference tables.  Lemma (PD1 and PD2 alone):
     a -> c/a is a dual automorphism of the down-set of c, with inverse
@@ -280,7 +276,7 @@ def enumerate_pea_structures(
     a > 0, c/a and c\\a lie strictly below c, so every equation with c on
     top is decided as soon as the choice for c is made.  Each survivor is
     re-checked by check_pdp, converted by pdp_to_pea and re-checked by
-    check_pea before it is kept.
+    check_pea before it is kept: its addition table serves only that and the sort.
 
     A base that fails :func:`_degrees_self_dual` has no dual automorphism
     of its whole order, the down-set of its top, and is rejected before any
@@ -320,7 +316,7 @@ def enumerate_pea_structures(
     ]
     slash: list[tuple | None] = [None] * n
     bslash: list[tuple | None] = [None] * n
-    results: list[PseudoEffectAlgebra] = []
+    results: list[tuple[tuple, PseudoDPoset]] = []  # (addition table, X)
 
     def place(k: int) -> None:
         if k == n:
@@ -329,7 +325,7 @@ def enumerate_pea_structures(
             if check_pdp(X).ok:
                 A = pdp_to_pea(X)
                 if check_pea(A).ok:
-                    results.append(A)
+                    results.append((A.plus, X))
                     return
             search["recheck_failed"] += 1
             return
@@ -346,16 +342,16 @@ def enumerate_pea_structures(
 
     place(0)
     del place  # break the self-reference, so refcounting frees the search
-    results.sort(
-        key=lambda A: [[n if v is None else v for v in row] for row in A.plus]
-    )
-    return results
+    results.sort(key=lambda hit: [[n if v is None else v for v in r] for r in hit[0]])
+    return [X for _, X in results]
 
 
 @dataclass
 class CatalogEntry:
+    """A class and its structures as enumerate_pea_structures lists them."""
+
     base: BoundedPoset
-    structures: tuple[PseudoEffectAlgebra, ...] | None  # None: not searched
+    structures: tuple[PseudoDPoset, ...] | None  # None: not searched
 
 
 def build_catalog(
@@ -371,25 +367,35 @@ def build_catalog(
 
 
 def catalog_pdps(max_n: int) -> list[PseudoDPoset]:
-    """Every catalog structure up to max_n, converted to difference form."""
-    return [
-        pea_to_pdp(A)
-        for entry in build_catalog(max_n)
-        for A in entry.structures
-    ]
+    """Every catalog structure up to max_n, as the search built it."""
+    return [X for entry in build_catalog(max_n) for X in entry.structures]
+
+
+def _plus_obj(X: PseudoDPoset) -> dict:
+    """The addition-table object of X, keyed "a,b" as io.table_obj keys
+    it: a+b = c for each a <= c with b = c/a.  This is the first reading of
+    pdp_to_pea, whose cross-check every catalog structure passed in the
+    search, so the object is that of pdp_to_pea(X).plus."""
+    lab = X.labels
+    return {f"{lab[a]},{lab[b]}": lab[c] for c, row in enumerate(X.slash)
+            for a, b in enumerate(row) if b is not None}
 
 
 def noncommutative_record(entries, max_n: int) -> dict:
     """The noncommutative-witness record of searched entries in order of
-    size: their first noncommutative table, a smallest one by that order."""
-    found = next(
-        (A for e in entries for A in e.structures if not is_commutative(A)),
-        None,
-    )
+    size: their first noncommutative structure, a smallest one by that
+    order.
+
+    Lemma: a structure is commutative iff b/a = b\\a for every a <= b,
+    which :func:`~pealab.pdp.is_dposet` decides: a+b = c iff c/a = b iff
+    c\\b = a, so b+a = c iff c\\a = b; off the order both tables are undefined.
+    """
+    found = next((X for e in entries for X in e.structures if not is_dposet(X)),
+                 None)
     noncomm = {"limit": max_n, "found": found is not None}
     if found is not None:
         noncomm["size"] = found.n
-        noncomm["plus"] = io.table_obj(found.plus, found.labels)
+        noncomm["plus"] = _plus_obj(found)
     return noncomm
 
 
@@ -404,9 +410,7 @@ def catalog_to_obj(entries, max_n: int) -> dict:
         item.update(io.poset_obj(e.base))
         if e.structures is not None:
             item["structure_count"] = len(e.structures)
-            item["structures"] = [
-                {"plus": io.table_obj(A.plus, A.labels)} for A in e.structures
-            ]
+            item["structures"] = [{"plus": _plus_obj(X)} for X in e.structures]
         items.append(item)
     obj = {"schema": "pealab-catalog@1", "max_n": max_n, "entries": items}
     if all(e.structures is not None for e in entries):

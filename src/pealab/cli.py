@@ -409,12 +409,12 @@ def _cmd_hom(args) -> int:
     out = _Output("hom", args.json)
     intake = _Intake()
     P, R = (intake.load(p, BoundedPoset) for p in (args.source, args.target))
-    morphisms = enumerate_morphisms(P, R)
-    out.say(f"{len(morphisms)} bound-preserving isotone maps")
-    for m in morphisms:
-        out.say("  " + _arrows(m.label_map()))
-    out.payload["count"] = len(morphisms)
-    out.payload["maps"] = [m.label_map() for m in morphisms]
+    maps = [PosetMorphism(P, R, m).label_map() for m in enumerate_morphisms(P, R)]
+    out.say(f"{len(maps)} bound-preserving isotone maps")
+    for m in maps:
+        out.say("  " + _arrows(m))
+    out.payload["count"] = len(maps)
+    out.payload["maps"] = maps
     return out.finish(True)
 
 

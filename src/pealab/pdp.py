@@ -274,11 +274,10 @@ def enumerate_pdp_morphisms(X: PseudoDPoset, Y: PseudoDPoset) -> list[PDPMorphis
     difference is ``None`` give no rule, so the result equals filtering
     every bounded-poset map through :func:`check_pdp_morphism`, also when X
     or Y fails :func:`check_pdp`.  The rules are built once per source;
-    only Y's two tables are bound per call.
+    only Y's two tables are bound per call, and each table found is wrapped once.
     """
     rules = ((Y.slash, Y.bslash), X.forcing_rules)
-    homs = enumerate_morphisms(X.base, Y.base, rules)
-    return [PDPMorphism(X, Y, m.map) for m in homs]
+    return [PDPMorphism(X, Y, m) for m in enumerate_morphisms(X.base, Y.base, rules)]
 
 
 def subalgebra_generated(X: PseudoDPoset, seed) -> tuple[int, ...]:

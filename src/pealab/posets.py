@@ -540,8 +540,8 @@ def placement_order(P: Poset) -> list[int]:
 
 def enumerate_morphisms(
     P: BoundedPoset, R: BoundedPoset, rules=None
-) -> list[PosetMorphism]:
-    """All bound-preserving isotone maps P -> R obeying ``rules``, in table order.
+) -> list[tuple[int, ...]]:
+    """The sorted tables of all bound-preserving isotone maps P -> R obeying ``rules``.
 
     ``rules``, if given, is a pair ``(tables, triggers)``: ``triggers[x]``
     lists the rules ``(a, b, d, k)`` with x among a and b, and such a rule
@@ -607,7 +607,7 @@ def enumerate_morphisms(
         extend(0, start)
     del extend  # break the self-reference, so refcounting frees the search
     found.sort()
-    return [PosetMorphism(P, R, m) for m in found]
+    return found
 
 
 def isomorphisms(P: Poset, R: Poset, within: int | None = None):

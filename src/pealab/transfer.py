@@ -42,14 +42,8 @@ def _validate_fork(f: PDPMorphism, g: PDPMorphism, fork: SplitFork) -> None:
         raise InvalidStructure(
             "fork arrows do not underlie the given difference-preserving maps"
         )
-    for name, m in (
-        ("f", fork.f),
-        ("g", fork.g),
-        ("q", fork.q),
-        ("s", fork.s),
-        ("t", fork.t),
-    ):
-        if not check_morphism(m).ok:
+    for name in ("f", "g", "q", "s", "t"):
+        if not check_morphism(getattr(fork, name)).ok:
             raise InvalidStructure(
                 f"fork invalid: {name} is not a bounded-poset morphism"
             )

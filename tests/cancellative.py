@@ -1,11 +1,13 @@
 """Second route to the catalog: the cancellative addition-table search.
 
 The catalog engine, ``pealab.catalog.enumerate_pea_structures``, searches
-difference tables, one dual automorphism per down-set.  This module fills
-addition tables cell by cell instead, under three pruning rules proved in
-:func:`cancellative_structures`, and shares no search code with the engine,
-so the two routes check each other.  ``test_catalog.py`` compares them
-class by class up to n=7; larger sizes run outside the test suite, e.g.
+difference tables, one dual automorphism per down-set, and returns them;
+here they are compared as the addition tables pdp_to_pea makes of them.
+This module fills addition tables cell by cell instead, under three
+pruning rules proved in :func:`cancellative_structures`, and shares no
+search code with the engine, so the two routes check each other.
+``test_catalog.py`` compares them class by class up to n=7; larger sizes
+run outside the test suite, e.g.
 
     PYTHONPATH=src:tests python -m cancellative 8
 
@@ -22,6 +24,7 @@ from pealab import (
     enumerate_bounded_posets,
     enumerate_pea_structures,
     is_commutative,
+    pdp_to_pea,
 )
 from pealab.posets import iter_bits
 
@@ -134,7 +137,7 @@ def compare_routes(n: int):
     tables = noncommutative = 0
     differing = []
     for k, base in enumerate(bases):
-        found = enumerate_pea_structures(base)
+        found = [pdp_to_pea(X) for X in enumerate_pea_structures(base)]
         if found != cancellative_structures(base):
             differing.append(k)
         tables += len(found)

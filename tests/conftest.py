@@ -1,6 +1,6 @@
 import pytest
 
-from pealab import build_catalog, pea_to_pdp
+from pealab import build_catalog
 
 
 @pytest.fixture(scope="session")
@@ -16,24 +16,14 @@ def catalog5(catalog6):
 
 @pytest.fixture(scope="session")
 def pdps4(catalog6):
-    return [
-        pea_to_pdp(A)
-        for e in catalog6
-        if e.base.n <= 4
-        for A in e.structures
-    ]
+    return [X for e in catalog6 if e.base.n <= 4 for X in e.structures]
 
 
 @pytest.fixture(scope="session")
 def pdps5(catalog6):
-    return [
-        pea_to_pdp(A)
-        for e in catalog6
-        if e.base.n <= 5
-        for A in e.structures
-    ]
+    return [X for e in catalog6 if e.base.n <= 5 for X in e.structures]
 
 
 @pytest.fixture(scope="session")
 def pdps6(catalog6):
-    return [pea_to_pdp(A) for e in catalog6 for A in e.structures]
+    return [X for e in catalog6 for X in e.structures]

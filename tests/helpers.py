@@ -242,13 +242,17 @@ def brute_force_bounded_maps(P: BoundedPoset, R: BoundedPoset):
     ]
 
 
+def poset_maps(P: BoundedPoset, R: BoundedPoset) -> list[PosetMorphism]:
+    """Every bound-preserving isotone map P -> R, as found by the package's
+    search, wrapped as a PosetMorphism."""
+    return [PosetMorphism(P, R, m) for m in enumerate_morphisms(P, R)]
+
+
 def pdp_maps_by_filter(X: PseudoDPoset, Y: PseudoDPoset):
     """Every bounded-poset map X -> Y that preserves the differences, found
     by filtering the whole bounded-poset hom set."""
     return [
-        m.map
-        for m in enumerate_morphisms(X.base, Y.base)
-        if preserves_differences(X, Y, m.map)
+        m for m in enumerate_morphisms(X.base, Y.base) if preserves_differences(X, Y, m)
     ]
 
 

@@ -31,6 +31,8 @@ from pealab import (
     enumerate_posets,
     find_isomorphism,
     is_commutative,
+    is_dposet,
+    pdp_to_pea,
     pea_to_pdp,
 )
 from pealab import catalog, io
@@ -205,11 +207,7 @@ class TestPosetEnumeration:
         with pytest.raises(LimitExceeded, match="m=9 exceeds 8"):
             enumerate_posets(9)
 
-    def test_negative_size_is_rejected_by_name(self, monkeypatch):
-        def unreachable(*args):
-            raise AssertionError("classes grown for a negative size")
-
-        monkeypatch.setattr(catalog, "_canonical_rows", unreachable)
+    def test_negative_size_is_rejected_by_name(self):
         for m in (-1, -5):
             with pytest.raises(InvalidStructure, match=f"m={m}: "):
                 enumerate_posets(m)
@@ -267,16 +265,16 @@ class TestStructureEnumeration:
     def test_two_chain_has_one_structure(self):
         structures = enumerate_pea_structures(c2())
         assert len(structures) == 1
-        assert structures[0].plus == ((0, 1), (1, None))
+        assert pdp_to_pea(structures[0]).plus == ((0, 1), (1, None))
 
     def test_three_chain_structure_is_forced(self):
         structures = enumerate_pea_structures(c3())
         assert len(structures) == 1
-        A = structures[0]
+        A = pdp_to_pea(structures[0])
         assert A.plus[1][1] == 2  # a+a = 1 is forced
 
     def test_diamond_has_two_commutative_structures(self):
-        structures = enumerate_pea_structures(diamond())
+        structures = [pdp_to_pea(X) for X in enumerate_pea_structures(diamond())]
         assert len(structures) == 2
         assert all(is_commutative(A) for A in structures)
         blocks = {A.plus[1][1:3] + A.plus[2][1:3] for A in structures}
@@ -286,7 +284,7 @@ class TestStructureEnumeration:
     @pytest.mark.parametrize("base", [c2(), c3(), c4(), diamond()])
     def test_matches_dumb_oracle(self, base):
         expected = {A.plus for A in dumb_structures(base)}
-        got = {A.plus for A in enumerate_pea_structures(base)}
+        got = {pdp_to_pea(X).plus for X in enumerate_pea_structures(base)}
         assert got == expected
 
     def test_degree_prefilter_rejects_only_bases_without_a_dual_automorphism(
@@ -313,13 +311,14 @@ class TestStructureEnumeration:
 
     def test_every_structure_survives_recheck(self, catalog5):
         for entry in catalog5:
-            for A in entry.structures:
+            for X in entry.structures:
+                A = pdp_to_pea(X)
                 assert A.base == entry.base and check_pea(A).ok
-                assert check_pdp(pea_to_pdp(A)).ok
+                assert check_pdp(X).ok
 
     def test_rows_and_columns_are_bijections_onto_up_sets(self, catalog5):
         for entry in catalog5:
-            for A in entry.structures:
+            for A in map(pdp_to_pea, entry.structures):
                 for a in range(A.n):
                     up = list(iter_bits(entry.base.leq[a]))
                     row = [c for c in A.plus[a] if c is not None]
@@ -338,21 +337,23 @@ class TestStructureEnumeration:
                    38: 1, 62: 1}
         assert counts == [nonzero.get(k, 0) for k in range(63)]
         assert sum(counts) == 138
-        assert sum(not is_commutative(A) for t in tables for A in t) == 96
+        assert sum(not is_commutative(pdp_to_pea(X)) for t in tables for X in t) == 96
 
     def test_eight_element_catalog(self):
         bases = [b for b in enumerate_bounded_posets(8) if b.n == 8]
         tables = [enumerate_pea_structures(b) for b in bases]
         assert len(tables) == 318
         assert sum(len(t) for t in tables) == 836
-        assert sum(not is_commutative(A) for t in tables for A in t) == 680
+        assert sum(not is_commutative(pdp_to_pea(X)) for t in tables for X in t) == 680
 
     def test_nine_element_catalog(self):
         bases = [b for b in enumerate_bounded_posets(9) if b.n == 9]
         tables = [enumerate_pea_structures(b) for b in bases]
         assert len(tables) == 2045
         assert sum(len(t) for t in tables) == 5323
-        assert sum(not is_commutative(A) for t in tables for A in t) == 4952
+        assert sum(
+            not is_commutative(pdp_to_pea(X)) for t in tables for X in t
+        ) == 4952
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_cancellative_route(self, n):
@@ -370,7 +371,7 @@ class TestStructureEnumeration:
         # conversion is a bijection between the two table kinds over a
         # fixed base, so counting either way must agree
         for entry in catalog5:
-            converted = {pea_to_pdp(A) for A in entry.structures}
+            converted = {pdp_to_pea(X) for X in entry.structures}
             assert len(converted) == len(entry.structures)
 
 
@@ -414,6 +415,33 @@ class TestSmallestNoncommutative:
         assert witness.plus[a][b] == one and witness.plus[b][a] is None
         assert witness.plus[b][c] == one and witness.plus[c][b] is None
         assert witness.plus[c][a] == one and witness.plus[a][c] is None
+
+
+class TestDifferenceForm:
+    """Catalog entries hold the difference tables the search builds.  The
+    lemmas that let the catalog skip a second conversion hold for every
+    structure up to seven elements."""
+
+    @pytest.fixture(scope="class")
+    def pdps7(self):
+        return catalog_pdps(7)
+
+    def test_commutative_iff_the_two_tables_agree(self, pdps7):
+        # noncommutative_record reads is_dposet
+        assert len(pdps7) == 48 + 138
+        for X in pdps7:
+            assert is_dposet(X) == is_commutative(pdp_to_pea(X))
+        assert sum(not is_dposet(X) for X in pdps7) == 16 + 96
+
+    def test_addition_object_is_read_from_the_slash_table(self, pdps7):
+        for X in pdps7:
+            assert catalog._plus_obj(X) == io.table_obj(pdp_to_pea(X).plus, X.labels)
+
+    def test_conversion_round_trip_returns_the_search_structure(self, pdps7):
+        # so hom-set keys and hashes are those of converted structures
+        for X in pdps7:
+            Y = pea_to_pdp(pdp_to_pea(X))
+            assert Y == X and hash(Y) == hash(X)
 
 
 def test_searches_leave_no_cyclic_garbage():

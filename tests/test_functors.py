@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import c2, c3, c4, diamond
+from helpers import c2, c3, c4, diamond, poset_maps
 from pealab import (
     InvalidStructure,
     Poset,
@@ -10,7 +10,6 @@ from pealab import (
     check_morphism,
     check_square,
     enumerate_bounded_posets,
-    enumerate_morphisms,
     enumerate_posets,
     identity,
     interval_map,
@@ -95,14 +94,14 @@ class TestIntervalMap:
     def test_functoriality_on_small_posets(self):
         for P in SMALL:
             for R in SMALL:
-                for f in enumerate_morphisms(P, R):
-                    for g in enumerate_morphisms(R, c3()):
+                for f in poset_maps(P, R):
+                    for g in poset_maps(R, c3()):
                         assert interval_map(f.then(g)) == interval_map(f).then(
                             interval_map(g)
                         )
 
     def test_results_are_isotone(self):
-        for f in enumerate_morphisms(diamond(), c3()):
+        for f in poset_maps(diamond(), c3()):
             assert check_morphism(interval_map(f)).ok
 
 
@@ -126,8 +125,8 @@ class TestTriplePoset:
 
     def test_map_identity_and_composition(self):
         assert triple_map(identity(c3())) == identity(triple_poset(c3()))
-        for f in enumerate_morphisms(c4(), c3()):
-            for g in enumerate_morphisms(c3(), c2()):
+        for f in poset_maps(c4(), c3()):
+            for g in poset_maps(c3(), c2()):
                 assert triple_map(f.then(g)) == triple_map(f).then(triple_map(g))
 
     def test_collapse_action(self):
@@ -152,7 +151,7 @@ class TestZeroEmbedding:
     def test_naturality(self):
         for P in SMALL:
             for R in SMALL:
-                for h in enumerate_morphisms(P, R):
+                for h in poset_maps(P, R):
                     assert check_square(
                         top=h,
                         bottom=interval_map(h),
@@ -203,7 +202,7 @@ class TestAlphaBeta:
     def test_naturality(self):
         for P in SMALL[:3]:
             for R in SMALL[:3]:
-                for h in enumerate_morphisms(P, R):
+                for h in poset_maps(P, R):
                     assert check_square(
                         top=triple_map(h),
                         bottom=interval_map(interval_map(h)),

@@ -11,6 +11,7 @@ from pealab import (
     PealabError,
     PosetMorphism,
     PseudoDPoset,
+    pdp_to_pea,
     pea_to_pdp,
 )
 from pealab.io import (
@@ -37,7 +38,7 @@ def write(tmp_path, name, obj):
 
 
 def peas_of(catalog5):
-    return [A for entry in catalog5 for A in entry.structures]
+    return [pdp_to_pea(X) for entry in catalog5 for X in entry.structures]
 
 
 class TestStructureFiles:

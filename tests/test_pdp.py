@@ -192,7 +192,7 @@ class TestMirror:
         assert check_pdp(broken).lines() == expected
 
     def test_swapped_tables_report_the_mirrored_violations(self, catalog6):
-        pdps = [pea_to_pdp(A) for e in catalog6 for A in e.structures]
+        pdps = [X for e in catalog6 for X in e.structures]
         mirror = str.maketrans("/\\", "\\/")
         rng = random.Random(2024)
         reported = 0

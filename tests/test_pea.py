@@ -184,14 +184,14 @@ class TestDenseOracle:
 
     def test_catalog_tables_up_to_six(self, catalog6):
         for entry in catalog6:
-            for A in entry.structures:
+            for A in map(pdp_to_pea, entry.structures):
                 assert check_pea(A) == dense_check_pea(A)
 
     @pytest.mark.parametrize("cells", [1, 2])
     def test_cell_mutants_up_to_five(self, catalog5, cells):
         count = 0
         for entry in catalog5:
-            for A in entry.structures:
+            for A in map(pdp_to_pea, entry.structures):
                 for M in mutants(A, cells):
                     assert check_pea(M) == dense_check_pea(M)
                     count += 1
@@ -226,7 +226,8 @@ class TestOrderReportCache:
         bases = [e.base for e in entries if e.structures]
         # the search re-checks every table; each base builds its report once
         assert sorted(map(id, built)) == sorted(map(id, bases))
-        A, B = next(e.structures for e in entries if len(e.structures) >= 2)[:2]
+        pair = next(e.structures for e in entries if len(e.structures) >= 2)[:2]
+        A, B = map(pdp_to_pea, pair)
         assert A.base is B.base
         assert A.base.order_report is B.base.order_report
         assert A.base.order_report == check_order(A.base)
@@ -278,7 +279,7 @@ class TestDeclaredOrder:
             for other in catalog6:
                 if other.base.n != entry.base.n or other.base == entry.base:
                     continue
-                for A in entry.structures:
+                for A in map(pdp_to_pea, entry.structures):
                     declared = PseudoEffectAlgebra(other.base, A.plus)
                     assert check_pea(declared).lines() == [DECLARED]
                     with pytest.raises(InvalidStructure, match="^the induced"
@@ -315,9 +316,8 @@ class TestConversionValues:
 
     def test_commutative_structures_have_equal_tables(self, catalog5):
         for entry in catalog5:
-            for A in entry.structures:
-                if is_commutative(A):
-                    X = pea_to_pdp(A)
+            for X in entry.structures:
+                if is_commutative(pdp_to_pea(X)):
                     assert X.slash == X.bslash
 
     def test_noncommutative_structure_has_distinct_tables(self):
@@ -331,11 +331,11 @@ class TestConversionValues:
 
     def test_zero_sums_recovered_everywhere(self, catalog5):
         for entry in catalog5:
-            for A in entry.structures:
-                back = pdp_to_pea(pea_to_pdp(A))
-                for x in range(A.n):
-                    assert back.plus[A.zero][x] == x
-                    assert back.plus[x][A.zero] == x
+            for X in entry.structures:
+                back = pdp_to_pea(X)
+                for x in range(X.n):
+                    assert back.plus[back.zero][x] == x
+                    assert back.plus[x][back.zero] == x
 
     def test_singleton_structure(self):
         one = validate_bounded_poset(("0",), [])
@@ -418,10 +418,10 @@ class TestMirroredConversions:
     def test_swapped_tables_give_the_transposed_addition(self, catalog6):
         noncommutative = 0
         for entry in catalog6:
-            tables = {A.plus for A in entry.structures}
-            for A in entry.structures:
+            tables = {pdp_to_pea(X).plus for X in entry.structures}
+            for X in entry.structures:
+                A = pdp_to_pea(X)
                 transposed = tuple(zip(*A.plus))
-                X = pea_to_pdp(A)
                 mirror = pdp_to_pea(swapped(X))
                 assert mirror.plus == transposed
                 assert transposed in tables  # the catalog is closed under it
@@ -433,16 +433,15 @@ class TestMirroredConversions:
 class TestRoundtrip:
     def test_roundtrip_up_to_five(self, catalog5):
         for entry in catalog5:
-            for A in entry.structures:
-                X = pea_to_pdp(A)
-                assert pdp_to_pea(X) == A
-                assert pea_to_pdp(pdp_to_pea(X)) == X
-                back = pdp_to_pea(X)
-                assert back.base is X.base and check_pea(back).ok
+            for X in entry.structures:
+                A = pdp_to_pea(X)
+                assert pea_to_pdp(A) == X
+                assert pdp_to_pea(pea_to_pdp(A)) == A
+                assert A.base is X.base and check_pea(A).ok
 
     def test_left_and_right_order_agree(self, catalog5):
         for entry in catalog5:
-            for A in entry.structures:
+            for A in map(pdp_to_pea, entry.structures):
                 n = A.n
                 for a in range(n):
                     for c in range(n):
@@ -452,7 +451,7 @@ class TestRoundtrip:
 
     def test_derived_identities(self, catalog5):
         for entry in catalog5:
-            for A in entry.structures:
+            for A in map(pdp_to_pea, entry.structures):
                 for a in range(A.n):
                     assert A.plus[A.zero][a] == a
                     assert A.plus[a][A.zero] == a
@@ -492,16 +491,11 @@ class TestPeaMorphism:
     def test_matches_difference_morphism_condition(self, catalog5):
         # a map is addition-preserving iff it preserves both differences
         # of the converted structures
-        small = [
-            A
-            for entry in catalog5
-            if entry.base.n <= 3
-            for A in entry.structures
-        ]
-        for A in small:
-            for B in small:
-                XA, XB = pea_to_pdp(A), pea_to_pdp(B)
+        small = [X for entry in catalog5 if entry.base.n <= 3 for X in entry.structures]
+        for XA in small:
+            for XB in small:
+                A, B = pdp_to_pea(XA), pdp_to_pea(XB)
                 for m in enumerate_morphisms(XA.base, XB.base):
-                    as_pea = check_pea_morphism(m.map, A, B).ok
-                    as_pdp = check_pdp_morphism(PDPMorphism(XA, XB, m.map)).ok
+                    as_pea = check_pea_morphism(m, A, B).ok
+                    as_pdp = check_pdp_morphism(PDPMorphism(XA, XB, m)).ok
                     assert as_pea == as_pdp

@@ -32,6 +32,7 @@ from pealab import (
     identity,
     is_commutative,
     is_split_fork,
+    pdp_to_pea,
     pea_to_pdp,
     split_fork_from_idempotent,
     transfer_structure,
@@ -98,9 +99,7 @@ class TestTransferStructure:
 
         from pealab import enumerate_pea_structures
 
-        candidates = [
-            pea_to_pdp(A) for A in enumerate_pea_structures(fork.Q)
-        ]
+        candidates = enumerate_pea_structures(fork.Q)
         assert len(candidates) == 2
 
         def commutes(cand):
@@ -132,10 +131,8 @@ class TestTransferStructure:
 
     def test_identity_fork_returns_every_noncommutative_source(self, catalog6):
         sources = [
-            pea_to_pdp(A)
-            for e in catalog6
-            for A in e.structures
-            if not is_commutative(A)
+            X for e in catalog6 for X in e.structures
+            if not is_commutative(pdp_to_pea(X))
         ]
         assert len(sources) == 16
         for X in sources:

@@ -4,6 +4,11 @@ Everything is exhaustively verifiable on small carriers: bounded posets
 and their morphisms, the interval and triple constructions, the two
 partial differences, partial additions, catalogs of poset classes and the
 labelled tables on each, and structure transfer along split coequalizers.
+
+A pseudo D-poset on P is an algebra over P: two isotone maps from the
+interval poset to P with a unit law and two squares
+(:func:`~pealab.pdp.difference_maps`), checked against ``check_pdp`` by
+``tests/test_pdp.py::TestAlgebraLaws``.
 """
 
 from .catalog import (
@@ -35,14 +40,13 @@ from .functors import (
 from .pdp import (
     PDPMorphism,
     PseudoDPoset,
-    bslash_morphism,
     check_pdp,
     check_pdp_morphism,
+    difference_maps,
     enumerate_pdp_morphisms,
     equalizer_pdp,
     is_dposet,
     product_pdp,
-    slash_morphism,
     subalgebra_generated,
 )
 from .pea import (
@@ -56,9 +60,7 @@ from .pea import (
 from .plmaps import (
     BandViolation,
     PLMap,
-    doubling_map,
     find_band_violation,
-    identity_map,
     pl_compose,
     pl_in_unit_interval,
     pl_map,

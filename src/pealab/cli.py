@@ -390,15 +390,18 @@ def _cmd_enumerate(args) -> int:
             line += f", structure counts {record['structures']}"
         out.say(line)
         summary.append(record)
+    # the catalog object is built only to be written; it holds the record
+    catalog = catalog_to_obj(entries, args.n) if args.output else {}
     if args.structures:
-        noncomm = noncommutative_record(entries, args.n)
+        noncomm = (catalog.get("noncommutative")
+                   or noncommutative_record(entries, args.n))
         out.say(
             f"smallest noncommutative structure has {noncomm['size']} elements"
             if noncomm["found"]
             else f"all structures up to {args.n} elements are commutative"
         )
-    if args.output:  # the catalog object is built only to be written
-        out.write(args.output, catalog_to_obj(entries, args.n))
+    if args.output:
+        out.write(args.output, catalog)
     out.payload["summary"] = summary
     # by bounded size, as in the summary: a poset on n points gains two bounds
     out.payload["generation"] = [dict(r, n=r["n"] + 2) for r in generation]

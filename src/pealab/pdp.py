@@ -18,7 +18,7 @@ exhaustive checkers get O(1) lookups.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InvalidStructure
@@ -26,7 +26,7 @@ from .functors import interval_poset
 from .posets import (
     BoundedPoset,
     PosetMorphism,
-    check_morphism,
+    check_map_shape,
     enumerate_morphisms,
     induced_subposet,
     morphism_violations,
@@ -163,49 +163,54 @@ def check_pdp(X: PseudoDPoset) -> Report:
     return Report("check_pdp", tuple(violations))
 
 
-def _difference_morphism(X: PseudoDPoset, table, name: str) -> PosetMorphism:
-    values = []
-    for a, b in X.base.intervals:
-        v = table[b][a]
-        if v is None:
+def difference_maps(X: PseudoDPoset) -> tuple[PosetMorphism, PosetMorphism]:
+    """The differences as maps s: [a,b] -> b/a and t: [a,b] -> b\\a from the
+    interval poset I(P) of the base P to P.  Only shape is checked: an
+    undefined difference on an interval raises InvalidStructure.
+
+    Theorem: tables undefined off the order pass :func:`check_pdp` iff s
+    and t are total isotone maps with e;s = e;t = 1, beta;s = alpha;I(s);t
+    and beta;t = alpha;I(t);s, where e, alpha, beta and I (interval_map)
+    come from :mod:`~pealab.functors`.  Proof: totality is definedness on
+    the order.  e(x) = [0,x], so the unit law is PD1.  I(s) exists iff s
+    is isotone.  At a triple (a,b,c), beta gives [a,b] and alpha;I(s)
+    gives [c/b, c/a], so the squares there read b/a = (c/a)\\(c/b) and
+    b\\a = (c\\a)/(c\\b), PD2's equations; isotone s and t give its
+    inequalities, as [b,c] <= [a,c].  Conversely, for c <= a <= b <= d,
+    PD2 at (a,b,d), (0,d/b,d/a) and (c,a,d) and PD1 give
+    b/a = (d/a)\\(d/b) <= (d/a)\\0 = d/a <= d/c, so s is isotone, and
+    likewise t.
+    """
+    ip = interval_poset(X.base)
+    _, _, slash, bslash = zip(*X.pairs)
+    maps = []
+    for name, values in (("/", slash), ("\\", bslash)):
+        if None in values:
+            a, b, *_ = X.pairs[values.index(None)]
             raise InvalidStructure(
                 f"difference {X.labels[b]}{name}{X.labels[a]} is undefined"
             )
-        values.append(v)
-    m = PosetMorphism(interval_poset(X.base), X.base, tuple(values))
-    report = check_morphism(m)
-    if not report.ok:
-        raise InvalidStructure(
-            f"difference {name} is not isotone on intervals: {report.lines()[0]}"
-        )
-    return m
-
-
-def slash_morphism(X: PseudoDPoset) -> PosetMorphism:
-    """The total isotone map [a,b] -> b/a on the interval poset."""
-    return _difference_morphism(X, X.slash, "/")
-
-
-def bslash_morphism(X: PseudoDPoset) -> PosetMorphism:
-    """The total isotone map [a,b] -> b\\a on the interval poset."""
-    return _difference_morphism(X, X.bslash, "\\")
+        maps.append(PosetMorphism(ip, X.base, values))
+    return tuple(maps)
 
 
 @dataclass(frozen=True)
 class PDPMorphism:
     """Map table between pseudo D-posets, expected to preserve both
-    differences.  ``poset_map``, its bounded-poset map U(h) between the
-    bases, is derived once here, and its constructor checks the table's
-    shape."""
+    differences.  The constructor checks the table's shape as
+    :class:`~pealab.posets.PosetMorphism` does."""
 
     source: PseudoDPoset
     target: PseudoDPoset
     map: tuple[int, ...]
-    poset_map: PosetMorphism = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        u = PosetMorphism(self.source.base, self.target.base, self.map)
-        object.__setattr__(self, "poset_map", u)
+        check_map_shape(self.source.base, self.target.base, self.map)
+
+    @cached_property
+    def poset_map(self) -> PosetMorphism:
+        """U(h), the bounded-poset map between the bases, built on first read."""
+        return PosetMorphism(self.source.base, self.target.base, self.map)
 
     def __call__(self, i: int) -> int:
         return self.map[i]

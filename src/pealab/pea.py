@@ -167,8 +167,7 @@ def check_pea(A: PseudoEffectAlgebra) -> Report:
     if tuple(rows) == base.leq:
         violations.extend(base.order_report.violations)
     else:
-        # A's own shape checks cover the poset's, so this cannot raise
-        order = check_order(BoundedPoset(lab, tuple(rows), A.zero, one)).violations
+        order = check_order(induced_relation(A)).violations
         violations.extend(order)
         if not order:
             violations.append(Violation(

@@ -89,14 +89,6 @@ class PLMap:
         return previous + (y - value) / self.slopes[-1]
 
 
-def identity_map() -> PLMap:
-    return PLMap((), (Fraction(1),))
-
-
-def doubling_map() -> PLMap:
-    return PLMap((), (Fraction(2),))
-
-
 def pl_map(breakpoints, slopes) -> PLMap:
     """Build a map from rationals given as Fraction, int or 'p/q' strings."""
     return PLMap(tuple(breakpoints), tuple(slopes))

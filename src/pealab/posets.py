@@ -286,6 +286,15 @@ def validate_bounded_poset(elements, cover_pairs) -> BoundedPoset:
     return BoundedPoset(labels, tuple(rows), bottoms[0], tops[0])
 
 
+def check_map_shape(source: Poset, target: Poset, table) -> None:
+    """Raise InvalidStructure unless ``table`` sends each element of source
+    to an element of target."""
+    if len(table) != source.n:
+        raise InvalidStructure("morphism table does not cover the source")
+    if table and (min(table) < 0 or max(table) >= target.n):
+        raise InvalidStructure("morphism table references unknown targets")
+
+
 @dataclass(frozen=True)
 class PosetMorphism:
     """Map between posets, stored as a target-index table.
@@ -299,10 +308,7 @@ class PosetMorphism:
     map: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.map) != self.source.n:
-            raise InvalidStructure("morphism table does not cover the source")
-        if self.map and (min(self.map) < 0 or max(self.map) >= self.target.n):
-            raise InvalidStructure("morphism table references unknown targets")
+        check_map_shape(self.source, self.target, self.map)
 
     def __call__(self, i: int) -> int:
         return self.map[i]

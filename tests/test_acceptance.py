@@ -16,7 +16,6 @@ from pealab import (
     PDPMorphism,
     alpha,
     beta,
-    bslash_morphism,
     check_morphism,
     check_pdp,
     check_pdp_morphism,
@@ -24,6 +23,7 @@ from pealab import (
     check_square,
     coequalizer_bposets,
     comparison_isomorphism,
+    difference_maps,
     enumerate_pdp_morphisms,
     enumerate_pea_structures,
     equalizer_pdp,
@@ -37,7 +37,6 @@ from pealab import (
     pl_noncommutativity_witness,
     pl_sum,
     product_pdp,
-    slash_morphism,
     transfer_structure,
     verify_coequalizer_psdpos,
     zero_embedding,
@@ -87,7 +86,7 @@ def test_criterion_2_forced_structure_counts():
 def test_criterion_3_diagram_suite(pdps5, pdps4):
     started = time.time()
     for X in pdps5:
-        sm, bm = slash_morphism(X), bslash_morphism(X)
+        sm, bm = difference_maps(X)
         assert check_morphism(sm).ok
         assert check_morphism(bm).ok
         embed = zero_embedding(X.base)
@@ -98,9 +97,9 @@ def test_criterion_3_diagram_suite(pdps5, pdps4):
         assert b.then(bm) == a.then(interval_map(bm)).then(sm)
     squares = 0
     for X in pdps4:
-        sm_x, bm_x = slash_morphism(X), bslash_morphism(X)
+        sm_x, bm_x = difference_maps(X)
         for Y in pdps4:
-            sm_y, bm_y = slash_morphism(Y), bslash_morphism(Y)
+            sm_y, bm_y = difference_maps(Y)
             for h in enumerate_pdp_morphisms(X, Y):
                 lifted = interval_map(h.poset_map)
                 assert check_square(lifted, h.poset_map, sm_x, sm_y)

@@ -545,6 +545,28 @@ def test_enumerate_builds_the_catalog_object_only_for_a_file(
     assert built == [4] and path.exists()
 
 
+@pytest.mark.parametrize("output", [False, True])
+def test_enumerate_computes_the_noncommutative_record_once(
+    capsys, monkeypatch, tmp_path, output
+):
+    # the written catalog and the summary line share one record
+    calls = []
+    record = catalog.noncommutative_record
+
+    def counting(entries, max_n):
+        calls.append(max_n)
+        return record(entries, max_n)
+
+    monkeypatch.setattr(catalog, "noncommutative_record", counting)
+    monkeypatch.setattr(cli, "noncommutative_record", counting)
+    argv = ["enumerate", "--n", "5", "--structures"]
+    if output:
+        argv += ["-o", str(tmp_path / "catalog.json")]
+    code, out = run(capsys, *argv)
+    assert code == 0 and calls == [5]
+    assert "smallest noncommutative structure has 5 elements" in out
+
+
 def test_verify_coeq_builds_the_interval_rows_once_per_b(capsys, monkeypatch):
     # B is a catalog structure shared by many forks; each fork's Q is a new
     # poset and builds its own rows, once

@@ -27,11 +27,11 @@ from pealab import (
     PseudoDPoset,
     alpha,
     beta,
-    bslash_morphism,
     check_morphism,
     check_pdp,
     check_pdp_morphism,
     check_square,
+    difference_maps,
     enumerate_pdp_morphisms,
     equalizer_pdp,
     identity,
@@ -39,12 +39,11 @@ from pealab import (
     is_dposet,
     pea_to_pdp,
     product_pdp,
-    slash_morphism,
     subalgebra_generated,
     validate_bounded_poset,
     zero_embedding,
 )
-from pealab.catalog import catalog_pdps
+from pealab.catalog import build_catalog, catalog_pdps
 from pealab.pdp import pdp_morphism_violations, preserves_differences
 from pealab.reports import Report, Violation
 
@@ -222,8 +221,7 @@ class TestDifferenceMorphisms:
     def test_zero_intervals_evaluate_to_the_element(self, pdps5):
         for X in pdps5:
             pairs = list(X.base.intervals)
-            sm = slash_morphism(X)
-            bm = bslash_morphism(X)
+            sm, bm = difference_maps(X)
             for k, (a, b) in enumerate(pairs):
                 if a == X.base.bottom:
                     assert sm.map[k] == b
@@ -232,8 +230,7 @@ class TestDifferenceMorphisms:
     def test_degenerate_intervals_evaluate_to_zero(self, pdps5):
         for X in pdps5:
             pairs = list(X.base.intervals)
-            sm = slash_morphism(X)
-            bm = bslash_morphism(X)
+            sm, bm = difference_maps(X)
             for k, (a, b) in enumerate(pairs):
                 if a == b:
                     assert sm.map[k] == X.base.bottom
@@ -243,27 +240,32 @@ class TestDifferenceMorphisms:
         X = c3_pdp()
         pairs = list(X.base.intervals)
         k = pairs.index((1, 2))  # [a,1]
-        assert slash_morphism(X).map[k] == 1
+        assert difference_maps(X)[0].map[k] == 1
 
     def test_incomplete_table_is_rejected(self):
         X = with_slash(c3_pdp(), 2, 1, None)
-        with pytest.raises(InvalidStructure, match="undefined"):
-            slash_morphism(X)
+        for broken, message in ((X, "difference 1/a is undefined"),
+                                (swapped(X), "difference 1\\a is undefined")):
+            with pytest.raises(InvalidStructure) as caught:
+                difference_maps(broken)
+            assert str(caught.value) == message
 
     def test_isotone_on_catalog(self, pdps5):
         for X in pdps5:
-            assert check_morphism(slash_morphism(X)).ok
-            assert check_morphism(bslash_morphism(X)).ok
+            sm, bm = difference_maps(X)
+            assert check_morphism(sm).ok
+            assert check_morphism(bm).ok
 
     def test_pd1_diagram(self, pdps5):
         for X in pdps5:
             embed = zero_embedding(X.base)
-            assert embed.then(slash_morphism(X)) == identity(X.base)
-            assert embed.then(bslash_morphism(X)) == identity(X.base)
+            sm, bm = difference_maps(X)
+            assert embed.then(sm) == identity(X.base)
+            assert embed.then(bm) == identity(X.base)
 
     def test_pd2_diagram(self, pdps5):
         for X in pdps5:
-            sm, bm = slash_morphism(X), bslash_morphism(X)
+            sm, bm = difference_maps(X)
             a, b = alpha(X.base), beta(X.base)
             assert b.then(sm) == a.then(interval_map(sm)).then(bm)
             assert b.then(bm) == a.then(interval_map(bm)).then(sm)
@@ -272,16 +274,70 @@ class TestDifferenceMorphisms:
         for X in pdps4:
             for Y in pdps4:
                 for h in enumerate_pdp_morphisms(X, Y):
-                    for mine, theirs in (
-                        (slash_morphism(X), slash_morphism(Y)),
-                        (bslash_morphism(X), bslash_morphism(Y)),
-                    ):
+                    for mine, theirs in zip(difference_maps(X), difference_maps(Y)):
                         assert check_square(
                             top=interval_map(h.poset_map),
                             bottom=h.poset_map,
                             left=mine,
                             right=theirs,
                         )
+
+
+def algebra_laws_hold(X, e, a, b):
+    """The difference form's verdict, read with the library's own maps:
+    s and t total isotone maps with e;s = e;t = 1, b;s = a;I(s);t and
+    b;t = a;I(t);s, for e, a and b the zero embedding, alpha and beta of
+    X's base.  A map that cannot be built, an undefined difference or an I
+    of a map that is not isotone, counts as a failed law."""
+    try:
+        s, t = difference_maps(X)
+        return (
+            e.then(s) == e.then(t) == identity(X.base)
+            and b.then(s) == a.then(interval_map(s)).then(t)
+            and b.then(t) == a.then(interval_map(t)).then(s)
+        )
+    except InvalidStructure:
+        return False
+
+
+def diagrams(base):
+    return zero_embedding(base), alpha(base), beta(base)
+
+
+class TestAlgebraLaws:
+    """A pseudo D-poset is an algebra over its base: tables undefined off
+    the order pass check_pdp iff the difference maps meet the unit law and
+    the two squares, as difference_maps' docstring proves."""
+
+    def test_every_catalog_structure_up_to_seven_meets_the_laws(self):
+        checked = 0
+        for entry in build_catalog(7):
+            maps = diagrams(entry.base)
+            for X in entry.structures:
+                assert check_pdp(X).ok
+                assert algebra_laws_hold(X, *maps)
+                checked += 1
+        assert checked == 186
+
+    def test_every_one_cell_mutant_up_to_six_breaks_the_laws(self, catalog6):
+        # each / or \ cell with a <= b set to every other element or None
+        mutants = 0
+        for entry in catalog6:
+            maps = diagrams(entry.base)
+            for X in entry.structures:
+                tables = (X.slash, X.bslash)
+                for k, (a, b) in itertools.product(range(2), X.base.intervals):
+                    for value in [*range(X.n), None]:
+                        if value == tables[k][b][a]:
+                            continue
+                        edited = list(tables)
+                        edited[k] = edit_table(tables[k], {(b, a): value})
+                        broken = PseudoDPoset(X.base, *edited)
+                        ok = check_pdp(broken).ok
+                        assert algebra_laws_hold(broken, *maps) == ok
+                        assert not ok
+                        mutants += 1
+        assert mutants == 7778
 
 
 class TestCachedPairs:

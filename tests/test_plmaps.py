@@ -7,15 +7,16 @@ from hypothesis import strategies as st
 from pealab import (
     InvalidStructure,
     PLMap,
-    doubling_map,
     find_band_violation,
-    identity_map,
     pl_compose,
     pl_in_unit_interval,
     pl_map,
     pl_noncommutativity_witness,
     pl_sum,
 )
+
+IDENTITY = pl_map((), (1,))
+DOUBLING = pl_map((), (2,))
 
 
 @st.composite
@@ -56,8 +57,8 @@ def sample_points(f: PLMap):
 
 class TestBandMembership:
     def test_identity_and_doubling_are_members(self):
-        assert pl_in_unit_interval(identity_map())
-        assert pl_in_unit_interval(doubling_map())
+        assert pl_in_unit_interval(IDENTITY)
+        assert pl_in_unit_interval(DOUBLING)
 
     def test_steep_line_is_not(self):
         assert not pl_in_unit_interval(pl_map((), (3,)))
@@ -91,11 +92,11 @@ class TestBandMembership:
 class TestCompose:
     def test_identity_is_neutral(self):
         f = pl_map((1, 2), (1, 2, 1))
-        assert pl_compose(f, identity_map()) == f
-        assert pl_compose(identity_map(), f) == f
+        assert pl_compose(f, IDENTITY) == f
+        assert pl_compose(IDENTITY, f) == f
 
     def test_doubling_composes_to_quadrupling(self):
-        assert pl_compose(doubling_map(), doubling_map()) == pl_map((), (4,))
+        assert pl_compose(DOUBLING, DOUBLING) == pl_map((), (4,))
 
     def test_breakpoint_merge_evaluates_pointwise(self):
         f = pl_map((1,), (2, 1))
@@ -125,7 +126,7 @@ class TestCompose:
 class TestNormalForm:
     def test_redundant_breakpoints_are_merged(self):
         assert pl_map((1, 2), (2, 2, 1)) == pl_map((2,), (2, 1))
-        assert pl_map((5,), (1, 1)) == identity_map()
+        assert pl_map((5,), (1, 1)) == IDENTITY
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -175,15 +176,15 @@ class TestNormalForm:
 class TestSum:
     def test_identity_is_the_zero_element(self):
         f = pl_map((1,), (2, 1))
-        assert pl_sum(identity_map(), f) == f
-        assert pl_sum(f, identity_map()) == f
+        assert pl_sum(IDENTITY, f) == f
+        assert pl_sum(f, IDENTITY) == f
 
     def test_doubling_plus_doubling_is_undefined(self):
-        assert pl_sum(doubling_map(), doubling_map()) is None
+        assert pl_sum(DOUBLING, DOUBLING) is None
 
     def test_operands_outside_the_band_are_rejected(self):
         with pytest.raises(InvalidStructure, match="operand"):
-            pl_sum(pl_map((), (3,)), identity_map())
+            pl_sum(pl_map((), (3,)), IDENTITY)
 
 
 class TestNoncommutativityWitness:

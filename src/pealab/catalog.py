@@ -101,12 +101,12 @@ def _canonical_rows(rows, down) -> tuple[int, ...]:
                 return
             tied = least == best[k]
         key[k] = least
-        strict_downs = set()
+        strict_downs = []  # a list: most nodes have one pick, none more than m
         for x in picks:
             below = down[x] ^ 1 << x
             if below in strict_downs:
                 continue  # fact 3
-            strict_downs.add(below)
+            strict_downs.append(below)
             for y in BITS[below]:
                 above[y] |= bit
             extend(k + 1, free ^ 1 << x, tied)

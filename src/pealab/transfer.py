@@ -146,7 +146,8 @@ def verify_coequalizer_psdpos(
     :func:`preserves_differences`: one pass over the cached pairs of Q'
     that stops at the first violation.  No morphism is built per candidate
     and no hom set out of Q' is enumerated.  ``homs`` shares the hom sets
-    out of B between calls.
+    out of B between calls.  The report reads only B, ``qprime`` and the
+    set of glued pairs (f(a), g(a)) with f(a) != g(a).
     """
     B = f.target
     Qprime, qmap = qprime.target, qprime.map
@@ -162,7 +163,6 @@ def verify_coequalizer_psdpos(
     n_targets = pairs_checked = homs_scanned = mediators_found = 0
     for idx, C in enumerate(targets):
         n_targets += 1
-        tag = f"#{idx}({','.join(C.labels)})"
         out_of_b = homs[B, C]
         homs_scanned += len(out_of_b)
         for h in out_of_b:
@@ -177,7 +177,8 @@ def verify_coequalizer_psdpos(
             violations.append(
                 Violation(
                     "coequalizer",
-                    (("target", tag), ("h", str(hm))),
+                    (("target", f"#{idx}({','.join(C.labels)})"),
+                     ("h", str(hm))),
                     "0 difference-preserving factorizations",
                 )
             )

@@ -5,7 +5,10 @@ from pathlib import Path
 import pytest
 
 from helpers import c2, c3, c3_pea, c4, c4_pea, count_builds, d4_hsum, diamond
-from pealab import Poset, catalog, cli, io, pea_to_pdp
+from pealab import (
+    HomSets, PDPMorphism, Poset, catalog, cli, io, pea_to_pdp,
+    verify_coequalizer_psdpos,
+)
 from pealab.cli import main
 from pealab.io import dumps, save_structure, structure_to_obj
 from pealab.plmaps import pl_map
@@ -701,9 +704,12 @@ class TestTransferVerbs:
         # every fork's report is recorded, passing ones included
         assert len(payload["reports"]) == 120
         assert all(r["ok"] and len(r["notes"]) == 2 for r in payload["reports"])
-        # one lookup per fork and target, for the maps out of B, plus one
-        # endomorphism set per source; 157 distinct (source, target) pairs
-        assert payload["hom_sets"] == {"lookups": 1694, "enumerated": 157}
+        # forks drawn from a pool of 108 repeat: 73 distinct (B, q', glued
+        # pairs) are verified, each with one lookup per target for the maps
+        # out of B; plus one endomorphism set per source, 14 + 14 * 73
+        # lookups of 157 distinct (source, target) pairs
+        assert payload["verified_instances"] == 73
+        assert payload["hom_sets"] == {"lookups": 1036, "enumerated": 157}
         # a second run in the same process enumerates as much again:
         # no hom set survives from one invocation to the next
         code, _ = run(capsys, "verify-coeq", "--generate", "120",
@@ -712,6 +718,68 @@ class TestTransferVerbs:
         assert code == 0
         again = json.loads((tmp_path / "report.json").read_text())
         assert again["hom_sets"] == payload["hom_sets"]
+        assert again["verified_instances"] == 73
+
+    @pytest.mark.parametrize("seed", [2024, 7])
+    def test_verify_coeq_shares_reports_only_where_they_are_equal(
+        self, capsys, monkeypatch, tmp_path, pdps5, seed
+    ):
+        # a fork whose instance was verified before gets that report; each
+        # equals the report of its own fresh verification
+        triples, quotients = [], []
+        generate, transfer = cli.generate_split_forks, cli.transfer_structure
+
+        def generating(*args):
+            triples.extend(generate(*args))
+            return triples
+
+        def transferring(*args):
+            quotients.append(transfer(*args))
+            return quotients[-1]
+
+        monkeypatch.setattr(cli, "generate_split_forks", generating)
+        monkeypatch.setattr(cli, "transfer_structure", transferring)
+        json_path = tmp_path / "report.json"
+        code, _ = run(capsys, "verify-coeq", "--generate", "120", "--seed",
+                      str(seed), "--max-target-n", "5", "--json", str(json_path))
+        assert code == 0
+        payload = json.loads(json_path.read_text())
+        assert payload["verified_instances"] < len(triples) == 120
+        assert payload["reports"] == [
+            verify_coequalizer_psdpos(f, g, q, pdps5, HomSets()).to_obj()
+            for (f, g, _), q in zip(triples, quotients)
+        ]
+
+    def test_verify_coeq_keys_each_report_by_glued_pairs_and_quotient(
+        self, capsys, monkeypatch, tmp_path, pdps4
+    ):
+        # forks 0 and 1 share q' but not the glued pairs; forks 2 and 3
+        # share B, Q' and the glued pairs but not q's table.  Each pair's
+        # reports differ, so a key without the glued pairs or without q's
+        # table would hand the second fork of a pair the first one's report
+        X = pea_to_pdp(d4_hsum())
+        [three] = [C for C in pdps4 if C.n == 3]
+        ident = PDPMorphism(X, X, (0, 1, 2, 3))
+        collapse = PDPMorphism(X, X, (0, 1, 1, 3))
+        triples = [
+            (ident, ident, ident),
+            (ident, collapse, ident),
+            (ident, ident, PDPMorphism(X, three, (0, 1, 1, 2))),
+            (ident, ident, PDPMorphism(X, three, (0, 0, 1, 2))),
+        ]
+        # each triple's fork is its quotient q'
+        monkeypatch.setattr(cli, "generate_split_forks", lambda *a: triples)
+        monkeypatch.setattr(cli, "transfer_structure", lambda f, g, q: q)
+        monkeypatch.setattr(cli, "i_preserves_fork", lambda q: True)
+        json_path = tmp_path / "report.json"
+        run(capsys, "verify-coeq", "--generate", "4", "--max-target-n", "4",
+            "--json", str(json_path))
+        payload = json.loads(json_path.read_text())
+        fresh = [verify_coequalizer_psdpos(f, g, q, pdps4, HomSets()).to_obj()
+                 for f, g, q in triples]
+        assert fresh[0] != fresh[1] and fresh[2] != fresh[3]
+        assert payload["verified_instances"] == 4
+        assert payload["reports"] == fresh
 
     def test_verify_coeq_records_each_fork_once(self, capsys, tmp_path,
                                                 monkeypatch):

@@ -1,10 +1,10 @@
 """Command-line surface.
 
 Exit codes: 0 on pass/success, 1 on a verified violation (with a report),
-2 on malformed input or an exceeded size bound.  Text reports end with a
-single line ``RESULT: PASS|FAIL <verb>``; ``--json PATH`` additionally
-writes a machine-readable summary on every exit, with
-``"error": {"kind", "message"}`` when an error ended the verb.
+2 on malformed input, a command line included, or an exceeded size bound.
+Text reports end with a single line ``RESULT: PASS|FAIL <verb>``;
+``--json PATH`` additionally writes a machine-readable summary on every
+exit, with ``"error": {"kind", "message"}`` when an error ended the verb.
 """
 
 from __future__ import annotations
@@ -23,7 +23,13 @@ from .catalog import (
     noncommutative_record,
     search_counts,
 )
-from .errors import FormatError, InvalidStructure, LimitExceeded, TransferError
+from .errors import (
+    FormatError,
+    InvalidStructure,
+    LimitExceeded,
+    TransferError,
+    UsageError,
+)
 from .functors import interval_poset, triple_poset
 from .pdp import (
     PDPMorphism,
@@ -288,7 +294,7 @@ def _cmd_equalize(args) -> int:
     E, inclusion = equalizer_pdp(f, g)
     out.say(f"equalizer carrier: {{{', '.join(E.labels)}}}")
     out.result(args.output, io.structure_to_obj(E))
-    out.payload["inclusion"] = inclusion.poset_map.label_map()
+    out.payload["inclusion"] = inclusion.label_map()
     return out.finish(True)
 
 
@@ -339,13 +345,13 @@ def _cmd_verify_coeq(args) -> int:
         out.say(f"generated {len(triples)} split forks with seed {args.seed}")
     failures = 0
     out.payload["reports"] = []
-    verified = {}  # the report reads only B, q' and the set of glued pairs
+    verified = {}  # one report per (q', glued pairs); the targets are fixed
     for k, (f, g, fork) in enumerate(triples):
         qprime = transfer_structure(f, g, fork)
         glued = frozenset((x, y) for x, y in zip(f.map, g.map) if x != y)
-        key = (f.target, qprime, glued)
+        key = (qprime, glued)
         if key not in verified:
-            verified[key] = verify_coequalizer_psdpos(f, g, qprime, targets, homs)
+            verified[key] = verify_coequalizer_psdpos(*key, targets, homs)
         report = verified[key]
         preserved = i_preserves_fork(fork)
         if not report.ok or not preserved:
@@ -457,6 +463,15 @@ def _cmd_witness_noncomm(args) -> int:
     return out.finish(True)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that raises its usage errors, so that main ends them as
+    any other exit 2; its prog's last word is the verb, or pealab."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(message, self.prog.split()[-1])
+
+
 # The parser build_parser made, filled once and never rebound.  Not
 # functools.cache: perfbench's self-test takes any module attribute with a
 # __wrapped__ for a tracing wrapper left behind.
@@ -469,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     carries over between calls."""
     if _PARSER:
         return _PARSER[0]
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pealab",
         description="Finite-model workbench for pseudo effect algebras "
         "and pseudo D-posets",
@@ -555,17 +570,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except UsageError as exc:
+        return _fail(exc.verb, _json_path(argv), exc, 2)
     try:
         return args.func(args)
     except (FormatError, LimitExceeded) as exc:
-        return _fail(args, exc, 2)
+        return _fail(args.verb, args.json, exc, 2)
     except (InvalidStructure, TransferError) as exc:
-        return _fail(args, exc, 1)
+        return _fail(args.verb, args.json, exc, 1)
 
 
-def _fail(args, exc: Exception, code: int) -> int:
-    out = _Output(args.verb, args.json)
+def _json_path(argv):
+    """The PATH of the last ``--json PATH`` or ``--json=PATH`` in argv."""
+    path = None
+    for k, arg in enumerate(argv):
+        if arg == "--json" and k + 1 < len(argv):
+            path = argv[k + 1]
+        elif arg.startswith("--json="):
+            path = arg[len("--json="):]
+    return path
+
+
+def _fail(verb: str, json_path, exc: Exception, code: int) -> int:
+    out = _Output(verb, json_path)
     out.say(f"error: {exc}")
     out.payload["error"] = {"kind": type(exc).__name__, "message": str(exc)}
     try:

@@ -13,6 +13,15 @@ class FormatError(PealabError, ValueError):
     """An input file or object does not match the expected schema."""
 
 
+class UsageError(FormatError):
+    """A command line the CLI cannot parse; ``verb`` is the verb it names,
+    or ``pealab`` when it names none."""
+
+    def __init__(self, message: str, verb: str):
+        super().__init__(message)
+        self.verb = verb
+
+
 class LimitExceeded(PealabError, RuntimeError):
     """A requested size is beyond what the catalog can label."""
 

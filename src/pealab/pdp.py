@@ -26,7 +26,7 @@ from .functors import interval_poset
 from .posets import (
     BoundedPoset,
     PosetMorphism,
-    check_map_shape,
+    _Map,
     enumerate_morphisms,
     induced_subposet,
     morphism_violations,
@@ -194,34 +194,14 @@ def difference_maps(X: PseudoDPoset) -> tuple[PosetMorphism, PosetMorphism]:
     return tuple(maps)
 
 
-@dataclass(frozen=True)
-class PDPMorphism:
-    """Map table between pseudo D-posets, expected to preserve both
-    differences.  The constructor checks the table's shape as
-    :class:`~pealab.posets.PosetMorphism` does."""
-
-    source: PseudoDPoset
-    target: PseudoDPoset
-    map: tuple[int, ...]
-
-    def __post_init__(self):
-        check_map_shape(self.source.base, self.target.base, self.map)
+class PDPMorphism(_Map):
+    """Map between pseudo D-posets; the preservation of both differences
+    is diagnosed by :func:`check_pdp_morphism`."""
 
     @cached_property
     def poset_map(self) -> PosetMorphism:
         """U(h), the bounded-poset map between the bases, built on first read."""
         return PosetMorphism(self.source.base, self.target.base, self.map)
-
-    def __call__(self, i: int) -> int:
-        return self.map[i]
-
-    def then(self, other: "PDPMorphism") -> "PDPMorphism":
-        """Composition in diagram order: ``f.then(g)`` is ``g o f``."""
-        if self.target != other.source:
-            raise InvalidStructure("composition boundary mismatch")
-        return PDPMorphism(
-            self.source, other.target, tuple(other.map[v] for v in self.map)
-        )
 
 
 def pdp_morphism_violations(X: PseudoDPoset, Y: PseudoDPoset, m):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidStructure
 from .pdp import PseudoDPoset, _check_table
-from .posets import BoundedPoset, check_order, iter_bits
+from .posets import BoundedPoset, check_map_shape, check_order, iter_bits
 from .reports import Report, Violation
 
 PlusTable = tuple[tuple[int | None, ...], ...]
@@ -249,9 +249,8 @@ def is_commutative(A: PseudoEffectAlgebra) -> bool:
 
 def check_pea_morphism(f, A: PseudoEffectAlgebra, B: PseudoEffectAlgebra) -> Report:
     """Report violations of f(0)=0, f(1)=1 and sum preservation by the map
-    table f from A to B."""
-    if len(f) != A.n or any(not 0 <= v < B.n for v in f):
-        raise InvalidStructure("morphism table does not match the carriers")
+    table f from A to B, whose shape :func:`check_map_shape` checks."""
+    check_map_shape(A, B, f)
     violations = []
     if f[A.zero] != B.zero:
         violations.append(

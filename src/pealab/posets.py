@@ -286,9 +286,9 @@ def validate_bounded_poset(elements, cover_pairs) -> BoundedPoset:
     return BoundedPoset(labels, tuple(rows), bottoms[0], tops[0])
 
 
-def check_map_shape(source: Poset, target: Poset, table) -> None:
+def check_map_shape(source, target, table) -> None:
     """Raise InvalidStructure unless ``table`` sends each element of source
-    to an element of target."""
+    to an element of target; reads only each end's ``n``."""
     if len(table) != source.n:
         raise InvalidStructure("morphism table does not cover the source")
     if table and (min(table) < 0 or max(table) >= target.n):
@@ -296,15 +296,15 @@ def check_map_shape(source: Poset, target: Poset, table) -> None:
 
 
 @dataclass(frozen=True)
-class PosetMorphism:
-    """Map between posets, stored as a target-index table.
+class _Map:
+    """Map table between two structures, the arrows of both categories.
 
-    The constructor checks only shape; isotonicity and bound preservation
-    are diagnosed by :func:`check_morphism`.
+    The constructor checks only shape, by :func:`check_map_shape`, which
+    reads each end's ``n``.  Equality and hashing are by class and field.
     """
 
-    source: Poset
-    target: Poset
+    source: object
+    target: object
     map: tuple[int, ...]
 
     def __post_init__(self):
@@ -313,11 +313,12 @@ class PosetMorphism:
     def __call__(self, i: int) -> int:
         return self.map[i]
 
-    def then(self, other: "PosetMorphism") -> "PosetMorphism":
-        """Composition in diagram order: ``f.then(g)`` is ``g o f``."""
+    def then(self, other):
+        """Composition in diagram order: ``f.then(g)`` is ``g o f``, of the
+        caller's own kind."""
         if self.target != other.source:
             raise InvalidStructure("composition boundary mismatch")
-        return PosetMorphism(
+        return type(self)(
             self.source, other.target, tuple(other.map[v] for v in self.map)
         )
 
@@ -326,6 +327,11 @@ class PosetMorphism:
             self.source.labels[i]: self.target.labels[v]
             for i, v in enumerate(self.map)
         }
+
+
+class PosetMorphism(_Map):
+    """Map between posets; isotonicity and bound preservation are diagnosed
+    by :func:`check_morphism`."""
 
     def inverse(self) -> "PosetMorphism":
         """The inverse table of a bijection, from the target back."""

@@ -128,29 +128,25 @@ class HomSets(dict):
 
 
 def verify_coequalizer_psdpos(
-    f: PDPMorphism,
-    g: PDPMorphism,
-    qprime: PDPMorphism,
-    targets,
-    homs: HomSets,
+    qprime: PDPMorphism, glued, targets, homs: HomSets
 ) -> Report:
     """Check the universal property against a catalog of targets.
 
     For every target C and every difference-preserving h: B -> C that
     coequalizes the pair, exactly one difference-preserving e with
-    e o q = h must exist, where q: B -> Q' is ``qprime``.  The quotient
-    must be onto Q' (a split fork's is, as q o s = 1), else
+    e o q = h must exist, where q: B -> Q' is ``qprime``.  ``glued`` holds
+    the pairs (f(a), g(a)) of the parallel pair f, g: A -> B with
+    f(a) != g(a), so h coequalizes the pair iff h(x) = h(y) on each.  The
+    quotient must be onto Q' (a split fork's is, as q o s = 1), else
     InvalidStructure is raised.  So e is fixed by h: e(q(b)) = h(b), read
     off one preimage of each element of Q'.  At most one e exists, and it
     is a mediator iff e o q = h and its raw table passes
     :func:`preserves_differences`: one pass over the cached pairs of Q'
     that stops at the first violation.  No morphism is built per candidate
     and no hom set out of Q' is enumerated.  ``homs`` shares the hom sets
-    out of B between calls.  The report reads only B, ``qprime`` and the
-    set of glued pairs (f(a), g(a)) with f(a) != g(a).
+    out of B between calls.
     """
-    B = f.target
-    Qprime, qmap = qprime.target, qprime.map
+    B, Qprime, qmap = qprime.source, qprime.target, qprime.map
     missed = set(range(Qprime.n)).difference(qmap)
     if missed:
         raise InvalidStructure(
@@ -158,7 +154,6 @@ def verify_coequalizer_psdpos(
             + Qprime.labels[min(missed)]
         )
     preimage = [qmap.index(v) for v in range(Qprime.n)]
-    glued = [(x, y) for x, y in zip(f.map, g.map) if x != y]
     violations = []
     n_targets = pairs_checked = homs_scanned = mediators_found = 0
     for idx, C in enumerate(targets):

@@ -482,6 +482,12 @@ def pdp_morphism_report_by_definition(h) -> Report:
     return Report("check_pdp_morphism", tuple(violations))
 
 
+def glued(f, g) -> frozenset:
+    """The pairs (f(a), g(a)) with f(a) != g(a): what
+    verify_coequalizer_psdpos reads of the parallel pair f, g."""
+    return frozenset((x, y) for x, y in zip(f.map, g.map) if x != y)
+
+
 def coequalizer_report_by_hom_sets(f, g, qprime, targets, homs) -> Report:
     """verify_coequalizer_psdpos by scanning Hom(Q', C): the mediators of a
     coequalizing h are the e in it with e o q = h.  ``homs`` is a plain

@@ -10,7 +10,7 @@ import itertools
 import time
 from fractions import Fraction
 
-from helpers import c2, c3, diamond
+from helpers import c2, c3, diamond, glued
 from pealab import (
     HomSets,
     PDPMorphism,
@@ -122,7 +122,8 @@ def test_criterion_4_transfer_suite(pdps5, pdps4):
         assert check_pdp(qprime.target).ok
         assert check_pdp_morphism(qprime).ok
         assert i_preserves_fork(fork)
-        assert verify_coequalizer_psdpos(f, g, qprime, pdps4, HomSets()).ok
+        assert verify_coequalizer_psdpos(
+            qprime, glued(f, g), pdps4, HomSets()).ok
     _passed(4, f"transfer suite over {len(forks)} split forks", started)
 
 

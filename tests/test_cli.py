@@ -4,14 +4,18 @@ from pathlib import Path
 
 import pytest
 
-from helpers import c2, c3, c3_pea, c4, c4_pea, count_builds, d4_hsum, diamond
+from helpers import (
+    c2, c3, c3_pea, c4, c4_pea, count_builds, d4_hsum, d4_ortho, diamond,
+    glued,
+)
 from pealab import (
-    HomSets, PDPMorphism, Poset, catalog, cli, io, pea_to_pdp,
+    HomSets, PDPMorphism, Poset, catalog, cli, io, pdp_to_pea, pea_to_pdp,
     verify_coequalizer_psdpos,
 )
 from pealab.cli import main
 from pealab.io import dumps, save_structure, structure_to_obj
 from pealab.plmaps import pl_map
+from pealab.reports import Report, Violation
 from pealab.io import plmap_to_obj
 
 
@@ -185,6 +189,48 @@ class TestCheck:
         payload = json.loads(json_path.read_text())
         assert payload["ok"] is False and payload["exit"] == 2
         assert payload["error"]["kind"] == "FormatError"
+
+
+    @pytest.mark.parametrize("flag, sample, kind", [
+        ("--pea", "d4_hsum_pdp.json", "an addition table"),
+        ("--pdp", "d4_hsum.json", "difference tables"),
+    ])
+    def test_structure_without_the_checked_tables_exits_two(
+        self, capsys, flag, sample, kind
+    ):
+        path = str(SAMPLES / sample)
+        assert run(capsys, "check", flag, path) == (
+            2, f"error: {path} does not carry {kind}\nRESULT: FAIL check\n")
+
+    @pytest.mark.parametrize("table, code, report", [
+        ({"0": "0", "x": "x", "y": "y", "1": "1"}, 0, "RESULT: PASS check\n"),
+        ({"0": "0", "x": "y", "y": "x", "1": "1"}, 1,
+         "isotone violated at x=x, y=y: images y and x are not related\n"
+         "RESULT: FAIL check\n"),
+    ], ids=["identity", "swap"])
+    def test_morphism_check_reports_each_violation(
+        self, capsys, tmp_path, table, code, report
+    ):
+        save_structure(c4_pea(), tmp_path / "chain.json")
+        m = write_json(tmp_path, "m.json", {
+            "source": "chain.json", "target": "chain.json", "map": table})
+        assert run(capsys, "check", "--morphism", m) == (code, report)
+
+    @pytest.mark.parametrize("table, line", [
+        ({"0": "a", "a": "a", "1": "1"}, "zero violated at element=0: "
+                                         "zero not preserved"),
+        ({"0": "0", "a": "a", "1": "a"}, "one violated at element=1: "
+                                         "one not preserved"),
+    ], ids=["zero", "one"])
+    def test_pea_morphism_that_moves_a_bound_names_the_rule(
+        self, capsys, tmp_path, table, line
+    ):
+        c3_path = str(SAMPLES / "c3.json")
+        m = write_json(tmp_path, "m.json",
+                       {"source": c3_path, "target": c3_path, "map": table})
+        code, out = run(capsys, "check", "--pea-morphism", m)
+        assert code == 1 and line in out.splitlines()
+        assert out.endswith("RESULT: FAIL check\n")
 
 
 @pytest.mark.parametrize(
@@ -448,6 +494,42 @@ class TestEnumerate:
             "rechecked": 48, "recheck_failed": 0,
         }
 
+    def test_a_table_the_recheck_rejects_is_dropped_and_counted(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # by its lemma the re-check passes every table the search builds,
+        # so a stand-in rejects the first table it sees on four elements
+        check_pea, rejected = catalog.check_pea, []
+
+        def rejecting(A):
+            if A.n == 4 and not rejected:
+                rejected.append(A.plus)
+                return Report("check_pea", (Violation("PE1", (), "rejected"),))
+            return check_pea(A)
+
+        def tables(search=None):
+            found = catalog.enumerate_pea_structures(diamond(), search)
+            return [pdp_to_pea(X).plus for X in found]
+
+        json_path = tmp_path / "report.json"
+        argv = ["enumerate", "--n", "4", "--structures", "--json", str(json_path)]
+        kept = tables()
+        assert run(capsys, *argv)[0] == 0
+        before = json.loads(json_path.read_text())
+        monkeypatch.setattr(catalog, "check_pea", rejecting)
+        search = catalog.search_counts()
+        assert tables(search) == [t for t in kept if t not in rejected]
+        assert len(rejected) == 1 and rejected[0] in kept
+        assert search["recheck_failed"] == 1
+        assert search["rechecked"] == len(kept)
+        rejected.clear()
+        assert run(capsys, *argv)[0] == 0
+        after = json.loads(json_path.read_text())
+        assert after["search"] == dict(before["search"], recheck_failed=1)
+        counted = [sum(r["structures"]) for r in (before, after)
+                   for r in r["summary"] if r["n"] == 4]
+        assert counted[1] == counted[0] - 1
+
     def test_nonpositive_n_exits_two(self, capsys):
         code, out = run(capsys, "enumerate", "--n", "0")
         assert code == 2
@@ -629,25 +711,32 @@ def test_fork_ends_are_read_and_checked_once(
     }
 
 
+COLLAPSE = {"0": "0", "a": "a", "b": "a", "1": "1"}
+SQUASH = {"0": "0", "a": "0", "b": "0", "1": "1"}
+TWO = {"elements": ["0", "1"], "covers": [["0", "1"]]}
+
+
 class TestTransferVerbs:
-    def _fork_bundle(self, tmp_path):
+    def _fork_bundle(self, tmp_path, edits=()):
+        """The collapse fork on the horizontal-sum diamond, each arrow named
+        in edits updated with its fields there."""
         X = pea_to_pdp(d4_hsum())
         obj = structure_to_obj(X)
-        plain = structure_to_obj(X.base)
         quotient = {
             "elements": ["0", "a", "1"],
             "covers": [["0", "a"], ["a", "1"]],
         }
         ident = {lab: lab for lab in X.labels}
-        collapse = {"0": "0", "a": "a", "b": "a", "1": "1"}
         fork = {
             "f": {"source": obj, "target": obj, "map": ident},
-            "g": {"source": obj, "target": obj, "map": collapse},
-            "q": {"source": obj, "target": quotient, "map": collapse},
+            "g": {"source": obj, "target": obj, "map": COLLAPSE},
+            "q": {"source": obj, "target": quotient, "map": COLLAPSE},
             "s": {"source": quotient, "target": obj,
                   "map": {"0": "0", "a": "a", "1": "1"}},
             "t": {"source": obj, "target": obj, "map": ident},
         }
+        for name in edits:
+            fork[name].update(edits[name])
         return write_json(tmp_path, "fork.json", fork)
 
     def test_check_fork(self, capsys, tmp_path):
@@ -674,6 +763,27 @@ class TestTransferVerbs:
                       "transferred structure passes the axioms",
                       "quotient map preserves both differences"],
         }]
+
+    @pytest.mark.parametrize("verb", ["transfer", "verify-coeq"])
+    @pytest.mark.parametrize("edits, message", [
+        # g starts at another structure on the same diamond, so the fork's
+        # posets fit and only the pseudo D-posets differ
+        ({"g": {"source": structure_to_obj(pea_to_pdp(d4_ortho()))}},
+         "the parallel pair does not share its boundaries"),
+        # g sends a and b to 0, but a = 1/a maps to 0, not to 1/0 = 1
+        ({"g": {"map": SQUASH}, "q": {"target": TWO, "map": SQUASH},
+          "s": {"source": TWO, "map": {"0": "0", "1": "1"}}},
+         "fork invalid: the parallel pair must preserve the differences"),
+        # f o t is the collapse, not the identity
+        ({"t": {"map": COLLAPSE}},
+         "fork invalid: the split-fork equations fail"),
+    ], ids=["unshared-ends", "not-difference-preserving", "not-split"])
+    def test_invalid_fork_exits_one_naming_the_fault(
+        self, capsys, tmp_path, edits, message, verb
+    ):
+        path = self._fork_bundle(tmp_path, edits)
+        assert run(capsys, verb, "--fork", path) == (
+            1, f"error: {message}\nRESULT: FAIL {verb}\n")
 
     def test_verify_coeq_on_the_bundle(self, capsys, tmp_path):
         path = self._fork_bundle(tmp_path)
@@ -746,7 +856,7 @@ class TestTransferVerbs:
         payload = json.loads(json_path.read_text())
         assert payload["verified_instances"] < len(triples) == 120
         assert payload["reports"] == [
-            verify_coequalizer_psdpos(f, g, q, pdps5, HomSets()).to_obj()
+            verify_coequalizer_psdpos(q, glued(f, g), pdps5, HomSets()).to_obj()
             for (f, g, _), q in zip(triples, quotients)
         ]
 
@@ -775,7 +885,8 @@ class TestTransferVerbs:
         run(capsys, "verify-coeq", "--generate", "4", "--max-target-n", "4",
             "--json", str(json_path))
         payload = json.loads(json_path.read_text())
-        fresh = [verify_coequalizer_psdpos(f, g, q, pdps4, HomSets()).to_obj()
+        fresh = [verify_coequalizer_psdpos(
+            q, glued(f, g), pdps4, HomSets()).to_obj()
                  for f, g, q in triples]
         assert fresh[0] != fresh[1] and fresh[2] != fresh[3]
         assert payload["verified_instances"] == 4
@@ -1109,7 +1220,7 @@ class TestOneParserPerProcess:
     def test_each_call_reads_as_if_it_ran_first(self, capsys, monkeypatch, tmp_path):
         calls = [
             ["enumerate", "--n", "4", "--json", str(tmp_path / "A.json")],
-            ["enumerate", "--n", "four"],  # argparse exits 2
+            ["enumerate", "--n", "four"],  # a usage error, exit 2
             ["enumerate", "--n", "0", "--json", str(tmp_path / "zero.json")],
             ["verify-coeq", "--fork", COLLAPSE_FORK],
             ["verify-coeq", "--generate", "3"],
@@ -1117,10 +1228,7 @@ class TestOneParserPerProcess:
         ]
 
         def call(argv):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
+            code = main(argv)
             captured = capsys.readouterr()
             record = Path(argv[-1]).read_text() if "--json" in argv else None
             return code, captured.out, captured.err, record
@@ -1140,3 +1248,38 @@ class TestOneParserPerProcess:
         assert fresh is not parser
         for argv in calls[:1] + calls[2:]:
             assert vars(parser.parse_args(argv)) == vars(fresh.parse_args(argv))
+
+
+REQUIRED_KIND = ("one of the arguments --pea --pdp --bposet --morphism "
+                 "--pdp-morphism --pea-morphism --plmap --fork is required")
+
+
+@pytest.mark.parametrize("argv, verb, message", [
+    (["enumerate", "--n", "abc"], "enumerate",
+     "argument --n: invalid int value: 'abc'"),
+    (["verify-coeq", "--fork", "F", "--generate", "3"], "verify-coeq",
+     "argument --generate: not allowed with argument --fork"),
+    (["check"], "check", REQUIRED_KIND),
+], ids=["bad-int", "exclusive", "missing-kind"])
+@pytest.mark.parametrize("json_flag", [("--json", "{}"), ("--json={}",)],
+                         ids=["json-path", "json-equals"])
+def test_usage_error_exits_two_with_a_record(
+    capsys, tmp_path, argv, verb, message, json_flag
+):
+    json_path = tmp_path / "out.json"
+    flag = [a.format(json_path) for a in json_flag]
+    code = main(argv + flag)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, f"error: {message}\nRESULT: FAIL {verb}\n")
+    assert captured.err.startswith("usage: pealab")
+    assert json.loads(json_path.read_text()) == {
+        "verb": verb, "ok": False, "exit": 2,
+        "error": {"kind": "UsageError", "message": message},
+    }
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: pealab enumerate")

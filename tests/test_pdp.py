@@ -30,6 +30,7 @@ from pealab import (
     check_morphism,
     check_pdp,
     check_pdp_morphism,
+    check_pea_morphism,
     check_square,
     difference_maps,
     enumerate_pdp_morphisms,
@@ -37,6 +38,7 @@ from pealab import (
     identity,
     interval_map,
     is_dposet,
+    pdp_to_pea,
     pea_to_pdp,
     product_pdp,
     subalgebra_generated,
@@ -380,11 +382,16 @@ class TestPdpMorphism:
         ((-1, 1, 3), "morphism table references unknown targets"),
     ])
     def test_a_misshapen_table_is_refused_as_for_a_poset_map(self, table, message):
+        # check_pea_morphism shares the one shape check of both map kinds
         X, Y = c3_pdp(), d4_ortho_pdp()
-        for build in (PDPMorphism, PosetMorphism):
-            ends = (X, Y) if build is PDPMorphism else (X.base, Y.base)
+        A, B = pdp_to_pea(X), pdp_to_pea(Y)
+        for build in (
+            lambda: PDPMorphism(X, Y, table),
+            lambda: PosetMorphism(X.base, Y.base, table),
+            lambda: check_pea_morphism(table, A, B),
+        ):
             with pytest.raises(InvalidStructure) as caught:
-                build(*ends, table)
+                build()
             assert str(caught.value) == message
 
     def test_then_composes_the_tables(self):

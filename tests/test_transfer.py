@@ -8,6 +8,7 @@ from helpers import (
     coequalizer_report_by_hom_sets,
     d4_hsum,
     edit_table,
+    glued,
     i_preserves_fork_by_coequalizer,
     pdp_morphism_report_by_definition,
     pooled_split_forks,
@@ -222,14 +223,16 @@ class TestVerifyCoequalizer:
         X = hsum_pdp()
         f, g, fork = identity_fork(X)
         qprime = transfer_structure(f, g, fork)
-        assert verify_coequalizer_psdpos(f, g, qprime, pdps4, HomSets()).ok
+        assert verify_coequalizer_psdpos(
+            qprime, glued(f, g), pdps4, HomSets()).ok
 
     def test_collapse_fork_passes(self, pdps4):
         X = hsum_pdp()
         f, g, fork = split_fork_from_idempotent(
             X, collapse_idempotent(X), identity_pdp(X))
         qprime = transfer_structure(f, g, fork)
-        report = verify_coequalizer_psdpos(f, g, qprime, pdps4, HomSets())
+        report = verify_coequalizer_psdpos(
+            qprime, glued(f, g), pdps4, HomSets())
         assert report.ok
 
     def test_adversarial_quotient_fails(self, pdps4):
@@ -240,7 +243,7 @@ class TestVerifyCoequalizer:
             X, collapse_idempotent(X), identity_pdp(X))
         two = [C for C in pdps4 if C.n == 2][0]
         fake = PDPMorphism(X, two, (0, 1, 1, 1))
-        report = verify_coequalizer_psdpos(f, g, fake, pdps4, HomSets())
+        report = verify_coequalizer_psdpos(fake, glued(f, g), pdps4, HomSets())
         assert not report.ok
         assert report == coequalizer_report_by_hom_sets(f, g, fake, pdps4, {})
 
@@ -251,7 +254,7 @@ class TestVerifyCoequalizer:
             qprime = transfer_structure(f, g, fork)
             assert qprime.poset_map == fork.q
             assert verify_coequalizer_psdpos(
-                f, g, qprime, pdps5, homs
+                qprime, glued(f, g), pdps5, homs
             ) == coequalizer_report_by_hom_sets(f, g, qprime, pdps5, scanned)
 
     @pytest.mark.parametrize("seed", [2024, 7])
@@ -285,7 +288,7 @@ class TestVerifyCoequalizer:
             Q.base, edit_table(Q.slash, {(top, bottom): bottom}), Q.bslash
         )
         fake = PDPMorphism(X, broken, fork.q.map)
-        report = verify_coequalizer_psdpos(f, g, fake, pdps4, HomSets())
+        report = verify_coequalizer_psdpos(fake, glued(f, g), pdps4, HomSets())
         assert not report.ok
         assert {v.detail for v in report.violations} == {
             "0 difference-preserving factorizations"
@@ -300,7 +303,7 @@ class TestVerifyCoequalizer:
         f, g, fork = identity_fork(X)
         two = [C for C in pdps4 if C.n == 2][0]
         fake = PDPMorphism(X, two, (0, 0, 0, 1))
-        report = verify_coequalizer_psdpos(f, g, fake, pdps4, HomSets())
+        report = verify_coequalizer_psdpos(fake, glued(f, g), pdps4, HomSets())
         assert ("h", "(0, 1, 1, 2)") in [v.where[1] for v in report.violations]
         assert report == coequalizer_report_by_hom_sets(f, g, fake, pdps4, {})
 
@@ -309,16 +312,17 @@ class TestVerifyCoequalizer:
         f, g, fork = identity_fork(X)
         fake = collapse_idempotent(X)
         with pytest.raises(InvalidStructure, match="q: B -> Q' is not onto"):
-            verify_coequalizer_psdpos(f, g, fake, pdps4, HomSets())
+            verify_coequalizer_psdpos(fake, glued(f, g), pdps4, HomSets())
 
     def test_targets_may_be_an_iterator(self, pdps4):
         X = hsum_pdp()
         f, g, fork = split_fork_from_idempotent(
             X, collapse_idempotent(X), identity_pdp(X))
         qprime = transfer_structure(f, g, fork)
-        from_list = verify_coequalizer_psdpos(f, g, qprime, pdps4, HomSets())
+        from_list = verify_coequalizer_psdpos(
+            qprime, glued(f, g), pdps4, HomSets())
         from_iter = verify_coequalizer_psdpos(
-            f, g, qprime, iter(pdps4), HomSets())
+            qprime, glued(f, g), iter(pdps4), HomSets())
         assert from_iter == from_list
         assert from_iter.notes[0].endswith(f"over {len(pdps4)} targets")
 
@@ -327,7 +331,8 @@ class TestVerifyCoequalizer:
         f, g, fork = split_fork_from_idempotent(
             X, collapse_idempotent(X), identity_pdp(X))
         qprime = transfer_structure(f, g, fork)
-        report = verify_coequalizer_psdpos(f, g, qprime, pdps4, HomSets())
+        report = verify_coequalizer_psdpos(
+            qprime, glued(f, g), pdps4, HomSets())
         homs = [h for C in pdps4 for h in enumerate_pdp_morphisms(X, C)]
         coequalizing = [h for h in homs if f.then(h) == g.then(h)]
         # a passing report has exactly one mediator per coequalizing map
@@ -344,8 +349,9 @@ class TestVerifyCoequalizer:
         forks = generate_split_forks(pdps5, 120, 2024, HomSets())
         for f, g, fork in forks:
             qprime = transfer_structure(f, g, fork)
-            alone = verify_coequalizer_psdpos(f, g, qprime, pdps5, HomSets())
-            shared = verify_coequalizer_psdpos(f, g, qprime, pdps5, homs)
+            alone = verify_coequalizer_psdpos(
+                qprime, glued(f, g), pdps5, HomSets())
+            shared = verify_coequalizer_psdpos(qprime, glued(f, g), pdps5, homs)
             assert shared == alone
         # one hom set out of B per fork and target; none out of Q'
         assert homs.lookups == len(forks) * len(pdps5)

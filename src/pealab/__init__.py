@@ -32,7 +32,6 @@ from .functors import (
     check_square,
     interval_map,
     interval_poset,
-    triple_elements,
     triple_map,
     triple_poset,
     zero_embedding,

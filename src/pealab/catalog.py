@@ -308,12 +308,10 @@ def enumerate_pea_structures(
             return []
     search["searched"] += 1
     # for each c, the pairs 0 < a < b < c whose PD2 equations can fail
-    inner = [down[c] & ~(1 << c | 1 << base.bottom) for c in range(n)]
-    pairs = [
-        tuple((a, b) for a in iter_bits(inner[c])
-              for b in iter_bits(inner[c] & base.leq[a] & ~(1 << a)))
-        for c in range(n)
-    ]
+    pairs = [[] for _ in range(n)]
+    for a, b, c in base.triples:
+        if base.bottom != a != b != c:
+            pairs[c].append((a, b))
     slash: list[tuple | None] = [None] * n
     bslash: list[tuple | None] = [None] * n
     results: list[tuple[tuple, PseudoDPoset]] = []  # (addition table, X)

@@ -584,13 +584,17 @@ def main(argv=None) -> int:
 
 
 def _json_path(argv):
-    """The PATH of the last ``--json PATH`` or ``--json=PATH`` in argv."""
+    """The PATH of the last ``--json PATH`` or ``--json=PATH`` in argv,
+    with ``--json`` also shortened as argparse accepts it, to ``--j``,
+    ``--js`` or ``--jso``: no other long option starts with ``--j``."""
     path = None
     for k, arg in enumerate(argv):
-        if arg == "--json" and k + 1 < len(argv):
-            path = argv[k + 1]
-        elif arg.startswith("--json="):
-            path = arg[len("--json="):]
+        name, eq, value = arg.partition("=")
+        if name in ("--j", "--js", "--jso", "--json"):
+            if eq:
+                path = value
+            elif k + 1 < len(argv):
+                path = argv[k + 1]
     return path
 
 

@@ -43,49 +43,36 @@ def interval_map(f: PosetMorphism) -> PosetMorphism:
     )
 
 
-def triple_elements(P: Poset) -> list[tuple[int, int, int]]:
-    """All triples (x, y, z) with x <= y <= z, lexicographically ordered."""
-    return [
-        (x, y, z)
-        for x, ups in enumerate(P.up)
-        for y in ups
-        for z in P.up[y]
-    ]
-
-
 def triple_poset(P: Poset) -> Poset:
     """Poset of comparable triples of P.
 
     (x1,y1,z1) <= (x2,y2,z2) iff x2 <= x1, y1 <= y2 and z1 = z2: the inner
     pair widens while the outer endpoint stays fixed.
     """
-    triples = triple_elements(P)
-    index = {t: k for k, t in enumerate(triples)}
+    triples = P.triples
     labels = tuple(
         f"[{P.labels[x]},{P.labels[y]},{P.labels[z]}]" for x, y, z in triples
     )
     rows = []
     for x1, y1, z1 in triples:
         row = 0
-        for x2, y2, z2 in triples:
+        for k, (x2, y2, z2) in enumerate(triples):
             if z1 == z2 and P.le(x2, x1) and P.le(y1, y2):
-                row |= 1 << index[(x2, y2, z2)]
+                row |= 1 << k
         rows.append(row)
     return Poset(labels, tuple(rows))
 
 
 def triple_map(f: PosetMorphism) -> PosetMorphism:
     """Action on triples: (x,y,z) goes to (f(x), f(y), f(z))."""
-    src = triple_elements(f.source)
-    dst_index = {t: k for k, t in enumerate(triple_elements(f.target))}
-    values = []
-    for t in src:
-        image = (f.map[t[0]], f.map[t[1]], f.map[t[2]])
-        if image not in dst_index:
-            raise InvalidStructure(
-                "image of a triple is not comparable; the map is not isotone"
-            )
-        values.append(dst_index[image])
+    fm = f.map
+    index = {t: k for k, t in enumerate(f.target.triples)}
+    try:
+        values = [index[fm[x], fm[y], fm[z]] for x, y, z in f.source.triples]
+    except KeyError:
+        raise InvalidStructure(
+            "image of a triple is not comparable; the map is not isotone"
+        ) from None
     return PosetMorphism(
         triple_poset(f.source), triple_poset(f.target), tuple(values)
     )
@@ -112,7 +99,7 @@ def alpha(P: Poset) -> PosetMorphism:
     pair_index, nest_index = P.intervals, ip.intervals
     values = tuple(
         nest_index[(pair_index[(y, z)], pair_index[(x, z)])]
-        for x, y, z in triple_elements(P)
+        for x, y, z in P.triples
     )
     return PosetMorphism(triple_poset(P), interval_poset(ip), values)
 
@@ -120,7 +107,7 @@ def alpha(P: Poset) -> PosetMorphism:
 def beta(P: Poset) -> PosetMorphism:
     """Triples to their lower interval: (x,y,z) -> [x,y]; isotone by the
     lemma of :func:`alpha`."""
-    values = tuple(P.intervals[x, y] for x, y, z in triple_elements(P))
+    values = tuple(P.intervals[x, y] for x, y, z in P.triples)
     return PosetMorphism(triple_poset(P), interval_poset(P), values)
 
 

@@ -145,21 +145,19 @@ def check_pdp(X: PseudoDPoset) -> Report:
                     Violation("PD1", (("a", lab[a]),), f"a{name}0 differs from a")
                 )
 
-    for a in range(n):
-        for b in base.up[a]:
-            for c in base.up[b]:
-                for (p, T), (q, U) in mirrored:
-                    cb, ca = T[c][b], T[c][a]
-                    if cb is None or ca is None:
-                        continue
-                    if not leq[cb] >> ca & 1:
-                        detail = f"c{p}b <= c{p}a fails"
-                    elif U[ca][cb] != T[b][a]:
-                        detail = f"(c{p}a){q}(c{p}b) differs from b{p}a"
-                    else:
-                        continue
-                    where = (("a", lab[a]), ("b", lab[b]), ("c", lab[c]))
-                    violations.append(Violation("PD2", where, detail))
+    for a, b, c in base.triples:
+        for (p, T), (q, U) in mirrored:
+            cb, ca = T[c][b], T[c][a]
+            if cb is None or ca is None:
+                continue
+            if not leq[cb] >> ca & 1:
+                detail = f"c{p}b <= c{p}a fails"
+            elif U[ca][cb] != T[b][a]:
+                detail = f"(c{p}a){q}(c{p}b) differs from b{p}a"
+            else:
+                continue
+            where = (("a", lab[a]), ("b", lab[b]), ("c", lab[c]))
+            violations.append(Violation("PD2", where, detail))
     return Report("check_pdp", tuple(violations))
 
 

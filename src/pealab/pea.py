@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidStructure
 from .pdp import PseudoDPoset, _check_table
-from .posets import BoundedPoset, check_map_shape, check_order, iter_bits
+from .posets import BoundedPoset, check_map_shape, check_order
 from .reports import Report, Violation
 
 PlusTable = tuple[tuple[int | None, ...], ...]
@@ -219,19 +219,18 @@ def pdp_to_pea(X: PseudoDPoset) -> PseudoEffectAlgebra:
     sums = []
     for name, table, step in (("/", X.slash, 1), ("\\", X.bslash, -1)):
         plus = [[None] * n for _ in range(n)]
-        for c in range(n):
-            for d in iter_bits(base.down[c]):
-                e = table[c][d]
-                if e is None:
-                    raise InvalidStructure(
-                        f"difference {lab[c]}{name}{lab[d]} is undefined"
-                    )
-                a, b = (d, e)[::step]  # c\d = e means e+d = c
-                if plus[a][b] not in (None, c):
-                    raise InvalidStructure(
-                        f"addition at ({lab[a]},{lab[b]}) is ambiguous"
-                    )
-                plus[a][b] = c
+        for d, c in base.intervals:
+            e = table[c][d]
+            if e is None:
+                raise InvalidStructure(
+                    f"difference {lab[c]}{name}{lab[d]} is undefined"
+                )
+            a, b = (d, e)[::step]  # c\d = e means e+d = c
+            if plus[a][b] not in (None, c):
+                raise InvalidStructure(
+                    f"addition at ({lab[a]},{lab[b]}) is ambiguous"
+                )
+            plus[a][b] = c
         sums.append(tuple(map(tuple, plus)))
     if sums[0] != sums[1]:
         raise InvalidStructure(

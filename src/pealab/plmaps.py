@@ -131,9 +131,9 @@ class BandViolation:
 
 
 def find_band_violation(f: PLMap):
-    """First witness against membership, scanning each segment left to
-    right through its left endpoint and midpoint, then the tail, or None
-    when f lies in the band.
+    """First witness against membership, scanning each bounded segment
+    left to right through its midpoint and right endpoint, then the tail,
+    or None when f lies in the band.
 
     Piecewise linearity makes this a complete decision procedure: on a
     bounded segment both inequalities are linear, so they hold iff they
@@ -149,18 +149,11 @@ def find_band_violation(f: PLMap):
 
     previous = Fraction(0)
     for b in f.breakpoints:
-        if previous > 0:
-            hit = probe(previous)
+        for x in ((previous + b) / 2, b):
+            hit = probe(x)
             if hit:
                 return hit
-        hit = probe((previous + b) / 2)
-        if hit:
-            return hit
         previous = b
-    if previous > 0:
-        hit = probe(previous)
-        if hit:
-            return hit
     tail = f.slopes[-1]
     base_value = f(previous)
     if tail < 1:

@@ -10,9 +10,11 @@ axioms where an order enters from outside.  Orders built from checked ones
 are orders by construction and are not checked again.
 
 Each poset caches one index of its comparable pairs a <= b
-(:attr:`Poset.intervals`) and the interval poset's order rows over it
-(:attr:`Poset.interval_rows`).  The interval construction, the difference
-tables and the fork checks all read these two.  It also caches its own
+(:attr:`Poset.intervals`), one of its comparable triples a <= b <= c
+(:attr:`Poset.triples`) and the interval poset's order rows over the pairs
+(:attr:`Poset.interval_rows`).  The interval and triple constructions, the
+difference tables, ``pdp_to_pea``, the fork checks, PD2 in ``check_pdp``
+and the structure search all read these.  It also caches its own
 :func:`check_order` report (:attr:`Poset.order_report`), which
 ``check_pea`` reads for every table whose induced order is the poset's.
 """
@@ -128,6 +130,12 @@ class Poset:
         every caller, which must not change it."""
         pairs = ((a, b) for a, ups in enumerate(self.up) for b in ups)
         return {p: k for k, p in enumerate(pairs)}
+
+    @cached_property
+    def triples(self) -> tuple[tuple[int, int, int], ...]:
+        """Each triple (a, b, c) with a <= b <= c, in row-major order,
+        built once per object and shared by every caller."""
+        return tuple((a, b, c) for a, b in self.intervals for c in self.up[b])
 
     @cached_property
     def interval_rows(self) -> tuple[int, ...]:

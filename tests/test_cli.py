@@ -1,3 +1,4 @@
+import argparse
 import gc
 import json
 from pathlib import Path
@@ -1261,8 +1262,11 @@ REQUIRED_KIND = ("one of the arguments --pea --pdp --bposet --morphism "
      "argument --generate: not allowed with argument --fork"),
     (["check"], "check", REQUIRED_KIND),
 ], ids=["bad-int", "exclusive", "missing-kind"])
-@pytest.mark.parametrize("json_flag", [("--json", "{}"), ("--json={}",)],
-                         ids=["json-path", "json-equals"])
+@pytest.mark.parametrize(
+    "json_flag",
+    [("--json", "{}"), ("--json={}",), ("--jso", "{}"), ("--js={}",)],
+    ids=["json-path", "json-equals", "jso-path", "js-equals"],
+)
 def test_usage_error_exits_two_with_a_record(
     capsys, tmp_path, argv, verb, message, json_flag
 ):
@@ -1276,6 +1280,16 @@ def test_usage_error_exits_two_with_a_record(
         "verb": verb, "ok": False, "exit": 2,
         "error": {"kind": "UsageError", "message": message},
     }
+
+
+def test_json_is_the_only_long_option_starting_with_j():
+    # so that a usage error's record finds every abbreviation of --json
+    parser = cli.build_parser()
+    verbs = next(a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices
+    options = {o for p in (parser, *verbs.values())
+               for a in p._actions for o in a.option_strings}
+    assert {o for o in options if o.startswith("--j")} == {"--json"}
 
 
 def test_help_still_exits_zero(capsys):

@@ -14,7 +14,6 @@ from pealab import (
     identity,
     interval_map,
     interval_poset,
-    triple_elements,
     triple_map,
     triple_poset,
     validate_bounded_poset,
@@ -112,11 +111,11 @@ class TestTriplePoset:
     def test_two_chain_has_four_triples(self):
         J = triple_poset(c2())
         assert J.n == 4
-        assert triple_elements(c2()) == [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)]
+        assert c2().triples == ((0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1))
 
     def test_order_shrinks_x_grows_y_fixes_z(self):
         J = triple_poset(c2())
-        trips = triple_elements(c2())
+        trips = c2().triples
         lo = trips.index((0, 0, 1))
         hi = trips.index((0, 1, 1))
         assert J.le(lo, hi)
@@ -132,10 +131,15 @@ class TestTriplePoset:
     def test_collapse_action(self):
         f = PosetMorphism(c3(), c2(), (0, 0, 1))  # a -> 0
         tm = triple_map(f)
-        src = triple_elements(c3())
-        dst = triple_elements(c2())
+        src = c3().triples
+        dst = c2().triples
         k = src.index((0, 1, 2))  # [0,a,1]
         assert dst[tm.map[k]] == (0, 0, 1)
+
+    def test_map_that_is_not_isotone_is_rejected(self):
+        f = PosetMorphism(c3(), c3(), (0, 2, 1))  # a above 1: not isotone
+        with pytest.raises(InvalidStructure, match="triple is not comparable"):
+            triple_map(f)
 
 
 class TestZeroEmbedding:
@@ -163,7 +167,7 @@ class TestZeroEmbedding:
 class TestAlphaBeta:
     def test_alpha_values_on_two_chain(self):
         a = alpha(c2())
-        trips = triple_elements(c2())
+        trips = c2().triples
         ip = interval_poset(c2())
         pair_index = list(c2().intervals)
         nested = list(ip.intervals)
@@ -179,7 +183,7 @@ class TestAlphaBeta:
     def test_alpha_fixes_degenerate_triples(self):
         P = c3()
         a = alpha(P)
-        trips = triple_elements(P)
+        trips = P.triples
         pair_index = list(P.intervals)
         nested = list(interval_poset(P).intervals)
         for x in range(P.n):
@@ -189,7 +193,7 @@ class TestAlphaBeta:
 
     def test_beta_values(self):
         b = beta(c2())
-        trips = triple_elements(c2())
+        trips = c2().triples
         pairs = list(c2().intervals)
         assert pairs[b.map[trips.index((0, 0, 1))]] == (0, 0)
         assert pairs[b.map[trips.index((0, 1, 1))]] == (0, 1)

@@ -69,6 +69,12 @@ class TestBandMembership:
         hit = find_band_violation(f)
         assert hit is not None and hit.value < hit.lower
 
+    def test_interior_breakpoint_is_probed(self):
+        # inside the band at every midpoint and at x = 1, below it at x = 2
+        f = pl_map((1, 2, 3), ("9/5", "1/10", 1, 2))
+        hit = find_band_violation(f)
+        assert (hit.point, hit.value) == (2, Fraction(19, 10))
+
     @settings(max_examples=200, deadline=None)
     @given(plmaps())
     def test_decision_agrees_with_dense_sampling(self, f):
@@ -163,14 +169,16 @@ class TestNormalForm:
         assert PLMap(f.breakpoints, f.slopes) == f
 
     def test_invalid_maps_are_rejected(self):
-        with pytest.raises(InvalidStructure):
-            pl_map((2, 1), (1, 1, 1))  # decreasing breakpoints
-        with pytest.raises(InvalidStructure):
-            pl_map((1,), (1, 0))  # zero slope
-        with pytest.raises(InvalidStructure):
-            pl_map((), (1, 1))  # slope count mismatch
-        with pytest.raises(InvalidStructure, match="not a rational number: inf"):
-            pl_map((), (float("inf"),))
+        for breakpoints, slopes, message in [
+            ((2, 1), (1, 1, 1), "breakpoints must be strictly increasing"),
+            ((1,), (1, 0), "slopes must be positive"),
+            ((), (1, 1), "need exactly one slope per segment"),
+            ((), (float("inf"),), "not a rational number: inf"),
+            ((0,), (1, 2), "breakpoints must be positive"),
+            (("-1/2",), (1, 2), "breakpoints must be positive"),
+        ]:
+            with pytest.raises(InvalidStructure, match=message):
+                pl_map(breakpoints, slopes)
 
 
 class TestSum:

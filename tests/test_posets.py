@@ -192,6 +192,33 @@ class TestIntervalIndex:
             )
 
 
+def triples_by_definition(P):
+    """Every (a, b, c) with a <= b and b <= c, in lexicographic order."""
+    n = P.n
+    return tuple(
+        (a, b, c) for a in range(n) for b in range(n) for c in range(n)
+        if P.le(a, b) and P.le(b, c)
+    )
+
+
+class TestTripleIndex:
+    def test_matches_the_definition_on_bounded_classes(self):
+        for P in enumerate_bounded_posets(7):
+            assert P.triples == triples_by_definition(P)
+
+    def test_matches_the_definition_on_an_unbounded_poset(self):
+        P = interval_poset(enumerate_bounded_posets(5)[-1])
+        full = (1 << P.n) - 1
+        assert full not in P.leq  # its degenerate intervals are all minimal
+        assert P.triples == triples_by_definition(P)
+
+    def test_matches_the_definition_beyond_ten_points(self):
+        # the rows of a product this large are read bit by bit, not from BITS
+        P = product_bposets([c3(), c4()])
+        assert P.n == 12
+        assert P.triples == triples_by_definition(P)
+
+
 class TestCheckMorphism:
     def test_identity_is_valid(self):
         assert check_morphism(identity(c3())).ok
